@@ -301,10 +301,10 @@ def run(argv=None) -> int:
         center=getattr(args, "center", None),
         scan=getattr(args, "scan", False),
     )
-    if config.bits is not None:
-        scalars.configure_bits_cap(config.bits)
     handler = HANDLERS[config.subcommand]
     try:
+        if config.bits is not None:
+            scalars.configure_bits_cap(config.bits)
         return handler(config)
     except GeneralPositionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,8 +22,10 @@ Two configuration families are provided:
   exact arithmetic by the test suite, never assumed.
 
 The sum rule reduces counting on coset configurations to residue
-arithmetic in Z_n, which ``residue_oracle`` evaluates by exhaustive
-enumeration, fully independent of the geometric engine.
+arithmetic in Z_n, which ``residue_oracle`` evaluates exactly by a
+subset-sum dynamic program over Z_n (counts of k-subsets by the residue of
+their sum) in O(n^2 * d) integer operations, fully independent of the
+geometric engine.
 """
 
 from __future__ import annotations
@@ -311,44 +313,59 @@ class OracleCounts:
         return {"ordinary": self.ordinary, "dplus2": self.dplus2}
 
 
-def residue_oracle(n: int, d: int, l: int) -> OracleCounts:
-    """Predicted counts for the order-n coset at offset l, by exhaustive
-    enumeration over index subsets of Z_n.
+def _subset_sum_counts(n: int, kmax: int) -> list:
+    """``dp[k][s]``: number of k-subsets of Z_n whose sum is s mod n, for
+    k = 0..kmax, built one element at a time in O(n^2 * kmax)."""
+    dp = [[1] + [0] * (n - 1)] + [[0] * n for _ in range(kmax)]
+    for x in range(n):
+        for k in range(min(x + 1, kmax), 0, -1):
+            prev = dp[k - 1]
+            # adding x to a (k-1)-subset with sum s - x gives sum s
+            shifted = prev[n - x:] + prev[:n - x]
+            dp[k] = [a + b for a, b in zip(dp[k], shifted)]
+    return dp
 
-    A (d+2)-subset is cospherical iff its index sum plus l vanishes mod n.
-    A (d+1)-subset spans an ordinary surface iff its completing residue
-    -(sum)-l falls back inside the subset (tangential contact), since the
-    surface then meets the curve in no further point of the set.
+
+def _oracle_tables(n: int, d: int) -> tuple[list, list]:
+    """Ordinary and (d+2)-point counts for every offset l in 0..n-1.
+
+    A (d+2)-subset is cospherical iff its index sum plus l vanishes mod n,
+    so ``dplus2[l] = dp[d+2][-l]``.  A (d+1)-subset spans an ordinary
+    surface iff its completing residue -(sum)-l falls back inside the
+    subset (tangential contact), since the surface then meets the curve in
+    no further point of the set.  That completing element j is unique;
+    translating the other d elements by -j leaves a d-subset of the
+    nonzero residues with sum -(d+2)*j - l.  Counts of k-subsets of the
+    nonzero residues by sum, ``avoid``, follow from
+    ``dp[k] = avoid_k + avoid_(k-1)``: a k-subset of Z_n either misses 0 or
+    is 0 plus a (k-1)-subset of the nonzero residues.
     """
-    if d % 2:
-        raise DomainError("the residue oracle applies to even dimensions")
+    if d < 4 or d % 2:
+        raise DomainError("the residue oracle applies to even dimensions d >= 4")
     if n < d + 3:
         raise DomainError(f"need n >= {d + 3} for dimension {d}")
-    dplus2 = 0
-    for subset in itertools.combinations(range(n), d + 2):
-        if (sum(subset) + l) % n == 0:
-            dplus2 += 1
-    ordinary = 0
-    for subset in itertools.combinations(range(n), d + 1):
-        if (-sum(subset) - l) % n in subset:
-            ordinary += 1
-    return OracleCounts(ordinary, dplus2)
+    dp = _subset_sum_counts(n, d + 2)
+    dplus2 = [dp[d + 2][-l % n] for l in range(n)]
+    avoid = [1] + [0] * (n - 1)
+    for k in range(1, d + 1):
+        avoid = [a - b for a, b in zip(dp[k], avoid)]
+    ordinary = [
+        sum(avoid[(-(d + 2) * j - l) % n] for j in range(n)) for l in range(n)
+    ]
+    return ordinary, dplus2
+
+
+def residue_oracle(n: int, d: int, l: int) -> OracleCounts:
+    """Predicted counts for the order-n coset at offset l (entry l mod n of
+    the offset scan)."""
+    ordinary, dplus2 = _oracle_tables(n, d)
+    return OracleCounts(ordinary[l % n], dplus2[l % n])
 
 
 def residue_oracle_scan(n: int, d: int) -> dict:
     """Counts for every offset l in 0..n-1 (counts depend on l only mod n),
-    plus the extremal offsets, in two enumeration passes."""
-    if d % 2:
-        raise DomainError("the residue oracle applies to even dimensions")
-    sum_hist = [0] * n
-    for subset in itertools.combinations(range(n), d + 2):
-        sum_hist[sum(subset) % n] += 1
-    ordinary_by_l = [0] * n
-    for subset in itertools.combinations(range(n), d + 1):
-        s = sum(subset)
-        for j in subset:
-            ordinary_by_l[(-s - j) % n] += 1
-    dplus2_by_l = [sum_hist[(-l) % n] for l in range(n)]
+    plus the extremal offsets."""
+    ordinary_by_l, dplus2_by_l = _oracle_tables(n, d)
     best_dplus2 = max(dplus2_by_l)
     best_ordinary = min(ordinary_by_l)
     return {
@@ -516,8 +533,9 @@ def compare_report(ps: PointSet, threads: int = 1) -> CompareReport:
         )
 
     if generator == "coset":
-        oracle = residue_oracle(n, d, int(meta["l"]))
         scan = residue_oracle_scan(n, d)
+        l = int(meta["l"]) % n
+        oracle = OracleCounts(scan["ordinary_by_l"][l], scan["dplus2_by_l"][l])
         matches["engine_equals_oracle"] = (
             ordinary == oracle.ordinary and dplus2 == oracle.dplus2
         )

@@ -1,12 +1,15 @@
 """Independent reference implementations used only by the test suite.
 
 Deliberately share no code with the package: determinants use recursive
-Laplace expansion, ranks use Gaussian elimination, and the spectrum oracle
+Laplace expansion, ranks use Gaussian elimination, the spectrum oracle
 deduplicates surfaces by their full incidence-index sets instead of
-canonical coefficient keys.
+canonical coefficient keys, the residue scan enumerates every index subset
+instead of running the package's subset-sum dynamic program, and subset-sum
+counts have a Ramanujan-sum closed form.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -97,3 +100,54 @@ def naive_sphere_spectrum(points):
 
 def naive_plane_spectrum(points):
     return naive_spectrum(points, _plane_row, len(points[0]))
+
+
+def enumerated_residue_scan(n, d):
+    """Coset counts for every offset l in 0..n-1 by enumerating all index
+    subsets of Z_n: (d+2)-subsets whose sum plus l vanishes, and
+    (d+1)-subsets whose completing residue -(sum)-l lies inside them."""
+    sum_hist = [0] * n
+    for subset in itertools.combinations(range(n), d + 2):
+        sum_hist[sum(subset) % n] += 1
+    ordinary_by_l = [0] * n
+    for subset in itertools.combinations(range(n), d + 1):
+        s = sum(subset)
+        for j in subset:
+            ordinary_by_l[(-s - j) % n] += 1
+    dplus2_by_l = [sum_hist[(-l) % n] for l in range(n)]
+    return ordinary_by_l, dplus2_by_l
+
+
+def _divisors(m):
+    return [e for e in range(1, m + 1) if m % e == 0]
+
+
+def _mobius(m):
+    result, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
+
+
+def ramanujan_sum(e, s):
+    """c_e(s), the sum of the s-th powers of the primitive e-th roots of
+    unity: sum over delta | gcd(e, s) of mu(e / delta) * delta."""
+    return sum(_mobius(e // delta) * delta for delta in _divisors(math.gcd(e, s)))
+
+
+def subset_sum_count(n, k, s):
+    """Number of k-subsets of Z_n whose sum is s mod n:
+    (1/n) * sum over e | gcd(n, k) of
+    (-1)^(k + k/e) * C(n/e, k/e) * c_e(s)."""
+    total = sum(
+        (-1) ** (k + k // e) * math.comb(n // e, k // e) * ramanujan_sum(e, s)
+        for e in _divisors(math.gcd(n, k))
+    )
+    if total % n:
+        raise ArithmeticError(f"closed form is not an integer at n={n}, k={k}, s={s}")
+    return total // n

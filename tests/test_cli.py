@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersphere_lab.cli import (
     EXIT_GENERAL_POSITION,
@@ -150,6 +153,24 @@ class TestOracleFormula:
         data = read_json(out)
         assert data["max_dplus2"] == 80 and data["argmax_dplus2"] == [3, 9]
 
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(-3, 12), n=st.integers(-5, 40), l=st.integers(-100, 100),
+           scan=st.booleans())
+    def test_oracle_exit_contract(self, d, n, l, scan):
+        argv = ["oracle", "--d", str(d), "--n", str(n), "--l", str(l)]
+        if scan:
+            argv.append("--scan")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert "Traceback" not in err.getvalue()
+        if d >= 4 and d % 2 == 0 and n >= d + 3:
+            assert code == EXIT_OK
+            assert json.loads(out.getvalue())["run"]["subcommand"] == "oracle"
+        else:
+            assert code == EXIT_USAGE
+            assert err.getvalue().startswith("error:")
+
     def test_formula_json(self, tmp_path):
         out = tmp_path / "f.json"
         assert run(["formula", "--d", "4", "--n", "13", "-o", str(out)]) == EXIT_OK
@@ -188,6 +209,11 @@ class TestUsageErrors:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         assert run(["count", str(path)]) == EXIT_USAGE
+
+    def test_generate_bits_below_cap(self, capsys):
+        assert run(["generate", "--kind", "coset", "--d", "4", "--n", "9",
+                    "--backend", "interval", "--bits", "64"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_pointset_names_problem(self, tmp_path, capsys):
         path = tmp_path / "malformed.json"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import laplace_det
+from oracles import enumerated_residue_scan, laplace_det, subset_sum_count
 
 from hypersphere_lab.constructions import (
     CosetSpec,
@@ -219,6 +219,30 @@ class TestResidueOracle:
     def test_odd_dimension_rejected(self):
         with pytest.raises(DomainError):
             residue_oracle(10, 3, 0)
+
+    @pytest.mark.parametrize("n,d", [(10, 3), (12, 2), (12, 0), (12, -2), (6, 4), (0, 4), (-5, 4), (8, 6)])
+    def test_domain_shared_by_both_entry_points(self, n, d):
+        with pytest.raises(DomainError):
+            residue_oracle(n, d, 0)
+        with pytest.raises(DomainError):
+            residue_oracle_scan(n, d)
+
+    @pytest.mark.parametrize("n,d", [(n, d) for d in (4, 6) for n in range(d + 3, 25)])
+    def test_dp_equals_enumeration(self, n, d):
+        scan = residue_oracle_scan(n, d)
+        ordinary_by_l, dplus2_by_l = enumerated_residue_scan(n, d)
+        assert scan["ordinary_by_l"] == ordinary_by_l
+        assert scan["dplus2_by_l"] == dplus2_by_l
+
+    @pytest.mark.parametrize("n", [97, 600])
+    def test_large_n_against_ramanujan_closed_form(self, n):
+        scan = residue_oracle_scan(n, 4)
+        assert scan["dplus2_by_l"] == [subset_sum_count(n, 6, -l % n) for l in range(n)]
+        for l in range(n):
+            assert scan["ordinary_by_l"][l] + 6 * scan["dplus2_by_l"][l] == math.comb(n, 5)
+        formula = closed_form_counts(4, n)
+        assert scan["min_ordinary"] == formula["min_ordinary"]
+        assert scan["max_dplus2"] == formula["max_dplus2"]
 
 
 class TestClosedForms:
