@@ -14,18 +14,10 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import constructions, counting, geometry, scalars
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    GeneralPositionError,
-    GenerationError,
-    HypersphereLabError,
-    PoleError,
-)
+from .errors import ConsistencyError, DomainError, GeneralPositionError, HypersphereLabError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -34,35 +26,13 @@ EXIT_GENERAL_POSITION = 4
 EXIT_INCONSISTENT = 5
 
 
-@dataclass
-class RunConfig:
-    """Flags echoed into every output artifact for reproducibility."""
-
-    subcommand: str
-    input: str | None = None
-    output: str | None = None
-    csv_out: str | None = None
-    backend: str | None = None
-    bits: int | None = None
-    threads: int | None = None
-    seed: int | None = None
-    d: int | None = None
-    n: int | None = None
-    l: int | None = None
-    kind: str | None = None
-    center: str | None = None
-    scan: bool = False
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None and v is not False}
-
-
-def _emit_json(payload: dict, config: RunConfig):
+def _emit_json(payload: dict, args: argparse.Namespace):
+    """Write ``payload`` with the run's flags echoed under ``"run"``."""
     payload = dict(payload)
-    payload["run"] = config.to_json()
+    payload["run"] = {k: v for k, v in vars(args).items() if v is not None and v is not False}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -85,7 +55,7 @@ def _load_pointset(path: str) -> geometry.PointSet:
         raise DomainError(f"{path} is not valid JSON: {exc}") from None
     try:
         return geometry.PointSet.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"{path}: malformed point set ({exc})") from None
 
 
@@ -109,101 +79,103 @@ def _to_interval_pointset(ps: geometry.PointSet, bits: int) -> geometry.PointSet
 # ---------------------------------------------------------------------------
 
 
-def _cmd_generate(config: RunConfig) -> int:
-    if config.kind == "trivial":
-        ps = constructions.trivial_config(config.d, config.n, seed=config.seed)
-        if config.backend not in (None, "rational", "interval"):
+def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.bits is not None and args.bits < scalars.DEFAULT_START_BITS:
+        raise DomainError(f"--bits must be at least {scalars.DEFAULT_START_BITS}, got {args.bits}")
+    if args.kind == "trivial":
+        ps = constructions.trivial_config(args.d, args.n, seed=args.seed)
+        if args.backend not in (None, "rational", "interval"):
             raise DomainError("trivial configurations use the rational backend")
-    elif config.kind == "coset":
-        params = constructions.CurveParams.default(config.d)
-        spec = constructions.CosetSpec(params, config.n, config.l or 0)
+    elif args.kind == "coset":
+        params = constructions.CurveParams.default(args.d)
+        spec = constructions.CosetSpec(params, args.n, args.l or 0)
         ps = constructions.coset_config(spec)
-        if config.backend not in (None, "cyclotomic", "interval"):
+        if args.backend not in (None, "cyclotomic", "interval"):
             raise DomainError("coset configurations use the cyclotomic backend")
     else:
-        raise DomainError(f"unknown generator kind {config.kind!r}")
-    if config.backend == "interval":
-        ps = _to_interval_pointset(ps, config.bits or 256)
-    _emit_json(ps.to_json(), config)
+        raise DomainError(f"unknown generator kind {args.kind!r}")
+    if args.backend == "interval":
+        ps = _to_interval_pointset(ps, args.bits or 256)
+    _emit_json(ps.to_json(), args)
     return EXIT_OK
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    ps = _load_pointset(config.input)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    ps = _load_pointset(args.input)
     witness = geometry.general_position_check(ps)
     _emit_json(
         {"ok": witness is None, "witness": list(witness) if witness else None},
-        config,
+        args,
     )
     return EXIT_OK if witness is None else EXIT_GENERAL_POSITION
 
 
-def _cmd_count(config: RunConfig) -> int:
-    ps = _load_pointset(config.input)
-    spec = counting.spectrum(ps, threads=config.threads or 1)
-    _emit_json({"spectrum": spec.to_json()}, config)
-    if config.csv_out:
+def _cmd_count(args: argparse.Namespace) -> int:
+    ps = _load_pointset(args.input)
+    spec = counting.spectrum(ps, threads=args.threads or 1)
+    _emit_json({"spectrum": spec.to_json()}, args)
+    if args.csv_out:
         rows = [("m", "N_m")] + [(m, nm) for m, nm in sorted(spec.counts.items())]
-        _write_csv(config.csv_out, rows)
+        _write_csv(args.csv_out, rows)
     return EXIT_OK if spec.certified else EXIT_NOT_CERTIFIED
 
 
-def _cmd_lift(config: RunConfig) -> int:
-    ps = _load_pointset(config.input)
-    _emit_json(geometry.lift_set(ps).to_json(), config)
+def _cmd_lift(args: argparse.Namespace) -> int:
+    ps = _load_pointset(args.input)
+    _emit_json(geometry.lift_set(ps).to_json(), args)
     return EXIT_OK
 
 
-def _cmd_invert(config: RunConfig) -> int:
-    ps = _load_pointset(config.input)
+def _cmd_invert(args: argparse.Namespace) -> int:
+    ps = _load_pointset(args.input)
     try:
-        center = tuple(Fraction(part) for part in config.center.split(","))
+        center = tuple(Fraction(part) for part in args.center.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad --center value {config.center!r}: {exc}") from None
+        raise DomainError(f"bad --center value {args.center!r}: {exc}") from None
     if len(center) != ps.dimension:
         raise DomainError(
             f"--center has {len(center)} coordinates, point set has dimension {ps.dimension}"
         )
-    _emit_json(geometry.invert_set(ps, center).to_json(), config)
+    _emit_json(geometry.invert_set(ps, center).to_json(), args)
     return EXIT_OK
 
 
-def _cmd_oracle(config: RunConfig) -> int:
-    if config.scan:
-        payload = constructions.residue_oracle_scan(config.n, config.d)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.scan:
+        payload = constructions.residue_oracle_scan(args.n, args.d)
     else:
-        payload = constructions.residue_oracle(config.n, config.d, config.l or 0).to_json()
-    _emit_json(payload, config)
+        payload = constructions.residue_oracle(args.n, args.d, args.l or 0).to_json()
+    _emit_json(payload, args)
     return EXIT_OK
 
 
-def _cmd_formula(config: RunConfig) -> int:
-    payload = constructions.closed_form_counts(config.d, config.n)
+def _cmd_formula(args: argparse.Namespace) -> int:
+    payload = constructions.closed_form_counts(args.d, args.n)
     payload["ordinary"] = payload["min_ordinary"]
     payload["dplus2"] = payload["max_dplus2"]
     payload["caveat"] = constructions.FORMULA_CAVEAT
-    _emit_json(payload, config)
+    _emit_json(payload, args)
     return EXIT_OK
 
 
-def _cmd_compare(config: RunConfig) -> int:
-    ps = _load_pointset(config.input)
-    report = constructions.compare_report(ps, threads=config.threads or 1)
-    if config.output:
-        with open(config.output, "w") as fh:
+def _cmd_compare(args: argparse.Namespace) -> int:
+    ps = _load_pointset(args.input)
+    report = constructions.compare_report(ps, threads=args.threads or 1)
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(report.to_markdown())
     else:
         sys.stdout.write(report.to_markdown())
-    if config.csv_out:
-        _write_csv(config.csv_out, report.csv_rows())
+    if args.csv_out:
+        _write_csv(args.csv_out, report.csv_rows())
     hard = report.matches.get("engine_equals_oracle")
     return EXIT_OK if hard in (None, True) else EXIT_INCONSISTENT
 
 
-def _cmd_selftest(config: RunConfig) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> int:
     from .selftest import run_selftest
 
-    return EXIT_OK if run_selftest() else 1
+    return EXIT_OK if run_selftest() else EXIT_INCONSISTENT
 
 
 HANDLERS = {
@@ -248,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("count", help="compute the incidence spectrum")
     c.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     c.add_argument("--csv", dest="csv_out", help="also write spectrum as CSV")
-    c.add_argument("--bits", type=int, help="precision cap for sign decisions")
     add_common(c, inp=True)
 
     lf = sub.add_parser("lift", help="map points onto the unit sphere one dimension up")
@@ -285,36 +256,14 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    config = RunConfig(
-        subcommand=args.subcommand,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        csv_out=getattr(args, "csv_out", None),
-        backend=getattr(args, "backend", None),
-        bits=getattr(args, "bits", None),
-        threads=getattr(args, "threads", None),
-        seed=getattr(args, "seed", None),
-        d=getattr(args, "d", None),
-        n=getattr(args, "n", None),
-        l=getattr(args, "l", None),
-        kind=getattr(args, "kind", None),
-        center=getattr(args, "center", None),
-        scan=getattr(args, "scan", False),
-    )
-    handler = HANDLERS[config.subcommand]
     try:
-        if config.bits is not None:
-            scalars.configure_bits_cap(config.bits)
-        return handler(config)
+        return HANDLERS[args.subcommand](args)
     except GeneralPositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERAL_POSITION
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (DomainError, PoleError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except HypersphereLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -118,35 +119,9 @@ def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def combinations_slice(n: int, k: int, start: int, stop: int):
-    """Lexicographic k-subsets of range(n) with ranks in [start, stop)."""
-    if start >= stop:
-        return
-    current = list(unrank_combination(start, n, k))
-    for _ in range(stop - start):
-        yield tuple(current)
-        # advance to the next combination
-        i = k - 1
-        while i >= 0 and current[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            return
-        current[i] += 1
-        for j in range(i + 1, k):
-            current[j] = current[j - 1] + 1
-
-
 # ---------------------------------------------------------------------------
 # subset histogram core
 # ---------------------------------------------------------------------------
-
-
-def _rows_for(ps: PointSet, mode: str) -> list:
-    if mode == "sphere":
-        return [lifted_row(p) for p in ps.points]
-    if mode == "plane":
-        return [affine_row(p) for p in ps.points]
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _histogram_range(rows, r: int, start: int, stop: int):
@@ -159,7 +134,7 @@ def _histogram_range(rows, r: int, start: int, stop: int):
     hist: Counter = Counter()
     indeterminate = 0
     violation = None
-    for subset in combinations_slice(n, r, start, stop):
+    for subset in itertools.islice(itertools.combinations(range(n), r), start, stop):
         cof = maximal_cofactors([rows[i] for i in subset])
         if all(is_zero_fast(c) for c in cof):
             violation = subset
@@ -189,44 +164,44 @@ def _histogram_range(rows, r: int, start: int, stop: int):
 
 
 def _worker(args):
-    payload, mode, r, start, stop = args
-    ps = PointSet.from_json(payload)
-    rows = _rows_for(ps, mode)
+    payload, row, r, start, stop = args
+    rows = [row(p) for p in PointSet.from_json(payload).points]
     hist, indet, violation = _histogram_range(rows, r, start, stop)
     return dict(hist), indet, violation
 
 
-def _subset_histogram(ps: PointSet, mode: str, r: int, threads: int):
-    n = ps.n
-    total = math.comb(n, r)
-    if threads <= 1 or total < 256:
-        rows = _rows_for(ps, mode)
-        return _histogram_range(rows, r, 0, total)
+def _subset_histogram(ps: PointSet, row, r: int, threads: int):
+    total = math.comb(ps.n, r)
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1 or total < 256:
+        return _histogram_range([row(p) for p in ps.points], r, 0, total)
     # contiguous rank ranges; merged results are independent of the split
-    chunk = -(-total // threads)
+    chunk = -(-total // workers)
     ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
     payload = ps.to_json()
     hist: Counter = Counter()
     indeterminate = 0
     violations = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part, indet, violation in pool.map(
-            _worker, [(payload, mode, r, a, b) for a, b in ranges]
+            _worker, [(payload, row, r, a, b) for a, b in ranges]
         ):
             hist.update(part)
             indeterminate += indet
             if violation is not None:
                 violations.append(violation)
-    if violations:
-        return hist, indeterminate, min(violations)
-    return hist, indeterminate, None
+    return hist, indeterminate, min(violations, default=None)
 
 
-def _divide_histogram(hist, r: int, indeterminate: int) -> dict[int, int]:
+def _spectrum(ps: PointSet, row, r: int, violation_error, threads: int) -> Spectrum:
+    """Histogram every r-subset's incidence count over ``row`` images of
+    the points, then divide by the multiplicities C(m, r)."""
+    hist, indeterminate, violation = _subset_histogram(ps, row, r, threads)
+    if violation is not None:
+        raise violation_error(violation)
     counts = {}
     for m, subsets in sorted(hist.items()):
-        weight = math.comb(m, r)
-        quotient, remainder = divmod(subsets, weight)
+        quotient, remainder = divmod(subsets, math.comb(m, r))
         if remainder and indeterminate == 0:
             raise ConsistencyError(
                 f"{subsets} subsets saw incidence count {m}, not a multiple of C({m},{r})"
@@ -234,7 +209,10 @@ def _divide_histogram(hist, r: int, indeterminate: int) -> dict[int, int]:
         # with indeterminate exclusions the multiplicity bookkeeping is
         # legitimately broken; the floor is reported and the run flagged
         counts[m] = quotient
-    return counts
+    spec = Spectrum(ps.dimension, ps.n, r, counts, indeterminate)
+    if spec.certified and not spec.partition_holds():
+        raise ConsistencyError("partition identity failed after exact division")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -250,41 +228,9 @@ def spectrum(ps: PointSet, threads: int = 1) -> Spectrum:
     the subset counts contradict the multiplicity bookkeeping.
     """
     d = ps.dimension
-    r = d + 1
     if ps.n < d + 2:
         raise DomainError(f"need at least {d + 2} points in dimension {d}, got {ps.n}")
-    hist, indeterminate, violation = _subset_histogram(ps, "sphere", r, threads)
-    if violation is not None:
-        raise GeneralPositionError(violation)
-    counts = _divide_histogram(hist, r, indeterminate)
-    spec = Spectrum(d, ps.n, r, counts, indeterminate)
-    if spec.certified and not spec.partition_holds():
-        raise ConsistencyError("partition identity failed after exact division")
-    return spec
-
-
-def _affine_rank(rows) -> int:
-    """Rank by fraction-free elimination; exact backends only."""
-    work = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(work[0])):
-        pivot = None
-        for i in range(rank, len(work)):
-            if not is_zero_fast(work[i][col]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            c = work[i][col]
-            if not is_zero_fast(c):
-                work[i] = [pv * a - c * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return _spectrum(ps, lifted_row, d + 1, GeneralPositionError, threads)
 
 
 def ordinary_hyperplane_spectrum(ps: PointSet, threads: int = 1) -> Spectrum:
@@ -297,15 +243,9 @@ def ordinary_hyperplane_spectrum(ps: PointSet, threads: int = 1) -> Spectrum:
     r = ps.dimension
     if ps.n < r + 1:
         raise SpanError(())
-    if ps.backend != "interval" and _affine_rank([affine_row(p) for p in ps.points]) <= r:
+    spec = _spectrum(ps, affine_row, r, SpanError, threads)
+    if spec.certified and spec.counts == {ps.n: 1}:
         raise SpanError(tuple(range(ps.n)))
-    hist, indeterminate, violation = _subset_histogram(ps, "plane", r, threads)
-    if violation is not None:
-        raise SpanError(violation)
-    counts = _divide_histogram(hist, r, indeterminate)
-    spec = Spectrum(ps.dimension, ps.n, r, counts, indeterminate)
-    if spec.certified and not spec.partition_holds():
-        raise ConsistencyError("partition identity failed after exact division")
     return spec
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -29,40 +28,9 @@ from .errors import ConductorError, DomainError, ResourceError
 
 DEFAULT_START_BITS = 128
 DEFAULT_BITS_CAP = 4096
-BITS_ENV_VAR = "HYPERSPHERE_LAB_BITS"
 
 # int64 headroom for the numpy convolution fast path
 _SAFE_INT64 = 1 << 62
-
-
-_configured_cap: int | None = None
-
-
-def configure_bits_cap(cap: int | None):
-    """Set the process-wide precision ceiling (the env var still wins)."""
-    global _configured_cap
-    if cap is not None and cap < DEFAULT_START_BITS:
-        raise ResourceError(f"precision cap must be at least {DEFAULT_START_BITS}, got {cap}")
-    _configured_cap = cap
-
-
-def bits_cap() -> int:
-    """Precision ceiling for the escalation ladder.
-
-    Precedence: HYPERSPHERE_LAB_BITS environment variable, then the value
-    set by configure_bits_cap, then the default.
-    """
-    raw = os.environ.get(BITS_ENV_VAR)
-    if raw is not None:
-        cap = int(raw)
-        if cap < DEFAULT_START_BITS:
-            raise ResourceError(
-                f"{BITS_ENV_VAR} must be at least {DEFAULT_START_BITS}, got {cap}"
-            )
-        return cap
-    if _configured_cap is not None:
-        return _configured_cap
-    return DEFAULT_BITS_CAP
 
 
 class _IndeterminateType:
@@ -187,10 +155,16 @@ class CyclotomicContext:
     """
 
     def __init__(self, conductor: int, embedding_index: int = 1, degree_cap: int | None = 1024):
-        if conductor % 4 != 0:
-            raise ConductorError(f"conductor must be a multiple of 4, got {conductor}")
+        if conductor <= 0 or conductor % 4 != 0:
+            raise ConductorError(f"conductor must be a positive multiple of 4, got {conductor}")
         if math.gcd(embedding_index, conductor) != 1:
             raise ConductorError("embedding index must be coprime to the conductor")
+        if degree_cap is not None and conductor > 2 * degree_cap**2:
+            # phi(N) >= sqrt(N/2); checked before euler_phi, whose trial
+            # division takes O(sqrt(N)) steps
+            raise ResourceError(
+                f"conductor {conductor} gives a field degree above cap {degree_cap}"
+            )
         self.conductor = conductor
         self.embedding_index = embedding_index
         self.degree = euler_phi(conductor)
@@ -652,7 +626,7 @@ class IntervalScalar:
 # ---------------------------------------------------------------------------
 
 
-def sign_of(value, start_bits: int = DEFAULT_START_BITS, cap: int | None = None):
+def sign_of(value, start_bits: int = DEFAULT_START_BITS, cap: int = DEFAULT_BITS_CAP):
     """Sign in {-1, 0, +1}, or INDETERMINATE for straddling intervals.
 
     Rational and cyclotomic inputs always decide: cyclotomic signs use the
@@ -667,7 +641,6 @@ def sign_of(value, start_bits: int = DEFAULT_START_BITS, cap: int | None = None)
             raise DomainError("sign of a non-real cyclotomic element")
         if value.is_zero():
             return 0
-        limit = cap if cap is not None else bits_cap()
         bits = start_bits
         while True:
             enc = value.real_enclosure(bits)
@@ -677,11 +650,11 @@ def sign_of(value, start_bits: int = DEFAULT_START_BITS, cap: int | None = None)
                 return 1
             if hi < 0:
                 return -1
-            if bits >= limit:
+            if bits >= cap:
                 raise ResourceError(
-                    f"sign undecided for nonzero element at precision cap {limit} bits"
+                    f"sign undecided for nonzero element at precision cap {cap} bits"
                 )
-            bits = min(2 * bits, limit)
+            bits = min(2 * bits, cap)
     if isinstance(value, IntervalScalar):
         if value.lo > 0:
             return 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypersphere_lab.cli import (
     EXIT_GENERAL_POSITION,
+    EXIT_INCONSISTENT,
     EXIT_NOT_CERTIFIED,
     EXIT_OK,
     EXIT_USAGE,
@@ -215,6 +216,9 @@ class TestUsageErrors:
                     "--backend", "interval", "--bits", "64"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_count_has_no_bits_flag(self, trivial_file):
+        assert run(["count", str(trivial_file), "--bits", "192"]) == EXIT_USAGE
+
     def test_malformed_pointset_names_problem(self, tmp_path, capsys):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps({"dimension": 3, "backend": "rational"}))
@@ -227,3 +231,67 @@ class TestSelftest:
         assert run(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_selftest_failure_exits_inconsistent(self, monkeypatch, capsys):
+        from hypersphere_lab import selftest
+
+        monkeypatch.setattr(selftest, "CHECKS", [("always fails", lambda: False)])
+        assert run(["selftest"]) == EXIT_INCONSISTENT
+        assert "FAIL  always fails" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def coset_points(tmp_path_factory):
+    path = tmp_path_factory.mktemp("coset") / "c.json"
+    assert run(["generate", "--d", "4", "--n", "7", "--kind", "coset", "-o", str(path)]) == EXIT_OK
+    return read_json(path)
+
+
+fraction_strings = st.builds(
+    lambda num, den: f"{num}/{den}", st.integers(-5, 5), st.integers(-2, 2)
+)
+wrong_types = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.fixed_dictionaries({"conductor": st.one_of(st.none(), st.text(max_size=3), st.floats())}),
+)
+
+
+class TestMalformedScalars:
+    """Mutated cyclotomic encodings end in a documented exit code, never a
+    traceback; integer conductors stay in -8..64 so that fields stay small."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), everywhere=st.booleans(), kind=st.sampled_from(
+        ["conductor", "coefficient", "wrong type"]))
+    def test_count_exit_contract(self, coset_points, tmp_path_factory, data, everywhere, kind):
+        payload = json.loads(json.dumps(coset_points))
+        n, d = len(payload["points"]), payload["dimension"]
+        if kind == "conductor":
+            mutate = {"conductor": data.draw(st.integers(-8, 64))}
+        elif kind == "coefficient":
+            mutate = {"coeffs": data.draw(st.lists(fraction_strings, min_size=1, max_size=12))}
+        else:
+            mutate = None
+        targets = ([(i, j) for i in range(n) for j in range(d)] if everywhere
+                   else [(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1)))])
+        for i, j in targets:
+            if mutate is None:
+                payload["points"][i][j] = data.draw(wrong_types)
+            else:
+                payload["points"][i][j] = {**payload["points"][i][j], **mutate}
+        path = tmp_path_factory.mktemp("fuzz") / "m.json"
+        path.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["count", str(path), "--threads", "1"])
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("conductor", [float("inf"), 4 * (10**20 + 39)])
+    def test_unbuildable_conductor_is_usage_error(self, coset_points, tmp_path, conductor):
+        payload = json.loads(json.dumps(coset_points))
+        payload["points"][0][0]["conductor"] = conductor
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))  # float("inf") is written as Infinity
+        assert run(["count", str(path), "--threads", "1"]) == EXIT_USAGE

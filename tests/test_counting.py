@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import random_general_position_set
 from oracles import naive_plane_spectrum, naive_sphere_spectrum
 
+from hypersphere_lab import counting
 from hypersphere_lab.counting import (
-    combinations_slice,
     count_dplus2,
     count_ordinary,
     ordinary_hyperplane_spectrum,
@@ -49,21 +50,6 @@ class TestUnranking:
             return
         combos = list(itertools.combinations(range(n), k))
         assert [unrank_combination(r, n, k) for r in range(len(combos))] == combos
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(min_value=2, max_value=9),
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=0, max_value=60),
-        st.integers(min_value=0, max_value=60),
-    )
-    def test_slices_partition_the_enumeration(self, n, k, a, b):
-        if k > n:
-            return
-        total = math.comb(n, k)
-        start, stop = sorted((min(a, total), min(b, total)))
-        combos = list(itertools.combinations(range(n), k))
-        assert list(combinations_slice(n, k, start, stop)) == combos[start:stop]
 
     def test_out_of_range_rank(self):
         with pytest.raises(ValueError):
@@ -151,8 +137,9 @@ class TestHyperplaneSpectrum:
     def test_all_coplanar_is_span_violation(self):
         pts = [(Fraction(i), Fraction(i * i), Fraction(0)) for i in range(5)]
         ps = PointSet.build(pts)
-        with pytest.raises(SpanError):
+        with pytest.raises(SpanError) as err:
             ordinary_hyperplane_spectrum(ps)
+        assert err.value.witness == tuple(range(5))
 
     def test_degenerate_subset_is_span_violation_with_witness(self):
         pts = [
@@ -304,6 +291,38 @@ class TestParallelism:
                 spectrum(ps, threads=threads)
             witnesses.append(err.value.witness)
         assert witnesses[0] == witnesses[1] == witnesses[2] == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, None)])
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, workers):
+        pools = []
+
+        class InlineExecutor:
+            """Records the requested pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.tasks = 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                self.tasks = len(items)
+                return map(fn, items)
+
+        ps = sphere_plus_point_config(3, 11, seed=3)  # C(12, 4) = 495 subsets
+        reference = spectrum(ps, threads=1)
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert spectrum(ps, threads=5000) == reference
+        assert [(p.max_workers, p.tasks) for p in pools] == (
+            [(workers, workers)] if workers else []
+        )
 
 
 class TestIntervalMode:

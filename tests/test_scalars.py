@@ -10,8 +10,6 @@ from hypersphere_lab.errors import ConductorError, DomainError, ResourceError
 from hypersphere_lab.scalars import (
     INDETERMINATE,
     IntervalScalar,
-    bits_cap,
-    configure_bits_cap,
     context_for_order,
     cyclotomic_polynomial,
     euler_phi,
@@ -100,6 +98,16 @@ class TestTrigPair:
         with pytest.raises(ConductorError):
             get_context(6)
 
+    @pytest.mark.parametrize("conductor", [0, -4, -8])
+    def test_conductor_must_be_positive(self, conductor):
+        with pytest.raises(ConductorError):
+            get_context(conductor)
+
+    def test_huge_conductor_is_refused_before_factoring(self):
+        # trial division of this conductor would take about 10^10 steps
+        with pytest.raises(ResourceError):
+            get_context(4 * (10**20 + 39))
+
 
 class TestSignOf:
     def test_rational_signs(self):
@@ -125,6 +133,14 @@ class TestSignOf:
         approx = Fraction(math.isqrt(3 * 10**80), 10**40)  # floor, so below sqrt3
         assert sign_of(sqrt3 - approx) == 1
         assert sign_of(sqrt3 - approx - Fraction(1, 10**39)) == -1
+
+    def test_explicit_cap_bounds_the_ladder(self):
+        ctx = context_for_order(12)
+        sqrt3 = ctx.zeta_power(1) - ctx.zeta_power(5)
+        tiny = sqrt3 - Fraction(math.isqrt(3 * 4**200), 2**200)  # in (0, 2^-199)
+        with pytest.raises(ResourceError):
+            sign_of(tiny, cap=128)
+        assert sign_of(tiny) == 1
 
     def test_interval_straddle_is_indeterminate(self):
         x = IntervalScalar.from_fraction(Fraction(1, 3), 64)
@@ -251,20 +267,3 @@ class TestSerialization:
         x = IntervalScalar.from_fraction(Fraction(-22, 7), 160)
         y = pickle.loads(pickle.dumps(x))
         assert (y.lo, y.hi, y.bits) == (x.lo, x.hi, x.bits)
-
-
-class TestBitsCap:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HYPERSPHERE_LAB_BITS", "512")
-        assert bits_cap() == 512
-        monkeypatch.setenv("HYPERSPHERE_LAB_BITS", "16")
-        with pytest.raises(ResourceError):
-            bits_cap()
-
-    def test_configured_cap(self, monkeypatch):
-        monkeypatch.delenv("HYPERSPHERE_LAB_BITS", raising=False)
-        configure_bits_cap(2048)
-        try:
-            assert bits_cap() == 2048
-        finally:
-            configure_bits_cap(None)
