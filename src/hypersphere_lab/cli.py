@@ -45,6 +45,13 @@ def _write_csv(path: str, rows):
             writer.writerow(row)
 
 
+def _check_bits(bits):
+    """Interval precision accepted from a flag or a point file."""
+    lo, hi = scalars.DEFAULT_START_BITS, scalars.DEFAULT_BITS_CAP
+    if type(bits) is not int or not lo <= bits <= hi:
+        raise DomainError(f"bits must be an integer in {lo}..{hi}, got {bits!r}")
+
+
 def _load_pointset(path: str) -> geometry.PointSet:
     try:
         with open(path) as fh:
@@ -54,6 +61,11 @@ def _load_pointset(path: str) -> geometry.PointSet:
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}") from None
     try:
+        # bounded before any interval is built at the file's precision
+        for point in data["points"]:
+            for c in point:
+                if isinstance(c, dict) and "lo" in c:
+                    _check_bits(c.get("bits"))
         return geometry.PointSet.from_json(data)
     except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"{path}: malformed point set ({exc})") from None
@@ -80,8 +92,8 @@ def _to_interval_pointset(ps: geometry.PointSet, bits: int) -> geometry.PointSet
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.bits is not None and args.bits < scalars.DEFAULT_START_BITS:
-        raise DomainError(f"--bits must be at least {scalars.DEFAULT_START_BITS}, got {args.bits}")
+    if args.bits is not None:
+        _check_bits(args.bits)
     if args.kind == "trivial":
         ps = constructions.trivial_config(args.d, args.n, seed=args.seed)
         if args.backend not in (None, "rational", "interval"):

@@ -36,11 +36,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
-
 from .errors import ConsistencyError, DomainError, GenerationError
 from .geometry import PointSet, cospherical, general_position_check, lifted_row, det
-from .scalars import CyclotomicContext, IntervalScalar, get_context
+from .scalars import CyclotomicContext, IntervalScalar, context_for_order, interval_context
 from .counting import spectrum, Spectrum
 
 TWO_PI = 2 * math.pi
@@ -178,25 +176,13 @@ class CosetSpec:
 
 def curve_context(n: int, d: int) -> CyclotomicContext:
     """Field containing all coordinates of an order-n coset in dimension d."""
-    m = n * (d + 2)
-    return get_context(4 * m // math.gcd(4, m))
+    return context_for_order(n * (d + 2))
 
 
-def curve_point(params: CurveParams, j: int, n: int, l: int = 0,
-                ctx: CyclotomicContext | None = None) -> tuple:
-    """Exact cyclotomic coordinates of gamma(2*pi*(j + l/(d+2))/n)."""
-    d = params.dimension
-    if not 0 <= j < n:
-        raise DomainError(f"index {j} outside 0..{n - 1}")
-    if ctx is None:
-        ctx = curve_context(n, d)
-    k = d // 2
-    m_total = n * (d + 2)
-    base = j * (d + 2) + l  # angle is 2*pi*base/m_total
-
-    def trig(freq):
-        return ctx.cos_sin(freq * base, m_total)
-
+def _curve_coords(params: CurveParams, trig) -> tuple:
+    """gamma(t) in whichever scalar backend ``trig(f)``, the pair
+    (cos f*t, sin f*t), computes in."""
+    k = params.dimension // 2
     cos1, sin1 = trig(1)
     coords = [cos1 * params.a, sin1 * params.b]
     for freq in range(2, k):
@@ -208,6 +194,19 @@ def curve_point(params: CurveParams, j: int, n: int, l: int = 0,
     coords.append(cos1 * params.e + cos_k * params.amps[-1])
     coords.append(sin_k * params.amps[-1])
     return tuple(coords)
+
+
+def curve_point(params: CurveParams, j: int, n: int, l: int = 0,
+                ctx: CyclotomicContext | None = None) -> tuple:
+    """Exact cyclotomic coordinates of gamma(2*pi*(j + l/(d+2))/n)."""
+    d = params.dimension
+    if not 0 <= j < n:
+        raise DomainError(f"index {j} outside 0..{n - 1}")
+    if ctx is None:
+        ctx = curve_context(n, d)
+    m_total = n * (d + 2)
+    base = j * (d + 2) + l  # angle is 2*pi*base/m_total
+    return _curve_coords(params, lambda freq: ctx.cos_sin(freq * base, m_total))
 
 
 def coset_config(spec: CosetSpec, validate: bool = True) -> PointSet:
@@ -252,26 +251,14 @@ def completing_parameter(ts) -> float:
 
 
 def _interval_curve_point(params: CurveParams, t, bits: int) -> tuple:
-    k = params.dimension // 2
-    old = iv.prec
-    iv.prec = bits
-    try:
-        tv = t if isinstance(t, type(iv.mpf(0))) else iv.mpf(t)
-        coords = [
-            IntervalScalar(iv.cos(tv), bits) * params.a,
-            IntervalScalar(iv.sin(tv), bits) * params.b,
-        ]
-        for freq in range(2, k):
-            coords.append(IntervalScalar(iv.cos(freq * tv), bits) * params.amps[freq - 2])
-            coords.append(IntervalScalar(iv.sin(freq * tv), bits) * params.amps[freq - 2])
-        coords.append(
-            IntervalScalar(iv.cos(tv), bits) * params.e
-            + IntervalScalar(iv.cos(k * tv), bits) * params.amps[-1]
-        )
-        coords.append(IntervalScalar(iv.sin(k * tv), bits) * params.amps[-1])
-        return tuple(coords)
-    finally:
-        iv.prec = old
+    iv = interval_context(bits)
+    tv = iv.convert(t)
+
+    def trig(freq):
+        ft = freq * tv
+        return IntervalScalar(iv.cos(ft), bits), IntervalScalar(iv.sin(ft), bits)
+
+    return _curve_coords(params, trig)
 
 
 def completion_residual(params: CurveParams, ts, bits: int = 256) -> IntervalScalar:
@@ -285,17 +272,9 @@ def completion_residual(params: CurveParams, ts, bits: int = 256) -> IntervalSca
     ts = list(ts)
     if len(ts) != d + 1:
         raise DomainError(f"need {d + 1} parameters for dimension {d}")
-    old = iv.prec
-    iv.prec = bits
-    try:
-        total = iv.mpf(0)
-        for t in ts:
-            total += iv.mpf(t)
-        t_prime = -total
-    finally:
-        iv.prec = old
-    points = [_interval_curve_point(params, t, bits) for t in ts]
-    points.append(_interval_curve_point(params, t_prime, bits))
+    iv = interval_context(bits)
+    t_prime = -sum((iv.convert(t) for t in ts), iv.mpf(0))
+    points = [_interval_curve_point(params, t, bits) for t in (*ts, t_prime)]
     return det([lifted_row(p) for p in points])
 
 
@@ -440,46 +419,30 @@ def closed_form_counts(d: int, n: int) -> dict:
 
 @dataclass
 class CompareReport:
-    generator: str | None
     engine: Spectrum
-    engine_ordinary: int
-    engine_dplus2: int
     oracle: OracleCounts | None
-    oracle_scan: dict | None
     formula: dict | None
     matches: dict
     notes: list
     caveat: str = FORMULA_CAVEAT
 
-    def to_json(self) -> dict:
-        return {
-            "generator": self.generator,
-            "engine_spectrum": self.engine.to_json(),
-            "engine_ordinary": self.engine_ordinary,
-            "engine_dplus2": self.engine_dplus2,
-            "oracle": self.oracle.to_json() if self.oracle else None,
-            "oracle_scan": self.oracle_scan,
-            "formula": self.formula,
-            "matches": self.matches,
-            "notes": self.notes,
-            "caveat": self.caveat,
-        }
+    def _table(self, labels, missing) -> list:
+        """The ordinary and (d+2)-point rows (label, engine, oracle, closed
+        form); ``missing`` stands in for a prediction that does not apply."""
+        oracle, formula = self.oracle, self.formula or {}
+        rows = [
+            (self.engine.ordinary, oracle.ordinary if oracle else None, formula.get("min_ordinary")),
+            (self.engine.next_class, oracle.dplus2 if oracle else None, formula.get("max_dplus2")),
+        ]
+        return [
+            (label, *(missing if v is None else v for v in row))
+            for label, row in zip(labels, rows)
+        ]
 
     def to_markdown(self) -> str:
-        lines = [
-            "| quantity | engine | oracle | closed form |",
-            "|---|---|---|---|",
-            "| ordinary | {} | {} | {} |".format(
-                self.engine_ordinary,
-                self.oracle.ordinary if self.oracle else "-",
-                self.formula["min_ordinary"] if self.formula else "-",
-            ),
-            "| (d+2)-point | {} | {} | {} |".format(
-                self.engine_dplus2,
-                self.oracle.dplus2 if self.oracle else "-",
-                (self.formula.get("max_dplus2") if self.formula else None) or "-",
-            ),
-        ]
+        lines = ["| quantity | engine | oracle | closed form |", "|---|---|---|---|"]
+        for row in self._table(("ordinary", "(d+2)-point"), "-"):
+            lines.append("| {} | {} | {} | {} |".format(*row))
         lines.append("")
         for key, value in sorted(self.matches.items()):
             lines.append(f"- {key}: {value}")
@@ -489,24 +452,8 @@ class CompareReport:
         return "\n".join(lines) + "\n"
 
     def csv_rows(self) -> list:
-        rows = [("quantity", "engine", "oracle", "closed_form")]
-        rows.append(
-            (
-                "ordinary",
-                self.engine_ordinary,
-                self.oracle.ordinary if self.oracle else "",
-                self.formula["min_ordinary"] if self.formula else "",
-            )
-        )
-        rows.append(
-            (
-                "dplus2",
-                self.engine_dplus2,
-                self.oracle.dplus2 if self.oracle else "",
-                (self.formula.get("max_dplus2") if self.formula else None) or "",
-            )
-        )
-        return rows
+        header = ("quantity", "engine", "oracle", "closed_form")
+        return [header] + self._table(("ordinary", "dplus2"), "")
 
 
 def compare_report(ps: PointSet, threads: int = 1) -> CompareReport:
@@ -514,28 +461,30 @@ def compare_report(ps: PointSet, threads: int = 1) -> CompareReport:
 
     Oracle columns appear for coset-generated sets (hard requirement:
     engine must equal oracle).  Closed-form columns appear for d in {3,4};
-    mismatches against them are reported, not raised.
+    mismatches against them are reported, not raised.  Coset metadata and
+    the oracle's domain are checked before the engine runs.
     """
     meta = ps.metadata
     generator = meta.get("generator")
-    engine = spectrum(ps, threads=threads)
     d, n = ps.dimension, ps.n
-    ordinary = engine.ordinary
-    dplus2 = engine.next_class
+    oracle = scan = None
+    if generator == "coset":
+        l = meta.get("l")
+        if type(l) is not int:
+            raise DomainError(f"coset metadata needs an integer offset l, got {l!r}")
+        scan = residue_oracle_scan(n, d)
+        oracle = OracleCounts(scan["ordinary_by_l"][l % n], scan["dplus2_by_l"][l % n])
+    engine = spectrum(ps, threads=threads)
+    ordinary, dplus2 = engine.ordinary, engine.next_class
     matches: dict = {}
     notes: list = []
-    oracle = None
-    scan = None
     if not engine.certified:
         notes.append(
             f"engine run is not certified ({engine.indeterminate_count} "
             "indeterminate subsets excluded); comparisons are lower bounds"
         )
 
-    if generator == "coset":
-        scan = residue_oracle_scan(n, d)
-        l = int(meta["l"]) % n
-        oracle = OracleCounts(scan["ordinary_by_l"][l], scan["dplus2_by_l"][l])
+    if oracle is not None:
         matches["engine_equals_oracle"] = (
             ordinary == oracle.ordinary and dplus2 == oracle.dplus2
         )
@@ -567,14 +516,4 @@ def compare_report(ps: PointSet, threads: int = 1) -> CompareReport:
                 ordinary == formula["min_ordinary"]
             )
 
-    return CompareReport(
-        generator=generator,
-        engine=engine,
-        engine_ordinary=ordinary,
-        engine_dplus2=dplus2,
-        oracle=oracle,
-        oracle_scan=scan,
-        formula=formula,
-        matches=matches,
-        notes=notes,
-    )
+    return CompareReport(engine, oracle, formula, matches, notes)

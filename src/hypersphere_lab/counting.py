@@ -84,17 +84,6 @@ class Spectrum:
             indeterminate_count=data.get("indeterminate_count", 0),
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.n == other.n
-            and self.subset_size == other.subset_size
-            and self.counts == other.counts
-            and self.indeterminate_count == other.indeterminate_count
-        )
-
 
 # ---------------------------------------------------------------------------
 # lexicographic subset ranking

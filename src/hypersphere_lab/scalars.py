@@ -8,7 +8,9 @@ Three interchangeable scalar kinds flow through the geometry layer:
   cyclotomic polynomial, N a multiple of 4 so that i, cos(2*pi*j/n) and
   sin(2*pi*j/n) all live in one field for every n dividing N;
 * certified intervals -- outward-rounded mpmath intervals carrying their
-  working precision in bits.
+  working precision in bits.  Each precision has its own private mpmath
+  interval context (``interval_context``); the process-global
+  ``mpmath.iv`` is never read or written.
 
 Zero-testing is exact on the first two backends.  Interval scalars never
 certify equality: their zero test answers False (certified nonzero) or
@@ -22,12 +24,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from mpmath import iv
+from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import ConductorError, DomainError, ResourceError
 
 DEFAULT_START_BITS = 128
 DEFAULT_BITS_CAP = 4096
+# largest cyclotomic field degree phi(N) a context is built for
+DEGREE_CAP = 1024
 
 # int64 headroom for the numpy convolution fast path
 _SAFE_INT64 = 1 << 62
@@ -54,8 +58,12 @@ class _IndeterminateType:
 INDETERMINATE = _IndeterminateType()
 
 
-def is_indeterminate(value) -> bool:
-    return value is INDETERMINATE
+@functools.lru_cache(maxsize=None)
+def interval_context(bits: int) -> MPIntervalContext:
+    """Private mpmath interval context working at ``bits`` of precision."""
+    ctx = MPIntervalContext()
+    ctx.prec = bits
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -151,26 +159,23 @@ class CyclotomicContext:
 
     Elements are represented on the power basis 1, z, ..., z^(phi(N)-1)
     modulo the N-th cyclotomic polynomial.  The complex embedding used for
-    interval evaluation sends z to exp(2*pi*i*embedding_index/N).
+    interval evaluation sends z to exp(2*pi*i/N).
     """
 
-    def __init__(self, conductor: int, embedding_index: int = 1, degree_cap: int | None = 1024):
+    def __init__(self, conductor: int):
         if conductor <= 0 or conductor % 4 != 0:
             raise ConductorError(f"conductor must be a positive multiple of 4, got {conductor}")
-        if math.gcd(embedding_index, conductor) != 1:
-            raise ConductorError("embedding index must be coprime to the conductor")
-        if degree_cap is not None and conductor > 2 * degree_cap**2:
+        if conductor > 2 * DEGREE_CAP**2:
             # phi(N) >= sqrt(N/2); checked before euler_phi, whose trial
             # division takes O(sqrt(N)) steps
             raise ResourceError(
-                f"conductor {conductor} gives a field degree above cap {degree_cap}"
+                f"conductor {conductor} gives a field degree above cap {DEGREE_CAP}"
             )
         self.conductor = conductor
-        self.embedding_index = embedding_index
         self.degree = euler_phi(conductor)
-        if degree_cap is not None and self.degree > degree_cap:
+        if self.degree > DEGREE_CAP:
             raise ResourceError(
-                f"field degree {self.degree} for conductor {conductor} exceeds cap {degree_cap}"
+                f"field degree {self.degree} for conductor {conductor} exceeds cap {DEGREE_CAP}"
             )
         self.poly = cyclotomic_polynomial(conductor)
         assert len(self.poly) == self.degree + 1 and self.poly[-1] == 1
@@ -242,16 +247,12 @@ class CyclotomicContext:
         cached = self._root_cache.get(bits)
         if cached is not None:
             return cached
-        old = iv.prec
-        iv.prec = bits + 16
-        try:
-            two_pi = 2 * iv.pi
-            roots = []
-            for k in range(self.degree):
-                theta = (two_pi * ((k * self.embedding_index) % self.conductor)) / self.conductor
-                roots.append((iv.cos(theta), iv.sin(theta)))
-        finally:
-            iv.prec = old
+        iv = interval_context(bits + 16)
+        two_pi = 2 * iv.pi
+        roots = []
+        for k in range(self.degree):
+            theta = (two_pi * k) / self.conductor
+            roots.append((iv.cos(theta), iv.sin(theta)))
         self._root_cache[bits] = roots
         return roots
 
@@ -259,16 +260,9 @@ class CyclotomicContext:
         return f"CyclotomicContext(conductor={self.conductor}, degree={self.degree})"
 
 
-_CONTEXT_CACHE: dict[tuple[int, int], CyclotomicContext] = {}
-
-
-def get_context(conductor: int, embedding_index: int = 1) -> CyclotomicContext:
-    key = (conductor, embedding_index)
-    ctx = _CONTEXT_CACHE.get(key)
-    if ctx is None:
-        ctx = CyclotomicContext(conductor, embedding_index)
-        _CONTEXT_CACHE[key] = ctx
-    return ctx
+@functools.lru_cache(maxsize=None)
+def get_context(conductor: int) -> CyclotomicContext:
+    return CyclotomicContext(conductor)
 
 
 def context_for_order(n: int) -> CyclotomicContext:
@@ -471,19 +465,15 @@ class CycloElement:
     def embed(self, bits: int):
         """Complex interval enclosure (Re, Im) at the context's embedding."""
         roots = self.ctx._roots(bits)
-        old = iv.prec
-        iv.prec = bits + 16
-        try:
-            re = iv.mpf(0)
-            im = iv.mpf(0)
-            for c, (cr, ci) in zip(self.num, roots):
-                if c:
-                    re += cr * c
-                    im += ci * c
-            den = iv.mpf(self.den)
-            return re / den, im / den
-        finally:
-            iv.prec = old
+        iv = interval_context(bits + 16)
+        re = iv.mpf(0)
+        im = iv.mpf(0)
+        for c, (cr, ci) in zip(self.num, roots):
+            if c:
+                re += cr * c
+                im += ci * c
+        den = iv.mpf(self.den)
+        return re / den, im / den
 
     def real_enclosure(self, bits: int):
         if not self.is_real():
@@ -532,23 +522,13 @@ class IntervalScalar:
     @classmethod
     def from_fraction(cls, value, bits: int) -> "IntervalScalar":
         q = Fraction(value)
-        old = iv.prec
-        iv.prec = bits
-        try:
-            v = iv.mpf(q.numerator) / iv.mpf(q.denominator)
-        finally:
-            iv.prec = old
-        return cls(v, bits)
+        iv = interval_context(bits)
+        return cls(iv.mpf(q.numerator) / iv.mpf(q.denominator), bits)
 
     @classmethod
     def from_endpoints(cls, lo, hi, bits: int) -> "IntervalScalar":
-        old = iv.prec
         # extra headroom so exact decimal endpoints round-trip unchanged
-        iv.prec = bits + 32
-        try:
-            v = iv.mpf([lo, hi])
-        finally:
-            iv.prec = old
+        v = interval_context(bits + 32).mpf([lo, hi])
         if v.a > v.b:
             raise ValueError("interval lower bound exceeds upper bound")
         return cls(v, bits)
@@ -570,39 +550,32 @@ class IntervalScalar:
             rhs = IntervalScalar.from_fraction(other, bits).val
         else:
             return NotImplemented
-        old = iv.prec
-        iv.prec = bits
-        try:
-            return IntervalScalar(op(rhs), bits)
-        finally:
-            iv.prec = old
+        # convert copies endpoints exactly; the op rounds at ``bits``
+        iv = interval_context(bits)
+        return IntervalScalar(op(iv.convert(self.val), iv.convert(rhs)), bits)
 
     def __add__(self, other):
-        return self._binary(other, lambda rhs: self.val + rhs)
+        return self._binary(other, lambda lhs, rhs: lhs + rhs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda rhs: self.val - rhs)
+        return self._binary(other, lambda lhs, rhs: lhs - rhs)
 
     def __rsub__(self, other):
-        return self._binary(other, lambda rhs: rhs - self.val)
+        return self._binary(other, lambda lhs, rhs: rhs - lhs)
 
     def __mul__(self, other):
-        return self._binary(other, lambda rhs: self.val * rhs)
+        return self._binary(other, lambda lhs, rhs: lhs * rhs)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(other, lambda rhs: self.val / rhs)
+        return self._binary(other, lambda lhs, rhs: lhs / rhs)
 
     def __neg__(self):
-        old = iv.prec
-        iv.prec = self.bits + 32  # negation is exact given mantissa headroom
-        try:
-            return IntervalScalar(-self.val, self.bits)
-        finally:
-            iv.prec = old
+        # negation is exact given mantissa headroom
+        return IntervalScalar(-interval_context(self.bits + 32).convert(self.val), self.bits)
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
@@ -626,7 +599,7 @@ class IntervalScalar:
 # ---------------------------------------------------------------------------
 
 
-def sign_of(value, start_bits: int = DEFAULT_START_BITS, cap: int = DEFAULT_BITS_CAP):
+def sign_of(value, cap: int = DEFAULT_BITS_CAP):
     """Sign in {-1, 0, +1}, or INDETERMINATE for straddling intervals.
 
     Rational and cyclotomic inputs always decide: cyclotomic signs use the
@@ -641,11 +614,9 @@ def sign_of(value, start_bits: int = DEFAULT_START_BITS, cap: int = DEFAULT_BITS
             raise DomainError("sign of a non-real cyclotomic element")
         if value.is_zero():
             return 0
-        bits = start_bits
+        bits = DEFAULT_START_BITS
         while True:
-            enc = value.real_enclosure(bits)
-            lo = _raw_to_fraction(enc._mpi_[0])
-            hi = _raw_to_fraction(enc._mpi_[1])
+            lo, hi = map(_raw_to_fraction, value.real_enclosure(bits)._mpi_)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -721,12 +692,18 @@ def scalar_to_json(value):
     raise TypeError(f"unsupported scalar type {type(value)!r}")
 
 
+def _json_int(data: dict, key: str) -> int:
+    if type(data[key]) is not int:
+        raise DomainError(f"scalar field {key!r} must be an integer, got {data[key]!r}")
+    return data[key]
+
+
 def scalar_from_json(data):
     if isinstance(data, str):
         return Fraction(data)
     if isinstance(data, dict) and "conductor" in data:
-        ctx = get_context(int(data["conductor"]))
+        ctx = get_context(_json_int(data, "conductor"))
         return ctx.element([Fraction(c) for c in data["coeffs"]])
     if isinstance(data, dict) and "lo" in data:
-        return IntervalScalar.from_endpoints(data["lo"], data["hi"], int(data["bits"]))
+        return IntervalScalar.from_endpoints(data["lo"], data["hi"], _json_int(data, "bits"))
     raise ValueError(f"unrecognized scalar encoding: {data!r}")

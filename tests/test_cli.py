@@ -195,6 +195,33 @@ class TestCompare:
         assert "engine_equals_oracle: True" in text
         assert csv_path.read_text().startswith("quantity,")
 
+    @pytest.mark.parametrize("l", ["missing", "abc", None, 1.5, True])
+    def test_coset_offset_must_be_an_integer(self, coset_points, tmp_path, capsys, l):
+        payload = json.loads(json.dumps(coset_points))
+        if l == "missing":
+            del payload["metadata"]["l"]
+        else:
+            payload["metadata"]["l"] = l
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert run(["compare", str(path), "--threads", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_oracle_domain_is_checked_before_the_engine(self, trivial_file, tmp_path,
+                                                         monkeypatch, capsys):
+        from hypersphere_lab import constructions
+
+        def engine_must_not_run(*args, **kwargs):
+            raise AssertionError("spectrum ran before the oracle's domain check")
+
+        payload = read_json(trivial_file)
+        payload["metadata"].update(generator="coset", l=0)  # d=3 is outside the oracle
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        monkeypatch.setattr(constructions, "spectrum", engine_must_not_run)
+        assert run(["compare", str(path), "--threads", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -214,6 +241,12 @@ class TestUsageErrors:
     def test_generate_bits_below_cap(self, capsys):
         assert run(["generate", "--kind", "coset", "--d", "4", "--n", "9",
                     "--backend", "interval", "--bits", "64"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("bits", [4097, 10**8])
+    def test_generate_bits_above_cap(self, capsys, bits):
+        assert run(["generate", "--kind", "coset", "--d", "4", "--n", "9",
+                    "--backend", "interval", "--bits", str(bits)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
 
     def test_count_has_no_bits_flag(self, trivial_file):
@@ -295,3 +328,35 @@ class TestMalformedScalars:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(payload))  # float("inf") is written as Infinity
         assert run(["count", str(path), "--threads", "1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("encode", [lambda c: c + 0.5, float, str],
+                             ids=["fractional", "float", "string"])
+    def test_conductor_must_be_an_integer(self, coset_points, tmp_path, capsys, encode):
+        payload = json.loads(json.dumps(coset_points))
+        payload["points"][0][0]["conductor"] = encode(payload["points"][0][0]["conductor"])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert run(["count", str(path), "--threads", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def interval_points(tmp_path_factory):
+    path = tmp_path_factory.mktemp("interval") / "c.json"
+    assert run(["generate", "--d", "4", "--n", "7", "--kind", "coset", "--backend", "interval",
+                "--bits", "192", "-o", str(path)]) == EXIT_OK
+    return read_json(path)
+
+
+class TestIntervalFileBits:
+    """A point file's interval precision is an integer in 128..4096, checked
+    before any interval is built at it (10**9 bits would not finish)."""
+
+    @pytest.mark.parametrize("bits", [192.9, "192", True, 0, -5, 127, 4097, 10**9])
+    def test_count_refuses_bits(self, interval_points, tmp_path, capsys, bits):
+        payload = json.loads(json.dumps(interval_points))
+        payload["points"][0][0]["bits"] = bits
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert run(["count", str(path), "--threads", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")

@@ -267,3 +267,33 @@ class TestSerialization:
         x = IntervalScalar.from_fraction(Fraction(-22, 7), 160)
         y = pickle.loads(pickle.dumps(x))
         assert (y.lo, y.hi, y.bits) == (x.lo, x.hi, x.bits)
+
+
+class TestPrivateIntervalPrecision:
+    def test_no_interval_operation_writes_global_precision(self, monkeypatch):
+        import pickle
+
+        import mpmath
+        from mpmath.ctx_iv import MPIntervalContext
+
+        from hypersphere_lab.constructions import CurveParams, completion_residual
+
+        global_writes = []
+        prec = MPIntervalContext.prec
+
+        def recording_setter(ctx, bits):
+            global_writes.append(ctx is mpmath.iv)
+            prec.fset(ctx, bits)
+
+        monkeypatch.setattr(MPIntervalContext, "prec", property(prec.fget, recording_setter))
+        x = IntervalScalar.from_fraction(Fraction(1, 3), 160)
+        y = IntervalScalar.from_fraction(Fraction(-7, 5), 136)
+        for z in (x + y, x - y, x * y, x / y, -x, 1 - x, x * Fraction(2, 9)):
+            assert z.lo <= z.hi
+        sqrt3 = 2 * trig_pair(1, 12)[0]
+        assert sign_of(sqrt3 - Fraction(17, 10)) == 1
+        assert completion_residual(CurveParams.default(4), [0.1, 0.2, 0.3, 0.4, 0.5],
+                                   bits=144).contains_zero()
+        again = pickle.loads(pickle.dumps(x))
+        assert (again.lo, again.hi) == (x.lo, x.hi)
+        assert not any(global_writes)
