@@ -94,18 +94,14 @@ def _to_interval_pointset(ps: geometry.PointSet, bits: int) -> geometry.PointSet
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.bits is not None:
         _check_bits(args.bits)
+    exact = {"trivial": "rational", "coset": "cyclotomic"}[args.kind]
+    if args.backend not in (None, exact, "interval"):
+        raise DomainError(f"{args.kind} configurations use the {exact} backend")
     if args.kind == "trivial":
         ps = constructions.trivial_config(args.d, args.n, seed=args.seed)
-        if args.backend not in (None, "rational", "interval"):
-            raise DomainError("trivial configurations use the rational backend")
-    elif args.kind == "coset":
-        params = constructions.CurveParams.default(args.d)
-        spec = constructions.CosetSpec(params, args.n, args.l or 0)
-        ps = constructions.coset_config(spec)
-        if args.backend not in (None, "cyclotomic", "interval"):
-            raise DomainError("coset configurations use the cyclotomic backend")
     else:
-        raise DomainError(f"unknown generator kind {args.kind!r}")
+        params = constructions.CurveParams.default(args.d)
+        ps = constructions.coset_config(constructions.CosetSpec(params, args.n, args.l or 0))
     if args.backend == "interval":
         ps = _to_interval_pointset(ps, args.bits or 256)
     _emit_json(ps.to_json(), args)
@@ -180,8 +176,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         sys.stdout.write(report.to_markdown())
     if args.csv_out:
         _write_csv(args.csv_out, report.csv_rows())
-    hard = report.matches.get("engine_equals_oracle")
-    return EXIT_OK if hard in (None, True) else EXIT_INCONSISTENT
+    if not report.engine.certified:
+        return EXIT_NOT_CERTIFIED
+    return EXIT_INCONSISTENT if report.matches.get("engine_equals_oracle") is False else EXIT_OK
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:

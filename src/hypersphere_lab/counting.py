@@ -74,16 +74,6 @@ class Spectrum:
             "certified": self.certified,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Spectrum":
-        return cls(
-            dimension=data["dimension"],
-            n=data["n"],
-            subset_size=data["subset_size"],
-            counts={int(m): nm for m, nm in data["counts"].items()},
-            indeterminate_count=data.get("indeterminate_count", 0),
-        )
-
 
 # ---------------------------------------------------------------------------
 # lexicographic subset ranking
@@ -254,14 +244,6 @@ class CorrespondenceReport:
     plane_spectrum: Spectrum
     equal: bool
     first_mismatch: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "hypersphere_spectrum": self.sphere_spectrum.to_json(),
-            "lifted_hyperplane_spectrum": self.plane_spectrum.to_json(),
-            "equal": self.equal,
-            "first_mismatch": self.first_mismatch,
-        }
 
 
 def verify_correspondence(ps: PointSet, threads: int = 1) -> CorrespondenceReport:

@@ -151,17 +151,21 @@ def is_zero_fast(value) -> bool:
     return False  # intervals: never skip
 
 
+def _minors(rows, columns: int) -> dict:
+    """The minors of full row count of a len(rows) x ``columns`` matrix,
+    keyed by column bitmask, expanded one row at a time."""
+    level = {1 << c: rows[0][c] for c in range(columns)}
+    for r in range(1, len(rows)):
+        level = _expand_level(level, rows[r], columns, r)
+    return level
+
+
 def det(rows) -> object:
     """Determinant of a square matrix of scalars (division-free expansion)."""
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("det requires a square matrix")
-    if k == 1:
-        return rows[0][0]
-    level = {1 << c: rows[0][c] for c in range(k)}
-    for r in range(1, k):
-        level = _expand_level(level, rows[r], k, r)
-    return level[(1 << k) - 1]
+    return _minors(rows, k)[(1 << k) - 1]
 
 
 def maximal_cofactors(rows) -> tuple:
@@ -170,19 +174,13 @@ def maximal_cofactors(rows) -> tuple:
     Returns (c_0, ..., c_k) with c_j = (-1)^j * det(matrix without column j),
     so that for any extra row x: det([x; rows]) = sum_j x[j] * c_j.
     """
-    k = len(rows)
-    columns = k + 1
+    columns = len(rows) + 1
     if any(len(r) != columns for r in rows):
         raise ValueError("expected a k x (k+1) matrix")
-    level = {1 << c: rows[0][c] for c in range(columns)}
-    for r in range(1, k):
-        level = _expand_level(level, rows[r], columns, r)
+    level = _minors(rows, columns)
     full = (1 << columns) - 1
-    out = []
-    for j in range(columns):
-        minor = level[full & ~(1 << j)]
-        out.append(minor if j % 2 == 0 else -minor)
-    return tuple(out)
+    minors = [level[full & ~(1 << j)] for j in range(columns)]
+    return tuple(m if j % 2 == 0 else -m for j, m in enumerate(minors))
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +346,6 @@ class Hypersphere:
 
     def coefficients(self) -> tuple:
         return (self.w, *self.a, self.u)
-
-    def to_json(self) -> dict:
-        return {
-            "w": scalar_to_json(self.w),
-            "a": [scalar_to_json(c) for c in self.a],
-            "u": scalar_to_json(self.u),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Hypersphere":
-        return cls.from_coefficients(
-            scalar_from_json(data["w"]),
-            [scalar_from_json(c) for c in data["a"]],
-            scalar_from_json(data["u"]),
-        )
 
 
 def _canonicalize(coeffs: list, backend: str) -> list:

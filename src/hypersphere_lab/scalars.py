@@ -84,44 +84,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _pdeg(p) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _pdivmod(num, den):
-    """Quotient and remainder in Q[x]; den must be nonzero."""
-    num = list(num)
-    dd = _pdeg(den)
-    q = [Fraction(0)] * max(1, _pdeg(num) - dd + 1)
-    while _pdeg(num) >= dd:
-        dn = _pdeg(num)
-        c = num[dn] / den[dd]
-        k = dn - dd
-        q[k] += c
-        for i in range(dd + 1):
-            num[i + k] -= c * den[i]
-    return q, num
-
-
-def _pmul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _psub(p, q):
-    out = [Fraction(c) for c in p] + [Fraction(0)] * max(0, len(q) - len(p))
-    for i, b in enumerate(q):
-        out[i] -= b
-    return out
-
-
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     # den is monic up to its leading +/-1 coefficient; division is exact here
     num = list(num)
@@ -352,16 +314,20 @@ class CycloElement:
             raise DomainError("element is not rational")
         return Fraction(self.num[0], self.den)
 
-    def conjugate(self) -> "CycloElement":
+    def _galois(self, k: int) -> "CycloElement":
+        """Image under the automorphism z -> z^k of Q(zeta_N), k a unit mod N."""
         ctx = self.ctx
         out = [0] * ctx.degree
-        for k, c in enumerate(self.num):
+        for i, c in enumerate(self.num):
             if c:
-                row = ctx.power_table[(-k) % ctx.conductor]
+                row = ctx.power_table[(k * i) % ctx.conductor]
                 for j in range(ctx.degree):
                     if row[j]:
                         out[j] += c * row[j]
         return CycloElement(ctx, tuple(out), self.den)
+
+    def conjugate(self) -> "CycloElement":
+        return self._galois(-1)
 
     def is_real(self) -> bool:
         return (self - self.conjugate()).is_zero()
@@ -416,21 +382,17 @@ class CycloElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloElement":
-        """Field inverse via the extended Euclidean algorithm in Q[x]."""
+        """Field inverse by the Galois norm: with rest the product of the
+        conjugates sigma_k(self), k != 1 a unit mod N, self * rest is the
+        rational norm, so self^-1 = rest / norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        r0 = [Fraction(c) for c in self.ctx.poly]
-        r1 = [Fraction(c, self.den) for c in self.num]
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while _pdeg(r1) >= 0:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _psub(t0, _pmul(q, t1))
-        # r0 is now a nonzero constant (the modulus is irreducible)
-        if _pdeg(r0) != 0:
-            raise ZeroDivisionError("element and modulus share a factor")
-        coeffs = [c / r0[0] for c in t0[: self.ctx.degree]]
-        return self.ctx.element(coeffs)
+        ctx = self.ctx
+        rest = ctx.one()
+        for k in range(2, ctx.conductor):
+            if math.gcd(k, ctx.conductor) == 1:
+                rest = rest * self._galois(k)
+        return CycloElement(ctx, *(rest / (self * rest).as_rational())._normalized())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

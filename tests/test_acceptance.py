@@ -89,7 +89,7 @@ def test_criterion_2_trivial_d4_n12(trivial_d4_run):
 
 def test_criterion_3_lift_correspondence(correspondence_reports):
     for report in correspondence_reports:
-        assert report.equal, report.to_json()
+        assert report.equal, (report.sphere_spectrum.counts, report.plane_spectrum.counts)
         assert report.sphere_spectrum.counts == report.plane_spectrum.counts
     print("ACCEPTANCE 3 sphere/lifted-hyperplane spectra equal on 20 random sets: PASS")
 

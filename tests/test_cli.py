@@ -195,6 +195,18 @@ class TestCompare:
         assert "engine_equals_oracle: True" in text
         assert csv_path.read_text().startswith("quantity,")
 
+    @pytest.mark.parametrize("kind, d", [("coset", "4"), ("trivial", "3")])
+    def test_uncertified_run_exits_not_certified(self, tmp_path, kind, d):
+        src = tmp_path / "i.json"
+        assert run(["generate", "--d", d, "--n", "7", "--kind", kind,
+                    "--backend", "interval", "--bits", "192", "-o", str(src)]) == EXIT_OK
+        report = tmp_path / "report.md"
+        assert run(["compare", str(src), "--threads", "1",
+                    "-o", str(report)]) == EXIT_NOT_CERTIFIED
+        text = report.read_text()
+        assert "engine run is not certified" in text
+        assert "engine_equals_oracle: False" not in text
+
     @pytest.mark.parametrize("l", ["missing", "abc", None, 1.5, True])
     def test_coset_offset_must_be_an_integer(self, coset_points, tmp_path, capsys, l):
         payload = json.loads(json.dumps(coset_points))
@@ -247,6 +259,22 @@ class TestUsageErrors:
     def test_generate_bits_above_cap(self, capsys, bits):
         assert run(["generate", "--kind", "coset", "--d", "4", "--n", "9",
                     "--backend", "interval", "--bits", str(bits)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("kind, backend, generator", [
+        ("coset", "rational", "coset_config"),
+        ("trivial", "cyclotomic", "trivial_config"),
+    ])
+    def test_generate_checks_backend_before_generating(self, monkeypatch, capsys,
+                                                        kind, backend, generator):
+        from hypersphere_lab import constructions
+
+        def generator_must_not_run(*args, **kwargs):
+            raise AssertionError(f"{generator} ran before the backend check")
+
+        monkeypatch.setattr(constructions, generator, generator_must_not_run)
+        assert run(["generate", "--kind", kind, "--d", "4", "--n", "13",
+                    "--backend", backend]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
 
     def test_count_has_no_bits_flag(self, trivial_file):

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -345,3 +346,76 @@ class TestIntervalMode:
         ps = random_general_position_set(3, 4, seed=0)
         with pytest.raises(DomainError):
             spectrum(ps)
+
+
+class TestBenchmarkContract:
+    """The names the benchmark harness (``perfbench/``) patches and calls, and
+    the call counts its traced run checks against closed expressions."""
+
+    def test_names_the_benchmark_reaches(self):
+        import inspect
+
+        from hypersphere_lab import constructions, geometry, scalars
+
+        assert counting.maximal_cofactors is geometry.maximal_cofactors
+        assert counting.is_zero is scalars.is_zero
+        assert counting.lift_set is geometry.lift_set
+        assert callable(counting.unrank_combination)
+        for name in ("spectrum", "ordinary_hyperplane_spectrum", "verify_correspondence"):
+            assert callable(getattr(counting, name))
+        assert constructions.spectrum is counting.spectrum
+        assert constructions.general_position_check is geometry.general_position_check
+        assert "validate" in inspect.signature(constructions.coset_config).parameters
+        assert "seed" in inspect.signature(constructions.trivial_config).parameters
+        assert isinstance(constructions.CurveParams.__dict__["default"], classmethod)
+        for name in ("CosetSpec", "residue_oracle", "residue_oracle_scan",
+                     "closed_form_counts", "compare_report"):
+            assert callable(getattr(constructions, name))
+        assert callable(geometry.lifted_row)
+        assert isinstance(geometry.PointSet.__dict__["from_json"], classmethod)
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            assert callable(scalars.CycloElement.__dict__[name])
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        tally = Counter()
+        cofactors, zero_test = counting.maximal_cofactors, counting.is_zero
+
+        def counted_cofactors(rows):
+            tally["subsets"] += 1
+            return cofactors(rows)
+
+        def counted_zero_test(value):
+            verdict = zero_test(value)
+            tally["tests"] += 1
+            tally["hits"] += verdict is True
+            return verdict
+
+        monkeypatch.setattr(counting, "maximal_cofactors", counted_cofactors)
+        monkeypatch.setattr(counting, "is_zero", counted_zero_test)
+        return tally
+
+    @staticmethod
+    def closed_expressions(spec):
+        n, r = spec.n, spec.subset_size
+        return Counter(
+            subsets=math.comb(n, r),
+            tests=math.comb(n, r) * (n - r),
+            hits=sum(nm * math.comb(m, r) * (m - r) for m, nm in spec.counts.items()),
+        )
+
+    @pytest.mark.parametrize("config", ["trivial", "coset"])
+    @pytest.mark.parametrize("mode", ["sphere", "lifted_plane"])
+    def test_one_cofactor_call_per_subset_one_test_per_incidence(self, calls, config, mode):
+        from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+
+        if config == "trivial":
+            ps = sphere_plus_point_config(3, 8, seed=2)
+        else:
+            ps = coset_config(CosetSpec(CurveParams.default(4), 8, 0), validate=False)
+        if mode == "sphere":
+            spec = spectrum(ps, threads=1)
+        else:
+            spec = ordinary_hyperplane_spectrum(lift_set(ps), threads=1)
+        assert max(spec.counts) > spec.subset_size  # some test answers True
+        assert calls == self.closed_expressions(spec)

@@ -184,6 +184,22 @@ class TestCycloRingLaws:
             assert a * a.inverse() == 1
 
     @settings(max_examples=40, deadline=None)
+    @given(cyclo_elements(ctx), cyclo_elements(ctx),
+           st.sampled_from([k for k in range(1, 20) if math.gcd(k, 20) == 1]))
+    def test_galois_action_is_a_ring_homomorphism(self, a, b, k):
+        assert (a + b)._galois(k) == a._galois(k) + b._galois(k)
+        assert (a * b)._galois(k) == a._galois(k) * b._galois(k)
+
+    def test_inverse_of_dense_elements_at_degree_48(self):
+        ctx = get_context(156)
+        assert ctx.degree == 48
+        rng = random.Random(48)
+        for _ in range(3):
+            a = ctx.element([Fraction(rng.randint(-2**11, 2**11), rng.randint(1, 12))
+                             for _ in range(ctx.degree)])
+            assert a * a.inverse() == 1
+
+    @settings(max_examples=40, deadline=None)
     @given(cyclo_elements(ctx))
     def test_conjugation_is_involutive(self, a):
         assert a.conjugate().conjugate() == a
