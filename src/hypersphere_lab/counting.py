@@ -24,6 +24,7 @@ from .errors import ConsistencyError, DomainError, GeneralPositionError, SpanErr
 from .geometry import (
     PointSet,
     affine_row,
+    incidence_values,
     is_zero_fast,
     lift_set,
     lifted_row,
@@ -119,17 +120,11 @@ def _histogram_range(rows, r: int, start: int, stop: int):
             violation = subset
             break
         members = set(subset)
+        others = [row for idx, row in enumerate(rows) if idx not in members]
         m = r
         uncertain = False
-        for idx in range(n):
-            if idx in members:
-                continue
-            row = rows[idx]
-            acc = None
-            for coeff, entry in zip(cof, row):
-                term = coeff * entry
-                acc = term if acc is None else acc + term
-            verdict = is_zero(acc)
+        for value in incidence_values(cof, others):
+            verdict = is_zero(value)
             if verdict is INDETERMINATE:
                 uncertain = True
                 break

@@ -6,14 +6,26 @@ a common hypersphere-or-hyperplane exactly when that determinant vanishes,
 and a (d+1)-subset admits a unique such surface exactly when its rows have
 full rank.  Working with these rows keeps entries polynomial in the input
 coordinates (no denominators) and makes every predicate division-free.
+
+Minors of cyclotomic rows are computed in the residue lanes of split primes
+(see ``scalars``) and lifted back exactly.  The lift needs a bound on the
+coefficients of the integral value D * det, where D is the product of the
+rows' denominators.  Read as polynomials in Z[x]/(x^N - 1), where
+l1(ab) <= l1(a) l1(b), a determinant has l1 norm at most the product of its
+rows' l1 norms; reducing mod the cyclotomic polynomial multiplies it by at
+most the largest coefficient of a reduced power z^k.  So the bound is a
+proof, and zero in every lane of enough primes means exactly zero.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from .errors import DegeneracyError, DomainError, PoleError
 from .scalars import (
@@ -154,10 +166,84 @@ def is_zero_fast(value) -> bool:
 def _minors(rows, columns: int) -> dict:
     """The minors of full row count of a len(rows) x ``columns`` matrix,
     keyed by column bitmask, expanded one row at a time."""
+    if len(rows) > 1:
+        minors = _lane_minors(rows, columns)
+        if minors is not None:
+            return minors
     level = {1 << c: rows[0][c] for c in range(columns)}
     for r in range(1, len(rows)):
         level = _expand_level(level, rows[r], columns, r)
     return level
+
+
+def _lane_context(rows):
+    """The context shared by every entry of ``rows`` if all are cyclotomic
+    elements of one conductor, else None."""
+    first = rows[0][0]
+    if not isinstance(first, CycloElement):
+        return None
+    conductor = first.ctx.conductor
+    for row in rows:
+        for entry in row:
+            if not isinstance(entry, CycloElement) or entry.ctx.conductor != conductor:
+                return None
+    return first.ctx
+
+
+def _cleared(row) -> tuple[int, int]:
+    """(D, l1 norm of D * row) for D the row's least common denominator."""
+    den = math.lcm(*(e.den for e in row))
+    return den, sum(e.norm1 * (den // e.den) for e in row)
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion_plan(k: int, columns: int):
+    """Index tables of the level-by-level expansion of ``_expand_level``.
+
+    For each row r >= 1: (col, prev, sign), where minor i of the level is
+    sum over t of sign[t] * row[col[i, t]] * previous[prev[i, t]]; the last
+    entry lists the bitmasks of the top level's minors.
+    """
+    plan = []
+    previous = {(c,): c for c in range(columns)}
+    for r in range(1, k):
+        combos = list(combinations(range(columns), r + 1))
+        col = np.array(combos, dtype=np.intp)
+        prev = np.array(
+            [[previous[cols[:t] + cols[t + 1:]] for t in range(r + 1)] for cols in combos],
+            dtype=np.intp,
+        )
+        sign = np.array([(-1) ** (r + t) for t in range(r + 1)], dtype=np.int64)
+        plan.append((col, prev, sign[:, None, None]))
+        previous = {cols: i for i, cols in enumerate(combos)}
+    masks = [sum(1 << c for c in cols) for cols in previous]
+    return plan, masks
+
+
+def _lane_minors(rows, columns: int):
+    """``_minors`` of cyclotomic rows, computed in split-prime lanes and
+    lifted back exactly; None if the rows are not cyclotomic or no basis of
+    lane primes reaches the bound."""
+    ctx = _lane_context(rows)
+    if ctx is None:
+        return None
+    den, bound = 1, ctx._table_max
+    for row in rows:
+        row_den, norm = _cleared(row)
+        den *= row_den
+        bound *= norm
+    basis = ctx.lane_basis(bound)
+    if basis is None:
+        return None
+    lanes = [e.residues(basis) for row in rows for e in row]
+    if any(x is None for x in lanes):
+        return None
+    grid = np.concatenate(lanes).reshape(len(rows), columns, *lanes[0].shape)
+    plan, masks = _expansion_plan(len(rows), columns)
+    level = grid[0]
+    for row, (col, prev, sign) in zip(grid[1:], plan):
+        level = (row[col] * level[prev] * sign).sum(axis=1) % basis.moduli
+    return dict(zip(masks, ctx.from_lanes(level, [den] * len(masks), basis)))
 
 
 def det(rows) -> object:
@@ -181,6 +267,50 @@ def maximal_cofactors(rows) -> tuple:
     full = (1 << columns) - 1
     minors = [level[full & ~(1 << j)] for j in range(columns)]
     return tuple(m if j % 2 == 0 else -m for j, m in enumerate(minors))
+
+
+def incidence_values(cof, rows) -> list:
+    """det([x; S]) = sum_j x[j] * cof[j] for each row x of ``rows``, where
+    ``cof`` are the maximal cofactors of S."""
+    if rows:
+        values = _lane_incidence(cof, rows)
+        if values is not None:
+            return values
+    out = []
+    for row in rows:
+        acc = None
+        for coeff, entry in zip(cof, row):
+            term = coeff * entry
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def _lane_incidence(cof, rows):
+    """``incidence_values`` in split-prime lanes.  With D_c and D_x the
+    least common denominators of ``cof`` and of a row x, the value times
+    D_x * D_c is sum_j (D_x x_j)(D_c c_j): its l1 norm is at most
+    l1(D_x x) * max_j l1(D_c c_j), which bounds its lift as in ``_minors``."""
+    ctx = _lane_context([cof, *rows])
+    if ctx is None:
+        return None
+    cof_den = math.lcm(*(c.den for c in cof))
+    dens, bound = [], 0
+    for row in rows:
+        row_den, norm = _cleared(row)
+        dens.append(row_den * cof_den)
+        bound = max(bound, norm)
+    bound *= ctx._table_max * max(c.norm1 * (cof_den // c.den) for c in cof)
+    basis = ctx.lane_basis(bound)
+    if basis is None:
+        return None
+    lanes = [e.residues(basis) for e in (*cof, *(e for row in rows for e in row))]
+    if any(x is None for x in lanes):
+        return None
+    lanes = np.concatenate(lanes).reshape(len(rows) + 1, len(cof), *lanes[0].shape)
+    cof_lanes, row_lanes = lanes[0], lanes[1:]
+    values = (row_lanes * cof_lanes).sum(axis=1) % basis.moduli
+    return ctx.from_lanes(values, dens, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ Three interchangeable scalar kinds flow through the geometry layer:
   interval context (``interval_context``); the process-global
   ``mpmath.iv`` is never read or written.
 
+Cyclotomic determinants are also computed in residue lanes: a prime
+p = 1 mod N splits Z[zeta_N] into phi(N) copies of F_p (the images of zeta
+under the primitive N-th roots of unity mod p), where products act lane by
+lane.  ``CyclotomicContext.lane_basis`` picks enough such primes for a
+proven coefficient bound and ``CyclotomicContext.from_lanes`` recovers the
+exact coefficients by the Chinese remainder theorem.
+
 Zero-testing is exact on the first two backends.  Interval scalars never
 certify equality: their zero test answers False (certified nonzero) or
 ``INDETERMINATE``, never True.
@@ -19,9 +26,12 @@ certify equality: their zero test answers False (certified nonzero) or
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
@@ -35,6 +45,9 @@ DEGREE_CAP = 1024
 
 # int64 headroom for the numpy convolution fast path
 _SAFE_INT64 = 1 << 62
+# split primes lie below this ceiling, so that phi(N) * p^2 < 2^63 for every
+# degree up to DEGREE_CAP and each lane matmul is exact in int64
+LANE_PRIME_CEILING = 1 << 26
 
 
 class _IndeterminateType:
@@ -71,16 +84,24 @@ def interval_context(bits: int) -> MPIntervalContext:
 # ---------------------------------------------------------------------------
 
 
-def euler_phi(n: int) -> int:
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
+def _prime_factors(m: int) -> list[int]:
+    """Distinct prime factors of m >= 1, by trial division."""
+    out, f = [], 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
     if m > 1:
-        result -= result // m
+        out.append(m)
+    return out
+
+
+def euler_phi(n: int) -> int:
+    result = n
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -101,6 +122,21 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     if any(num[: len(den) - 1]):
         raise ArithmeticError("nonzero remainder in exact polynomial division")
     return out
+
+
+class LaneBasis(NamedTuple):
+    """The first ``len(primes)`` split primes of a context, stacked for numpy.
+
+    The lanes of an element modulo p are its images under the phi(N)
+    embeddings zeta -> omega^k into F_p, with omega a primitive N-th root of
+    unity mod p and k running over the units mod N.
+    """
+
+    primes: tuple[int, ...]
+    modulus: int  # product of the primes
+    moduli: np.ndarray  # (P, 1)
+    evaluate: np.ndarray  # (P, deg, deg): lanes = coefficients @ evaluate[i] mod p_i
+    interpolate: np.ndarray  # (P, deg, deg): coefficients = lanes @ interpolate[i] mod p_i
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,6 +197,12 @@ class CyclotomicContext:
         ) if deg > 1 else np.zeros((0, 1), dtype=np.int64)
         self._table_max = max(1, max(abs(c) for row in table for c in row))
         self._root_cache: dict[int, list[tuple]] = {}
+        self.units = tuple(k for k in range(1, conductor) if math.gcd(k, conductor) == 1)
+        # split primes p = 1 + kN, found on demand searching k downward
+        self._lane_candidate = (LANE_PRIME_CEILING - 2) // conductor
+        self._lane_tables: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self._lane_products: list[int] = []
+        self._lane_bases: dict[int, LaneBasis] = {}
 
     # -- element constructors ------------------------------------------------
 
@@ -218,6 +260,101 @@ class CyclotomicContext:
         self._root_cache[bits] = roots
         return roots
 
+    # -- residue lanes ----------------------------------------------------
+
+    def _add_split_prime(self) -> bool:
+        """Append the next prime p = 1 mod N below the ceiling with its
+        evaluation matrix at the primitive N-th roots of unity mod p and the
+        inverse of that matrix; False once the candidates run out."""
+        conductor, deg = self.conductor, self.degree
+        while self._lane_candidate > 0:
+            p = 1 + self._lane_candidate * conductor
+            self._lane_candidate -= 1
+            if _prime_factors(p) != [p]:
+                continue
+            factors = _prime_factors(p - 1)
+            root = next(
+                g for g in itertools.count(2)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+            )
+            omega = pow(root, (p - 1) // conductor, p)
+            powers = [1]
+            for _ in range(conductor - 1):
+                powers.append(powers[-1] * omega % p)
+            powers = np.array(powers, dtype=np.int64)
+            units = np.array(self.units, dtype=np.int64)
+            nodes = powers[units]  # the roots of the cyclotomic polynomial mod p
+            evaluate = powers[np.outer(np.arange(deg), units) % conductor]
+            # column a of the inverse holds the coefficients of the Lagrange
+            # polynomial Phi(x) / ((x - x_a) Phi'(x_a)): synthetic division,
+            # then Horner for Phi'(x_a) = (Phi(x) / (x - x_a)) at x_a
+            poly = [c % p for c in self.poly]
+            quotient = np.empty((deg, deg), dtype=np.int64)
+            acc = np.ones(deg, dtype=np.int64)
+            quotient[deg - 1] = acc
+            for i in range(deg - 1, 0, -1):
+                acc = (poly[i] + nodes * acc) % p
+                quotient[i - 1] = acc
+            slope = quotient[deg - 1]
+            for i in range(deg - 2, -1, -1):
+                slope = (slope * nodes + quotient[i]) % p
+            scale = np.array([pow(int(v), -1, p) for v in slope], dtype=np.int64)
+            interpolate = (quotient * scale % p).T
+            self._lane_tables.append((p, evaluate, interpolate))
+            self._lane_products.append(p * (self._lane_products[-1] if self._lane_products else 1))
+            return True
+        return False
+
+    def lane_basis(self, bound: int) -> LaneBasis | None:
+        """The fewest split primes whose product exceeds 2 * ``bound``, so
+        that the Chinese remainder theorem recovers every integer of absolute
+        value at most ``bound``; None if the primes below the ceiling do not
+        suffice."""
+        while not self._lane_products or self._lane_products[-1] <= 2 * bound:
+            if not self._add_split_prime():
+                return None
+        count = bisect.bisect_right(self._lane_products, 2 * bound) + 1
+        basis = self._lane_bases.get(count)
+        if basis is None:
+            primes, evaluate, interpolate = zip(*self._lane_tables[:count])
+            basis = self._lane_bases[count] = LaneBasis(
+                primes,
+                self._lane_products[count - 1],
+                np.array(primes, dtype=np.int64)[:, None],
+                np.stack(evaluate),
+                np.stack(interpolate),
+            )
+        return basis
+
+    def from_lanes(self, lanes: np.ndarray, dens, basis: LaneBasis) -> list["CycloElement"]:
+        """The elements x_i whose residues over ``basis`` are ``lanes[i]``.
+
+        The caller proves that den_i * x_i is integral with every coefficient
+        at most basis.modulus / 2 in absolute value; Garner's mixed-radix
+        form of the Chinese remainder theorem then recovers it exactly.
+        """
+        primes, moduli = basis.primes, basis.moduli
+        scale = np.array([[d % p for p in primes] for d in dens], dtype=np.int64)[:, :, None]
+        # coefficient residues of den_i * x_i, shape (P, len(dens), degree)
+        residues = np.matmul((lanes * scale % moduli).transpose(1, 0, 2), basis.interpolate)
+        residues %= moduli[:, None]
+        digits = []
+        for i, p in enumerate(primes):
+            digit = residues[i]
+            for q, lower in zip(primes, digits):
+                digit = (digit - lower) * pow(q, -1, p) % p
+            digits.append(digit)
+        value = digits[-1] if basis.modulus < _SAFE_INT64 else digits[-1].astype(object)
+        for digit, p in zip(digits[-2::-1], primes[-2::-1]):
+            value = value * p + digit
+        value = np.where(value > basis.modulus // 2, value - basis.modulus, value)
+        out = []
+        for i, (num, den) in enumerate(zip(value.tolist(), dens)):
+            element = CycloElement(self, tuple(num), den)
+            element._lanes = (basis, lanes[i])
+            out.append(element)
+        return out
+
     def __repr__(self):
         return f"CyclotomicContext(conductor={self.conductor}, degree={self.degree})"
 
@@ -273,9 +410,13 @@ def _mul_vectors(ctx: CyclotomicContext, x: tuple[int, ...], y: tuple[int, ...])
 
 class CycloElement:
     """Immutable element of Q(zeta_N): integer coefficient vector over a
-    positive common denominator."""
+    positive common denominator.
 
-    __slots__ = ("ctx", "num", "den")
+    Its residue lanes and the l1 norm of its numerator are computed on first
+    use and kept; they take no part in equality, hashing or JSON.
+    """
+
+    __slots__ = ("ctx", "num", "den", "_lanes", "_norm1")
 
     def __init__(self, ctx: CyclotomicContext, num: tuple[int, ...], den: int):
         if den == 0:
@@ -286,6 +427,8 @@ class CycloElement:
         self.ctx = ctx
         self.num = num
         self.den = den
+        self._lanes = None  # (LaneBasis, residues) once computed
+        self._norm1 = None
 
     # -- representation -------------------------------------------------------
 
@@ -313,6 +456,33 @@ class CycloElement:
         if not self.is_rational():
             raise DomainError("element is not rational")
         return Fraction(self.num[0], self.den)
+
+    @property
+    def norm1(self) -> int:
+        """Sum of the absolute values of the numerator coefficients."""
+        if self._norm1 is None:
+            self._norm1 = sum(map(abs, self.num))
+        return self._norm1
+
+    def residues(self, basis: LaneBasis) -> np.ndarray | None:
+        """Lanes of this element modulo each prime of ``basis``, shape
+        (len(basis.primes), degree); None if a prime divides the
+        denominator."""
+        count = len(basis.primes)
+        if self._lanes is not None and len(self._lanes[0].primes) >= count:
+            return self._lanes[1][:count]
+        try:
+            inverse_den = np.array([[pow(self.den, -1, p)] for p in basis.primes], dtype=np.int64)
+        except ValueError:
+            return None
+        try:
+            num = np.array(self.num, dtype=np.int64) % basis.moduli
+        except OverflowError:
+            num = np.array([[c % p for c in self.num] for p in basis.primes], dtype=np.int64)
+        lanes = np.matmul(num[:, None, :], basis.evaluate)[:, 0, :] % basis.moduli
+        lanes = lanes * inverse_den % basis.moduli
+        self._lanes = (basis, lanes)
+        return lanes
 
     def _galois(self, k: int) -> "CycloElement":
         """Image under the automorphism z -> z^k of Q(zeta_N), k a unit mod N."""
@@ -355,7 +525,11 @@ class CycloElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.ctx, tuple(-c for c in self.num), self.den)
+        out = CycloElement(self.ctx, tuple(-c for c in self.num), self.den)
+        if self._lanes is not None:
+            basis, lanes = self._lanes
+            out._lanes = (basis, -lanes % basis.moduli)
+        return out
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -389,9 +563,8 @@ class CycloElement:
             raise ZeroDivisionError("inverse of zero field element")
         ctx = self.ctx
         rest = ctx.one()
-        for k in range(2, ctx.conductor):
-            if math.gcd(k, ctx.conductor) == 1:
-                rest = rest * self._galois(k)
+        for k in ctx.units[1:]:
+            rest = rest * self._galois(k)
         return CycloElement(ctx, *(rest / (self * rest).as_rational())._normalized())
 
     def __truediv__(self, other):

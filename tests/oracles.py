@@ -31,6 +31,16 @@ def laplace_det(matrix):
     return total
 
 
+def reference_cofactors(rows):
+    """Signed maximal cofactors of a k x (k+1) matrix by per-scalar Laplace
+    expansion: c_j = (-1)^j * det(matrix without column j)."""
+    out = []
+    for j in range(len(rows) + 1):
+        minor = laplace_det([list(row[:j]) + list(row[j + 1 :]) for row in rows])
+        out.append(-minor if j % 2 else minor)
+    return out
+
+
 def gaussian_rank(matrix):
     """Rank over the rationals by fraction-free elimination."""
     work = [list(row) for row in matrix]

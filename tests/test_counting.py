@@ -326,6 +326,39 @@ class TestParallelism:
         )
 
 
+    def test_pool_results_do_not_depend_on_start_method(self, tmp_path):
+        """``count`` in a process whose pool workers are spawned, not
+        forked: each worker starts with empty per-process caches (split
+        primes, residue lanes).  n = 11 gives C(11, 5) = 462 subsets, enough
+        for the pool to start."""
+        import json
+        import subprocess
+        import sys
+
+        import hypersphere_lab
+        from hypersphere_lab.cli import run
+
+        coset = tmp_path / "coset.json"
+        assert run(["generate", "--kind", "coset", "--d", "4", "--n", "11",
+                    "-o", str(coset)]) == 0
+        script = ("import multiprocessing, sys\n"
+                  "multiprocessing.set_start_method('spawn')\n"
+                  "from hypersphere_lab.cli import run\n"
+                  "sys.exit(run(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(hypersphere_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        spectra = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}.json"
+            subprocess.run([sys.executable, "-c", script, "count", str(coset),
+                            "--threads", str(threads), "-o", str(out)],
+                           env=env, check=True, timeout=600)
+            spectra.append(json.loads(out.read_text())["spectrum"])
+        assert spectra[0] == spectra[1]
+        assert spectra[0]["certified"] and spectra[0]["counts"]["6"] > 0
+
+
 class TestIntervalMode:
     def test_non_certified_run_counts_indeterminates(self):
         exact = sphere_plus_point_config(3, 5, seed=7)

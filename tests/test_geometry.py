@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gaussian_rank, laplace_det
+from oracles import gaussian_rank, laplace_det, reference_cofactors
 
 from hypersphere_lab.errors import DegeneracyError, DomainError, PoleError
 from hypersphere_lab.geometry import (
@@ -17,6 +17,7 @@ from hypersphere_lab.geometry import (
     det,
     general_position_check,
     hypersphere_through,
+    incidence_values,
     incident,
     invert,
     lift,
@@ -25,7 +26,12 @@ from hypersphere_lab.geometry import (
     maximal_cofactors,
     project,
 )
-from hypersphere_lab.scalars import INDETERMINATE, IntervalScalar, get_context
+from hypersphere_lab.scalars import (
+    INDETERMINATE,
+    IntervalScalar,
+    get_context,
+    scalar_to_json,
+)
 
 small_fraction = st.fractions(min_value=-12, max_value=12, max_denominator=8)
 
@@ -59,6 +65,62 @@ class TestDeterminant:
         z = ctx.zeta_power
         rows = [[z(1), z(2)], [z(3), z(4)]]
         assert det(rows) == z(5) - z(5) + z(1) * z(4) - z(2) * z(3)
+
+
+class TestLaneKernel:
+    """Cyclotomic minors in split-prime lanes against per-scalar Laplace
+    expansion."""
+
+    @staticmethod
+    def random_rows(ctx, rng, count, width, bits):
+        def element():
+            den = rng.randint(1, 12)
+            return ctx.element([Fraction(rng.randint(-2**bits, 2**bits), den)
+                                if rng.random() < 0.8 else 0 for _ in range(ctx.degree)])
+
+        return [tuple(element() for _ in range(width)) for _ in range(count)]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == b
+            assert hash(a) == hash(b)
+            assert scalar_to_json(a) == scalar_to_json(b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([8, 12, 20, 52, 156]),
+        st.integers(2, 3),
+        st.sampled_from([3, 20]),
+        st.sampled_from(["generic", "repeated_row", "sum_of_rows"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_per_scalar_expansion(self, conductor, k, bits, shape, rng):
+        ctx = get_context(conductor)
+        rows = self.random_rows(ctx, rng, k + 2, k + 1, bits)
+        rows, others = rows[:k], rows[k:]
+        if shape == "repeated_row":
+            rows[-1] = rows[0]
+        elif shape == "sum_of_rows":
+            rows[-1] = tuple(a + b for a, b in zip(rows[0], rows[-2]))
+        cof = maximal_cofactors(rows)
+        self.assert_same(cof, reference_cofactors(rows))
+        values = incidence_values(cof, others)
+        self.assert_same(values, [laplace_det([list(x)] + [list(r) for r in rows])
+                                  for x in others])
+        if shape != "generic":
+            assert all(c.is_zero() for c in cof + tuple(values))
+
+    def test_denominator_divisible_by_a_lane_prime(self):
+        ctx = get_context(20)
+        prime = ctx.lane_basis(1).primes[0]
+        rows = self.random_rows(ctx, random.Random(5), 4, 4, 8)
+        rows[0] = (rows[0][0] * Fraction(1, prime),) + rows[0][1:]
+        cof = maximal_cofactors(rows[:3])
+        self.assert_same(cof, reference_cofactors(rows[:3]))
+        self.assert_same(incidence_values(cof, rows[3:]),
+                         [laplace_det([list(rows[3])] + [list(r) for r in rows[:3]])])
 
 
 class TestLiftProject:

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypersphere_lab.errors import ConductorError, DomainError, ResourceError
 from hypersphere_lab.scalars import (
     INDETERMINATE,
+    LANE_PRIME_CEILING,
     IntervalScalar,
     context_for_order,
     cyclotomic_polynomial,
@@ -204,6 +206,37 @@ class TestCycloRingLaws:
     def test_conjugation_is_involutive(self, a):
         assert a.conjugate().conjugate() == a
         assert (a * a.conjugate()).is_real()
+
+
+class TestSplitPrimes:
+    @pytest.mark.parametrize("conductor", [8, 12, 20, 52, 156])
+    def test_lanes_are_a_ring_isomorphism(self, conductor):
+        ctx = get_context(conductor)
+        basis = ctx.lane_basis(2**120)
+        assert basis.modulus == math.prod(basis.primes) > 2**121
+        assert math.prod(basis.primes[:-1]) <= 2**121  # the fewest primes
+        for p, evaluate, interpolate in zip(basis.primes, basis.evaluate, basis.interpolate):
+            assert p % conductor == 1 and p < LANE_PRIME_CEILING
+            assert all(p % f for f in range(2, math.isqrt(p) + 1))
+            assert (evaluate @ interpolate % p == np.eye(ctx.degree, dtype=np.int64)).all()
+        rng = random.Random(conductor)
+        a, b = (
+            ctx.element([Fraction(rng.randint(-2**20, 2**20), rng.randint(1, 12))
+                         for _ in range(ctx.degree)])
+            for _ in range(2)
+        )
+        c = a * b - a
+        expected = (a.residues(basis) * b.residues(basis) - a.residues(basis)) % basis.moduli
+        assert (c.residues(basis) == expected).all()
+        assert ((-c).residues(basis) == -expected % basis.moduli).all()
+        [back] = ctx.from_lanes(expected[None], [c.den], basis)
+        assert back == c and back.num == c.num
+
+    def test_denominator_divisible_by_a_lane_prime_has_no_residues(self):
+        ctx = get_context(12)
+        basis = ctx.lane_basis(1)
+        assert ctx.from_rational(Fraction(1, basis.primes[0])).residues(basis) is None
+        assert ctx.from_rational(Fraction(1, 3)).residues(basis) is not None
 
 
 class TestIntervalContainment:
