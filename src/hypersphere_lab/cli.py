@@ -58,7 +58,7 @@ def _load_pointset(path: str) -> geometry.PointSet:
             data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise DomainError(f"{path} is not valid JSON: {exc}") from None
     try:
         # bounded before any interval is built at the file's precision

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, GenerationError
-from .geometry import PointSet, cospherical, det, general_position_check, lift, lifted_row
+from .geometry import PointSet, det, general_position_check, lift, lifted_row, scaled_rows
 from .scalars import CyclotomicContext, IntervalScalar, context_for_order, interval_context
 from .counting import spectrum, Spectrum
 
@@ -81,8 +81,9 @@ def trivial_config(d: int, n: int, seed: int, max_attempts: int = 200) -> PointS
             continue
         # the off point must not be cospherical with any d+1 sphere points,
         # otherwise some mixed surface picks up an extra incidence
+        *rows, off_row = scaled_rows(ps.points)
         if any(
-            cospherical([sphere_points[i] for i in subset] + [off])
+            det([rows[i] for i in subset] + [off_row]) == 0
             for subset in itertools.combinations(range(n - 1), d + 1)
         ):
             continue

@@ -29,6 +29,7 @@ from .geometry import (
     lift_set,
     lifted_row,
     maximal_cofactors,
+    scaled_rows,
 )
 from .scalars import INDETERMINATE, is_zero
 
@@ -139,7 +140,7 @@ def _histogram_range(rows, r: int, start: int, stop: int):
 
 def _worker(args):
     payload, row, r, start, stop = args
-    rows = [row(p) for p in PointSet.from_json(payload).points]
+    rows = scaled_rows(PointSet.from_json(payload).points, row)
     hist, indet, violation = _histogram_range(rows, r, start, stop)
     return dict(hist), indet, violation
 
@@ -148,7 +149,7 @@ def _subset_histogram(ps: PointSet, row, r: int, threads: int):
     total = math.comb(ps.n, r)
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1 or total < 256:
-        return _histogram_range([row(p) for p in ps.points], r, 0, total)
+        return _histogram_range(scaled_rows(ps.points, row), r, 0, total)
     # contiguous rank ranges; merged results are independent of the split
     chunk = -(-total // workers)
     ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]

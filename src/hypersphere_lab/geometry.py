@@ -7,6 +7,11 @@ and a (d+1)-subset admits a unique such surface exactly when its rows have
 full rank.  Working with these rows keeps entries polynomial in the input
 coordinates (no denominators) and makes every predicate division-free.
 
+Rational rows are scaled to integer rows once (``scaled_rows``) before the
+predicates expand them: scaling a row by a nonzero constant scales every
+minor that contains it by that constant, so every zero test is unchanged,
+and the expansion runs on Python ints instead of Fractions.
+
 Minors of cyclotomic rows are computed in the residue lanes of split primes
 (see ``scalars``) and lifted back exactly.  The lift needs a bound on the
 coefficients of the integral value D * det, where D is the product of the
@@ -336,6 +341,21 @@ def affine_row(point: Point) -> tuple:
     return (one_like(point[0]), *point)
 
 
+def _integer_row(row) -> tuple:
+    """A rational row times the least common multiple of its denominators,
+    as Python ints; any other row is returned as it is."""
+    if not all(isinstance(e, (int, Fraction)) for e in row):
+        return row
+    scale = math.lcm(*(e.denominator for e in row))
+    return tuple(e.numerator * (scale // e.denominator) for e in row)
+
+
+def scaled_rows(points, row=lifted_row) -> list:
+    """The ``row`` images of the points, as the predicates expand them:
+    each rational row scaled to Python ints, any other row as it is."""
+    return [_integer_row(row(p)) for p in points]
+
+
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
@@ -413,7 +433,7 @@ def cospherical(points) -> object:
     d = len(points[0])
     if len(points) != d + 2:
         raise DomainError(f"cosphericality in dimension {d} needs {d + 2} points")
-    verdict = is_zero(det([lifted_row(p) for p in points]))
+    verdict = is_zero(det(scaled_rows(points)))
     if verdict is INDETERMINATE:
         return INDETERMINATE
     return bool(verdict)
@@ -428,7 +448,7 @@ def general_position_check(ps: PointSet):
     """
     if ps.backend == "interval":
         raise DomainError("general position certification requires an exact backend")
-    rows = [lifted_row(p) for p in ps.points]
+    rows = scaled_rows(ps.points)
     d = ps.dimension
     for subset in combinations(range(ps.n), d + 1):
         cof = maximal_cofactors([rows[i] for i in subset])

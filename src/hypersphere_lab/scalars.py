@@ -630,6 +630,17 @@ def _raw_to_fraction(raw) -> Fraction:
     return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
+def _text(value) -> str:
+    """str() of an int or Fraction; a number past Python's limit on the
+    digits of an int-to-str conversion is a DomainError, not a ValueError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise DomainError(
+            "cannot write a number with more digits than Python converts to text"
+        ) from None
+
+
 def _fraction_to_decimal_string(value: Fraction) -> str:
     """Exact decimal rendering of a dyadic rational."""
     if value == 0:
@@ -638,7 +649,7 @@ def _fraction_to_decimal_string(value: Fraction) -> str:
     # den is a power of two; scale to a power of ten
     k = den.bit_length() - 1
     scaled = num * 5**k
-    text = str(abs(scaled)).rjust(k + 1, "0")
+    text = _text(abs(scaled)).rjust(k + 1, "0")
     if k:
         text = text[:-k].rjust(1, "0") + "." + text[-k:]
     return ("-" if scaled < 0 else "") + text
@@ -811,12 +822,12 @@ def one_like(value):
 
 def scalar_to_json(value):
     if isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
+        return _text(Fraction(value))
     if isinstance(value, CycloElement):
         num, den = value._normalized()
         return {
             "conductor": value.ctx.conductor,
-            "coeffs": [str(Fraction(c, den)) for c in num],
+            "coeffs": [_text(Fraction(c, den)) for c in num],
         }
     if isinstance(value, IntervalScalar):
         return {

@@ -140,6 +140,34 @@ class TestTransformCommands:
     def test_invert_dimension_mismatch(self, trivial_file):
         assert run(["invert", "--center", "1,2", str(trivial_file)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("backend", ["rational", "interval"])
+    @pytest.mark.parametrize("argv", [["lift"], ["invert", "--center", "0,0,0"]])
+    def test_output_past_the_int_digit_limit_is_usage_error(self, tmp_path, argv, backend):
+        # |x|^2 of the first point has 6001 digits, past Python's 4300-digit
+        # limit on writing an int as text (for intervals, as an endpoint)
+        points = [["1e3000", "1", "0"], ["1", "2", "3"], ["0", "1", "0"]]
+        if backend == "interval":
+            points = [[{"lo": c, "hi": c, "bits": 128} for c in p] for p in points]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dimension": 3, "points": points}))
+        out_path = tmp_path / "out.json"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([*argv, str(path), "-o", str(out_path)])
+        assert code == EXIT_USAGE
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+        assert not out_path.exists() and not out.getvalue()
+
+    def test_int_literal_past_the_digit_limit_is_usage_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"dimension": 3, "points": [["1", "0", "0"], ["0", "1", "0"], '
+                        '["0", "0", ' + "9" * 5000 + ']]}')
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["count", str(path), "--threads", "1"]) == EXIT_USAGE
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
 
 class TestOracleFormula:
     def test_oracle_json(self, tmp_path):

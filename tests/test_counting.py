@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_general_position_set
-from oracles import naive_plane_spectrum, naive_sphere_spectrum
+from oracles import gaussian_rank, naive_plane_spectrum, naive_sphere_spectrum
 
 from hypersphere_lab import counting
 from hypersphere_lab.counting import (
@@ -107,6 +107,39 @@ class TestTrivialPattern:
         # generic pattern: all mixed subsets ordinary, carrier holds the rest
         assert spec.counts.get(9) == 1
         assert spec.counts.get(4) == math.comb(9, 3) == 84
+
+
+class TestRationalPins:
+    """Rational sets run on integer rows; these pin their results across the
+    in-process walk and the pool (both need at least 256 subsets)."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_trivial_d4_n16_seed5_spectrum(self, threads):
+        from hypersphere_lab.constructions import trivial_config
+
+        ps = trivial_config(4, 16, seed=5)
+        assert spectrum(ps, threads=threads).counts == {5: 1365, 15: 1}
+
+    def test_degenerate_witness_is_lexicographic_first(self):
+        # five points of the circle z = 0 on the unit sphere among seven
+        # random sphere points: every 4 of the five are concyclic
+        circle = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0),
+                  (Fraction(3, 5), Fraction(4, 5), 0)]
+        points = list(sphere_plus_point_config(3, 7, seed=11).points)
+        for index, p in zip((1, 5, 9, 10, 11), circle):
+            points.insert(index, as_point(p))
+        ps = PointSet.build(points)
+        assert math.comb(ps.n, 4) >= 256
+        first = next(
+            subset for subset in itertools.combinations(range(ps.n), 4)
+            if gaussian_rank([[1, *ps.points[i], sum(c * c for c in ps.points[i])]
+                              for i in subset]) < 4
+        )
+        assert first == (1, 5, 9, 10)
+        for threads in (1, 2):
+            with pytest.raises(GeneralPositionError) as err:
+                spectrum(ps, threads=threads)
+            assert err.value.witness == first
 
 
 class TestHyperplaneSpectrum:

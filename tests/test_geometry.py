@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,8 +24,10 @@ from hypersphere_lab.geometry import (
     lift,
     lift_set,
     invert_set,
+    lifted_row,
     maximal_cofactors,
     project,
+    scaled_rows,
 )
 from hypersphere_lab.scalars import (
     INDETERMINATE,
@@ -121,6 +124,40 @@ class TestLaneKernel:
         self.assert_same(cof, reference_cofactors(rows[:3]))
         self.assert_same(incidence_values(cof, rows[3:]),
                          [laplace_det([list(rows[3])] + [list(r) for r in rows[:3]])])
+
+
+class TestIntegerRows:
+    """Rational rows scaled to integer rows run through the same expansion:
+    every minor scales by the product of its rows' scales."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda k: st.lists(st.tuples(*([small_fraction] * (k + 1))), min_size=k, max_size=k)
+        ),
+        st.sampled_from(["generic", "repeated_row", "sum_of_rows"]),
+    )
+    def test_cofactors_scale_by_the_row_scales(self, rows, shape):
+        if shape == "repeated_row":
+            rows[-1] = rows[0]
+        elif shape == "sum_of_rows":
+            rows[-1] = tuple(sum(column) for column in zip(*rows[:-1]))
+        cleared = scaled_rows(rows, row=tuple)
+        assert all(type(e) is int for row in cleared for e in row)
+        scale = math.prod(math.lcm(*(e.denominator for e in row)) for row in rows)
+        want = reference_cofactors(rows)
+        got = maximal_cofactors(cleared)
+        assert list(got) == [c * scale for c in want]
+        assert [c == 0 for c in got] == [c == 0 for c in want]
+        if shape != "generic":
+            assert not any(got)
+
+    def test_other_backends_pass_through(self):
+        ctx = get_context(12)
+        cyclo = lifted_row((ctx.element([Fraction(1, 3)] + [0] * (ctx.degree - 1)), ctx.one()))
+        boxes = lifted_row(tuple(IntervalScalar.from_fraction(Fraction(c, 3), 64) for c in (1, 2)))
+        assert all(got is row for got, row in zip(scaled_rows([cyclo, boxes], row=tuple),
+                                                   (cyclo, boxes)))
 
 
 class TestLiftProject:
