@@ -138,28 +138,22 @@ def _histogram_range(rows, r: int, start: int, stop: int):
     return hist, indeterminate, violation
 
 
-def _worker(args):
-    payload, row, r, start, stop = args
-    rows = scaled_rows(PointSet.from_json(payload).points, row)
-    hist, indet, violation = _histogram_range(rows, r, start, stop)
-    return dict(hist), indet, violation
-
-
 def _subset_histogram(ps: PointSet, row, r: int, threads: int):
+    rows = scaled_rows(ps.points, row)
     total = math.comb(ps.n, r)
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1 or total < 256:
-        return _histogram_range(scaled_rows(ps.points, row), r, 0, total)
+        return _histogram_range(rows, r, 0, total)
     # contiguous rank ranges; merged results are independent of the split
     chunk = -(-total // workers)
-    ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-    payload = ps.to_json()
+    starts = range(0, total, chunk)
+    stops = [min(start + chunk, total) for start in starts]
     hist: Counter = Counter()
     indeterminate = 0
     violations = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part, indet, violation in pool.map(
-            _worker, [(payload, row, r, a, b) for a, b in ranges]
+            _histogram_range, itertools.repeat(rows), itertools.repeat(r), starts, stops
         ):
             hist.update(part)
             indeterminate += indet

@@ -7,19 +7,20 @@ and a (d+1)-subset admits a unique such surface exactly when its rows have
 full rank.  Working with these rows keeps entries polynomial in the input
 coordinates (no denominators) and makes every predicate division-free.
 
-Rational rows are scaled to integer rows once (``scaled_rows``) before the
-predicates expand them: scaling a row by a nonzero constant scales every
-minor that contains it by that constant, so every zero test is unchanged,
-and the expansion runs on Python ints instead of Fractions.
+Exact rows are made integral once (``scaled_rows``) before the predicates
+expand them: each row is multiplied by the lcm of its denominators.
+Scaling a row by a nonzero constant scales every minor that contains it by
+that constant, so every zero test is unchanged.  Rational rows become
+Python ints; cyclotomic rows become elements of denominator 1.
 
-Minors of cyclotomic rows are computed in the residue lanes of split primes
-(see ``scalars``) and lifted back exactly.  The lift needs a bound on the
-coefficients of the integral value D * det, where D is the product of the
-rows' denominators.  Read as polynomials in Z[x]/(x^N - 1), where
-l1(ab) <= l1(a) l1(b), a determinant has l1 norm at most the product of its
-rows' l1 norms; reducing mod the cyclotomic polynomial multiplies it by at
-most the largest coefficient of a reduced power z^k.  So the bound is a
-proof, and zero in every lane of enough primes means exactly zero.
+Minors of integral cyclotomic rows are computed in the residue lanes of
+split primes (see ``scalars``) and lifted back exactly.  The lift needs a
+bound on the coefficients of the determinant.  Read as polynomials in
+Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
+most the product of its rows' l1 norms; reducing mod the cyclotomic
+polynomial multiplies it by at most the largest coefficient of a reduced
+power z^k.  So the bound is a proof, and zero in every lane of enough
+primes means exactly zero.
 """
 
 from __future__ import annotations
@@ -182,23 +183,18 @@ def _minors(rows, columns: int) -> dict:
 
 
 def _lane_context(rows):
-    """The context shared by every entry of ``rows`` if all are cyclotomic
-    elements of one conductor, else None."""
+    """The context shared by every entry of ``rows`` if all are integral
+    cyclotomic elements of one conductor, else None."""
     first = rows[0][0]
     if not isinstance(first, CycloElement):
         return None
     conductor = first.ctx.conductor
     for row in rows:
         for entry in row:
-            if not isinstance(entry, CycloElement) or entry.ctx.conductor != conductor:
+            if (not isinstance(entry, CycloElement) or entry.den != 1
+                    or entry.ctx.conductor != conductor):
                 return None
     return first.ctx
-
-
-def _cleared(row) -> tuple[int, int]:
-    """(D, l1 norm of D * row) for D the row's least common denominator."""
-    den = math.lcm(*(e.den for e in row))
-    return den, sum(e.norm1 * (den // e.den) for e in row)
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,29 +222,22 @@ def _expansion_plan(k: int, columns: int):
 
 
 def _lane_minors(rows, columns: int):
-    """``_minors`` of cyclotomic rows, computed in split-prime lanes and
-    lifted back exactly; None if the rows are not cyclotomic or no basis of
-    lane primes reaches the bound."""
+    """``_minors`` of integral cyclotomic rows, computed in split-prime lanes
+    and lifted back exactly; None if the rows are not such rows or no basis
+    of lane primes reaches the bound."""
     ctx = _lane_context(rows)
     if ctx is None:
         return None
-    den, bound = 1, ctx._table_max
-    for row in rows:
-        row_den, norm = _cleared(row)
-        den *= row_den
-        bound *= norm
-    basis = ctx.lane_basis(bound)
+    basis = ctx.lane_basis(ctx._table_max * math.prod(sum(e.norm1 for e in row) for row in rows))
     if basis is None:
         return None
     lanes = [e.residues(basis) for row in rows for e in row]
-    if any(x is None for x in lanes):
-        return None
     grid = np.concatenate(lanes).reshape(len(rows), columns, *lanes[0].shape)
     plan, masks = _expansion_plan(len(rows), columns)
     level = grid[0]
     for row, (col, prev, sign) in zip(grid[1:], plan):
         level = (row[col] * level[prev] * sign).sum(axis=1) % basis.moduli
-    return dict(zip(masks, ctx.from_lanes(level, [den] * len(masks), basis)))
+    return dict(zip(masks, ctx.from_lanes(level, basis)))
 
 
 def det(rows) -> object:
@@ -292,30 +281,20 @@ def incidence_values(cof, rows) -> list:
 
 
 def _lane_incidence(cof, rows):
-    """``incidence_values`` in split-prime lanes.  With D_c and D_x the
-    least common denominators of ``cof`` and of a row x, the value times
-    D_x * D_c is sum_j (D_x x_j)(D_c c_j): its l1 norm is at most
-    l1(D_x x) * max_j l1(D_c c_j), which bounds its lift as in ``_minors``."""
+    """``incidence_values`` of integral cyclotomic rows in split-prime
+    lanes.  The value sum_j x_j c_j has l1 norm at most
+    l1(x) * max_j l1(c_j), which bounds its lift as in ``_minors``."""
     ctx = _lane_context([cof, *rows])
     if ctx is None:
         return None
-    cof_den = math.lcm(*(c.den for c in cof))
-    dens, bound = [], 0
-    for row in rows:
-        row_den, norm = _cleared(row)
-        dens.append(row_den * cof_den)
-        bound = max(bound, norm)
-    bound *= ctx._table_max * max(c.norm1 * (cof_den // c.den) for c in cof)
-    basis = ctx.lane_basis(bound)
+    row_norm = max(sum(e.norm1 for e in row) for row in rows)
+    basis = ctx.lane_basis(ctx._table_max * max(c.norm1 for c in cof) * row_norm)
     if basis is None:
         return None
     lanes = [e.residues(basis) for e in (*cof, *(e for row in rows for e in row))]
-    if any(x is None for x in lanes):
-        return None
     lanes = np.concatenate(lanes).reshape(len(rows) + 1, len(cof), *lanes[0].shape)
-    cof_lanes, row_lanes = lanes[0], lanes[1:]
-    values = (row_lanes * cof_lanes).sum(axis=1) % basis.moduli
-    return ctx.from_lanes(values, dens, basis)
+    values = (lanes[1:] * lanes[0]).sum(axis=1) % basis.moduli
+    return ctx.from_lanes(values, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +321,22 @@ def affine_row(point: Point) -> tuple:
 
 
 def _integer_row(row) -> tuple:
-    """A rational row times the least common multiple of its denominators,
-    as Python ints; any other row is returned as it is."""
-    if not all(isinstance(e, (int, Fraction)) for e in row):
-        return row
-    scale = math.lcm(*(e.denominator for e in row))
-    return tuple(e.numerator * (scale // e.denominator) for e in row)
+    """An exact row times the least common multiple of its denominators:
+    Python ints for a rational row, cyclotomic elements of denominator 1
+    for a cyclotomic one; any other row is returned as it is."""
+    if all(isinstance(e, (int, Fraction)) for e in row):
+        scale = math.lcm(*(e.denominator for e in row))
+        return tuple(e.numerator * (scale // e.denominator) for e in row)
+    if all(isinstance(e, CycloElement) for e in row):
+        scale = math.lcm(*(e.den for e in row))
+        return tuple(CycloElement(e.ctx, tuple(c * (scale // e.den) for c in e.num), 1)
+                     for e in row)
+    return row
 
 
 def scaled_rows(points, row=lifted_row) -> list:
     """The ``row`` images of the points, as the predicates expand them:
-    each rational row scaled to Python ints, any other row as it is."""
+    each exact row scaled to integral entries, any other row as it is."""
     return [_integer_row(row(p)) for p in points]
 
 
@@ -527,12 +511,13 @@ def _canonicalize(coeffs: list, backend: str) -> list:
 
 def hypersphere_through(points) -> Hypersphere:
     """The unique hypersphere-or-hyperplane through d+1 points of full
-    lifted rank, solved by cofactor expansion."""
+    lifted rank, solved by cofactor expansion of their scaled rows (the
+    canonical form divides the row scales out)."""
     points = list(points)
     d = len(points[0])
     if len(points) != d + 1:
         raise DomainError(f"need exactly {d + 1} points in dimension {d}")
-    cof = maximal_cofactors([lifted_row(p) for p in points])
+    cof = maximal_cofactors(scaled_rows(points))
     if all(is_zero_fast(c) for c in cof):
         raise DegeneracyError("points lie on a common (d-2)-sphere or (d-2)-flat")
     # row layout (1, x, |x|^2) puts u first and w last

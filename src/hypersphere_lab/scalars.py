@@ -48,6 +48,11 @@ _SAFE_INT64 = 1 << 62
 # split primes lie below this ceiling, so that phi(N) * p^2 < 2^63 for every
 # degree up to DEGREE_CAP and each lane matmul is exact in int64
 LANE_PRIME_CEILING = 1 << 26
+# most split primes a lane basis takes: the Garner lift and the per-prime
+# tables cost time quadratic in the prime count, so past about this many
+# primes (a coefficient bound near 2^(26 * LANE_PRIME_CAP)) per-scalar
+# expansion is faster
+LANE_PRIME_CAP = 32
 
 
 class _IndeterminateType:
@@ -308,10 +313,10 @@ class CyclotomicContext:
     def lane_basis(self, bound: int) -> LaneBasis | None:
         """The fewest split primes whose product exceeds 2 * ``bound``, so
         that the Chinese remainder theorem recovers every integer of absolute
-        value at most ``bound``; None if the primes below the ceiling do not
-        suffice."""
+        value at most ``bound``; None if that takes more than LANE_PRIME_CAP
+        primes or more than lie below the ceiling."""
         while not self._lane_products or self._lane_products[-1] <= 2 * bound:
-            if not self._add_split_prime():
+            if len(self._lane_tables) >= LANE_PRIME_CAP or not self._add_split_prime():
                 return None
         count = bisect.bisect_right(self._lane_products, 2 * bound) + 1
         basis = self._lane_bases.get(count)
@@ -326,17 +331,17 @@ class CyclotomicContext:
             )
         return basis
 
-    def from_lanes(self, lanes: np.ndarray, dens, basis: LaneBasis) -> list["CycloElement"]:
-        """The elements x_i whose residues over ``basis`` are ``lanes[i]``.
+    def from_lanes(self, lanes: np.ndarray, basis: LaneBasis) -> list["CycloElement"]:
+        """The integral elements x_i whose residues over ``basis`` are
+        ``lanes[i]``.
 
-        The caller proves that den_i * x_i is integral with every coefficient
-        at most basis.modulus / 2 in absolute value; Garner's mixed-radix
-        form of the Chinese remainder theorem then recovers it exactly.
+        The caller proves that every coefficient of x_i is at most
+        basis.modulus / 2 in absolute value; Garner's mixed-radix form of the
+        Chinese remainder theorem then recovers it exactly.
         """
         primes, moduli = basis.primes, basis.moduli
-        scale = np.array([[d % p for p in primes] for d in dens], dtype=np.int64)[:, :, None]
-        # coefficient residues of den_i * x_i, shape (P, len(dens), degree)
-        residues = np.matmul((lanes * scale % moduli).transpose(1, 0, 2), basis.interpolate)
+        # coefficient residues of x_i, shape (P, len(lanes), degree)
+        residues = np.matmul(lanes.transpose(1, 0, 2), basis.interpolate)
         residues %= moduli[:, None]
         digits = []
         for i, p in enumerate(primes):
@@ -349,9 +354,9 @@ class CyclotomicContext:
             value = value * p + digit
         value = np.where(value > basis.modulus // 2, value - basis.modulus, value)
         out = []
-        for i, (num, den) in enumerate(zip(value.tolist(), dens)):
-            element = CycloElement(self, tuple(num), den)
-            element._lanes = (basis, lanes[i])
+        for num, residue in zip(value.tolist(), lanes):
+            element = CycloElement(self, tuple(num), 1)
+            element._lanes = (basis, residue)
             out.append(element)
         return out
 
@@ -464,23 +469,19 @@ class CycloElement:
             self._norm1 = sum(map(abs, self.num))
         return self._norm1
 
-    def residues(self, basis: LaneBasis) -> np.ndarray | None:
-        """Lanes of this element modulo each prime of ``basis``, shape
-        (len(basis.primes), degree); None if a prime divides the
-        denominator."""
+    def residues(self, basis: LaneBasis) -> np.ndarray:
+        """Lanes of this integral element modulo each prime of ``basis``,
+        shape (len(basis.primes), degree)."""
+        if self.den != 1:
+            raise ValueError("residue lanes are defined for integral elements only")
         count = len(basis.primes)
         if self._lanes is not None and len(self._lanes[0].primes) >= count:
             return self._lanes[1][:count]
-        try:
-            inverse_den = np.array([[pow(self.den, -1, p)] for p in basis.primes], dtype=np.int64)
-        except ValueError:
-            return None
         try:
             num = np.array(self.num, dtype=np.int64) % basis.moduli
         except OverflowError:
             num = np.array([[c % p for c in self.num] for p in basis.primes], dtype=np.int64)
         lanes = np.matmul(num[:, None, :], basis.evaluate)[:, 0, :] % basis.moduli
-        lanes = lanes * inverse_den % basis.moduli
         self._lanes = (basis, lanes)
         return lanes
 
@@ -595,6 +596,11 @@ class CycloElement:
         num, den = self._normalized()
         return f"CycloElement(N={self.ctx.conductor}, coeffs={num}, den={den})"
 
+    def __reduce__(self):
+        # the context is shared, not copied: an unpickled element joins the
+        # process's own get_context(N), and the lane caches stay behind
+        return _cyclo_element, (self.ctx.conductor, self.num, self.den)
+
     # -- certified evaluation ---------------------------------------------
 
     def embed(self, bits: int):
@@ -615,6 +621,10 @@ class CycloElement:
             raise DomainError("element is not fixed by complex conjugation")
         re, _ = self.embed(bits)
         return re
+
+
+def _cyclo_element(conductor: int, num: tuple[int, ...], den: int) -> CycloElement:
+    return CycloElement(get_context(conductor), num, den)
 
 
 # ---------------------------------------------------------------------------

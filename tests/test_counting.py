@@ -344,10 +344,10 @@ class TestParallelism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                items = list(items)
-                self.tasks = len(items)
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                tasks = list(zip(*iterables))
+                self.tasks = len(tasks)
+                return itertools.starmap(fn, tasks)
 
         ps = sphere_plus_point_config(3, 11, seed=3)  # C(12, 4) = 495 subsets
         reference = spectrum(ps, threads=1)
@@ -390,6 +390,26 @@ class TestParallelism:
             spectra.append(json.loads(out.read_text())["spectrum"])
         assert spectra[0] == spectra[1]
         assert spectra[0]["certified"] and spectra[0]["counts"]["6"] > 0
+
+
+class TestLaneCap:
+    def test_huge_coordinate_stays_within_the_prime_cap(self, monkeypatch):
+        """A 1000-digit coefficient would need hundreds of split primes,
+        whose Garner lift costs more than per-scalar expansion: the lanes
+        stop at LANE_PRIME_CAP primes and the per-scalar loop decides."""
+        from hypersphere_lab import geometry
+        from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+        from hypersphere_lab.scalars import LANE_PRIME_CAP
+
+        coset = coset_config(CosetSpec(CurveParams.default(4), 7, 0), validate=False)
+        x = coset.points[0][0]
+        big = x.ctx.element([Fraction(10**1000), *x.coefficients[1:]])
+        ps = PointSet.build([(big, *coset.points[0][1:]), *coset.points[1:]])
+        spec = spectrum(ps)
+        assert len(x.ctx._lane_tables) <= LANE_PRIME_CAP
+        monkeypatch.setattr(geometry, "_lane_minors", lambda rows, columns: None)
+        monkeypatch.setattr(geometry, "_lane_incidence", lambda cof, rows: None)
+        assert spec == spectrum(ps)
 
 
 class TestIntervalMode:

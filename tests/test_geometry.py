@@ -102,11 +102,20 @@ class TestLaneKernel:
     def test_matches_per_scalar_expansion(self, conductor, k, bits, shape, rng):
         ctx = get_context(conductor)
         rows = self.random_rows(ctx, rng, k + 2, k + 1, bits)
-        rows, others = rows[:k], rows[k:]
         if shape == "repeated_row":
-            rows[-1] = rows[0]
+            rows[k - 1] = rows[0]
         elif shape == "sum_of_rows":
-            rows[-1] = tuple(a + b for a, b in zip(rows[0], rows[-2]))
+            rows[k - 1] = tuple(a + b for a, b in zip(rows[0], rows[k - 2]))
+        # integral rows take the lanes: every result carries its residues
+        results = self.check(scaled_rows(rows, row=tuple), k, shape)
+        assert all(e._lanes is not None for e in results)
+        # rows with denominators take the per-scalar expansion
+        results = self.check(rows, k, shape)
+        if any(e.den != 1 for row in rows[:k] for e in row):
+            assert all(e._lanes is None for e in results)
+
+    def check(self, rows, k, shape):
+        rows, others = rows[:k], rows[k:]
         cof = maximal_cofactors(rows)
         self.assert_same(cof, reference_cofactors(rows))
         values = incidence_values(cof, others)
@@ -114,6 +123,7 @@ class TestLaneKernel:
                                   for x in others])
         if shape != "generic":
             assert all(c.is_zero() for c in cof + tuple(values))
+        return cof + tuple(values)
 
     def test_denominator_divisible_by_a_lane_prime(self):
         ctx = get_context(20)
@@ -127,7 +137,7 @@ class TestLaneKernel:
 
 
 class TestIntegerRows:
-    """Rational rows scaled to integer rows run through the same expansion:
+    """Exact rows scaled to integral rows run through the same expansion:
     every minor scales by the product of its rows' scales."""
 
     @settings(max_examples=60, deadline=None)
@@ -136,28 +146,36 @@ class TestIntegerRows:
             lambda k: st.lists(st.tuples(*([small_fraction] * (k + 1))), min_size=k, max_size=k)
         ),
         st.sampled_from(["generic", "repeated_row", "sum_of_rows"]),
+        st.sampled_from(["rational", "cyclotomic"]),
     )
-    def test_cofactors_scale_by_the_row_scales(self, rows, shape):
+    def test_cofactors_scale_by_the_row_scales(self, rows, shape, backend):
+        if backend == "cyclotomic":
+            # entries a + b*z of Q(zeta_12), b taken from the previous row
+            ctx = get_context(12)
+            rows = [tuple(ctx.element([a, b]) for a, b in zip(row, rows[i - 1]))
+                    for i, row in enumerate(rows)]
         if shape == "repeated_row":
             rows[-1] = rows[0]
         elif shape == "sum_of_rows":
             rows[-1] = tuple(sum(column) for column in zip(*rows[:-1]))
         cleared = scaled_rows(rows, row=tuple)
-        assert all(type(e) is int for row in cleared for e in row)
-        scale = math.prod(math.lcm(*(e.denominator for e in row)) for row in rows)
+        if backend == "rational":
+            assert all(type(e) is int for row in cleared for e in row)
+            scale = math.prod(math.lcm(*(e.denominator for e in row)) for row in rows)
+        else:
+            assert all(e.den == 1 for row in cleared for e in row)
+            scale = math.prod(math.lcm(*(e.den for e in row)) for row in rows)
         want = reference_cofactors(rows)
         got = maximal_cofactors(cleared)
         assert list(got) == [c * scale for c in want]
         assert [c == 0 for c in got] == [c == 0 for c in want]
         if shape != "generic":
-            assert not any(got)
+            assert all(c == 0 for c in got)
 
     def test_other_backends_pass_through(self):
-        ctx = get_context(12)
-        cyclo = lifted_row((ctx.element([Fraction(1, 3)] + [0] * (ctx.degree - 1)), ctx.one()))
         boxes = lifted_row(tuple(IntervalScalar.from_fraction(Fraction(c, 3), 64) for c in (1, 2)))
-        assert all(got is row for got, row in zip(scaled_rows([cyclo, boxes], row=tuple),
-                                                   (cyclo, boxes)))
+        [got] = scaled_rows([boxes], row=tuple)
+        assert got is boxes
 
 
 class TestLiftProject:
