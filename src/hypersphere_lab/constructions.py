@@ -30,14 +30,13 @@ geometric engine.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, DomainError, GenerationError
-from .geometry import PointSet, det, general_position_check, lift, lifted_row, scaled_rows
+from .errors import ConsistencyError, DomainError, GeneralPositionError, GenerationError
+from .geometry import PointSet, det, general_position_check, lift, lifted_row
 from .scalars import CyclotomicContext, IntervalScalar, context_for_order, interval_context
 from .counting import spectrum, Spectrum
 
@@ -55,8 +54,7 @@ def _random_fraction(rng: random.Random, bound: int = 10) -> Fraction:
 
 def trivial_config(d: int, n: int, seed: int, max_attempts: int = 200) -> PointSet:
     """n-1 random rational points on the unit sphere plus one point off it,
-    resampled until the configuration is in general position and the off
-    point adds no incidences beyond the generic pattern."""
+    resampled until its spectrum is the generic {d+1: C(n-1, d), n-1: 1}."""
     if d < 3:
         raise DomainError("generators require dimension at least 3")
     if n < d + 3:
@@ -77,17 +75,14 @@ def trivial_config(d: int, n: int, seed: int, max_attempts: int = 200) -> PointS
             sphere_points + [off],
             metadata={"generator": "trivial", "d": d, "n": n, "seed": seed},
         )
-        if general_position_check(ps) is not None:
+        # general position, and no d+1 sphere points cospherical with the off
+        # point, is exactly the generic spectrum
+        try:
+            counts = spectrum(ps).counts
+        except GeneralPositionError:
             continue
-        # the off point must not be cospherical with any d+1 sphere points,
-        # otherwise some mixed surface picks up an extra incidence
-        *rows, off_row = scaled_rows(ps.points)
-        if any(
-            det([rows[i] for i in subset] + [off_row]) == 0
-            for subset in itertools.combinations(range(n - 1), d + 1)
-        ):
-            continue
-        return ps
+        if counts == {d + 1: math.comb(n - 1, d), n - 1: 1}:
+            return ps
     raise GenerationError(
         f"no valid trivial configuration for d={d}, n={n} within {max_attempts} attempts"
     )

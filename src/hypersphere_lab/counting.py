@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, GeneralPositionError, SpanError
 from .geometry import (
+    Hypersphere,
     PointSet,
     affine_row,
     incidence_values,
@@ -260,24 +261,23 @@ def spectrum_by_hashing(ps: PointSet) -> Spectrum:
     """Alternative exact-mode spectrum: canonicalize the surface of every
     (d+1)-subset and invert key multiplicities t = C(m, d+1) back to m.
 
-    Shares the solver but none of the incidence counting with
+    Shares the cofactor expansion but none of the incidence counting with
     ``spectrum``; the two are cross-checked in tests and available as a
     runtime self-check.
     """
-    from .errors import DegeneracyError
-    from .geometry import hypersphere_through
-
     if ps.backend == "interval":
         raise ConsistencyError("hash deduplication requires an exact backend")
     d = ps.dimension
     r = d + 1
+    rows = scaled_rows(ps.points)
     keys: Counter = Counter()
     for subset in itertools.combinations(range(ps.n), r):
-        try:
-            sphere = hypersphere_through([ps.points[i] for i in subset])
-        except DegeneracyError:
-            raise GeneralPositionError(subset) from None
-        keys[sphere] += 1
+        cof = maximal_cofactors([rows[i] for i in subset])
+        if all(is_zero_fast(c) for c in cof):
+            raise GeneralPositionError(subset)
+        # row layout (1, x, |x|^2) puts u first and w last; the canonical
+        # form divides the row scales out
+        keys[Hypersphere.from_coefficients(cof[-1], cof[1:-1], cof[0])] += 1
     counts: Counter = Counter()
     for sphere, multiplicity in keys.items():
         m = r

@@ -13,14 +13,20 @@ Scaling a row by a nonzero constant scales every minor that contains it by
 that constant, so every zero test is unchanged.  Rational rows become
 Python ints; cyclotomic rows become elements of denominator 1.
 
-Minors of integral cyclotomic rows are computed in the residue lanes of
-split primes (see ``scalars``) and lifted back exactly.  The lift needs a
-bound on the coefficients of the determinant.  Read as polynomials in
-Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
-most the product of its rows' l1 norms; reducing mod the cyclotomic
-polynomial multiplies it by at most the largest coefficient of a reduced
-power z^k.  So the bound is a proof, and zero in every lane of enough
-primes means exactly zero.
+Every minor and incidence value is expanded by one plan of numpy index
+tables, row by row over column subsets; only the number representation
+differs between backends.  Integral cyclotomic rows run in the residue
+lanes of split primes (see ``scalars``), reduced after each row and lifted
+back exactly.  Every other row set (Python ints, intervals, cyclotomic rows
+with denominators or past the lane prime cap) runs as a numpy object array
+of its own scalars.
+
+The lift from lanes needs a bound on the coefficients of the determinant.
+Read as polynomials in Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a
+determinant has l1 norm at most the product of its rows' l1 norms;
+reducing mod the cyclotomic polynomial multiplies it by at most the
+largest coefficient of a reduced power z^k.  So the bound is a proof, and
+zero in every lane of enough primes means exactly zero.
 """
 
 from __future__ import annotations
@@ -132,78 +138,26 @@ class PointSet:
 # ---------------------------------------------------------------------------
 
 
-def _expand_level(prev, row, columns: int, r: int):
-    """Size r+1 minors (keyed by column bitmask) from size r minors and the
-    next row, expanding along that row: sign of column position idx in the
-    mask is (-1)^(r+idx)."""
-    out = {}
-    for cols in combinations(range(columns), r + 1):
-        mask = 0
-        for c in cols:
-            mask |= 1 << c
-        acc = None
-        sign = -1 if r % 2 else 1
-        for c in cols:
-            entry = row[c]
-            if is_zero_fast(entry):
-                sign = -sign
-                continue
-            term = entry * prev[mask & ~(1 << c)]
-            if sign < 0:
-                term = -term
-            acc = term if acc is None else acc + term
-            sign = -sign
-        if acc is None:
-            # every entry of the row on these columns is an exact zero
-            acc = row[cols[0]] * prev[mask & ~(1 << cols[0])]
-        out[mask] = acc
-    return out
-
-
 def is_zero_fast(value) -> bool:
-    """Cheap structural zero check used only to skip known-zero terms."""
+    """Structural zero test of an exact scalar, without the tri-state of
+    ``is_zero``: an interval is never structurally zero."""
     if isinstance(value, (int, Fraction)):
         return value == 0
     if isinstance(value, CycloElement):
         return value.is_zero()
-    return False  # intervals: never skip
-
-
-def _minors(rows, columns: int) -> dict:
-    """The minors of full row count of a len(rows) x ``columns`` matrix,
-    keyed by column bitmask, expanded one row at a time."""
-    if len(rows) > 1:
-        minors = _lane_minors(rows, columns)
-        if minors is not None:
-            return minors
-    level = {1 << c: rows[0][c] for c in range(columns)}
-    for r in range(1, len(rows)):
-        level = _expand_level(level, rows[r], columns, r)
-    return level
-
-
-def _lane_context(rows):
-    """The context shared by every entry of ``rows`` if all are integral
-    cyclotomic elements of one conductor, else None."""
-    first = rows[0][0]
-    if not isinstance(first, CycloElement):
-        return None
-    conductor = first.ctx.conductor
-    for row in rows:
-        for entry in row:
-            if (not isinstance(entry, CycloElement) or entry.den != 1
-                    or entry.ctx.conductor != conductor):
-                return None
-    return first.ctx
+    return False
 
 
 @functools.lru_cache(maxsize=None)
 def _expansion_plan(k: int, columns: int):
-    """Index tables of the level-by-level expansion of ``_expand_level``.
+    """Index tables of the row-by-row expansion of the minors of full row
+    count of a k x ``columns`` matrix.
 
-    For each row r >= 1: (col, prev, sign), where minor i of the level is
-    sum over t of sign[t] * row[col[i, t]] * previous[prev[i, t]]; the last
-    entry lists the bitmasks of the top level's minors.
+    Level r holds the minors of the first r+1 rows, one per (r+1)-column
+    subset in ``combinations`` order.  For each row r >= 1 the plan holds
+    (col, prev, plus, minus): term t of minor i of level r is
+    row[col[i, t]] * previous[prev[i, t]] with sign (-1)^(r+t), so the
+    minor is the sum of its terms at ``plus`` less those at ``minus``.
     """
     plan = []
     previous = {(c,): c for c in range(columns)}
@@ -214,30 +168,54 @@ def _expansion_plan(k: int, columns: int):
             [[previous[cols[:t] + cols[t + 1:]] for t in range(r + 1)] for cols in combos],
             dtype=np.intp,
         )
-        sign = np.array([(-1) ** (r + t) for t in range(r + 1)], dtype=np.int64)
-        plan.append((col, prev, sign[:, None, None]))
+        plan.append((col, prev, slice(r % 2, None, 2), slice(1 - r % 2, None, 2)))
         previous = {cols: i for i, cols in enumerate(combos)}
-    masks = [sum(1 << c for c in cols) for cols in previous]
-    return plan, masks
+    return plan
 
 
-def _lane_minors(rows, columns: int):
-    """``_minors`` of integral cyclotomic rows, computed in split-prime lanes
-    and lifted back exactly; None if the rows are not such rows or no basis
-    of lane primes reaches the bound."""
-    ctx = _lane_context(rows)
-    if ctx is None:
-        return None
-    basis = ctx.lane_basis(ctx._table_max * math.prod(sum(e.norm1 for e in row) for row in rows))
-    if basis is None:
-        return None
-    lanes = [e.residues(basis) for row in rows for e in row]
-    grid = np.concatenate(lanes).reshape(len(rows), columns, *lanes[0].shape)
-    plan, masks = _expansion_plan(len(rows), columns)
+def _grid(rows, l1_bound):
+    """The entries of ``rows`` as one array for the expansion plan, and the
+    lane basis it is over (None for scalars).
+
+    Integral cyclotomic rows of one conductor become int64 residue lanes of
+    shape (len(rows), width, primes, degree), over enough split primes to
+    lift every value whose l1 norm is at most ``l1_bound()``, the caller's
+    proof, once reduced mod the cyclotomic polynomial.  Every other
+    row set, and one that would need more than LANE_PRIME_CAP primes,
+    becomes an object array of its own scalars.
+    """
+    first = rows[0][0]
+    if isinstance(first, CycloElement):
+        ctx = first.ctx
+        conductor = ctx.conductor
+        if all(isinstance(e, CycloElement) and e.den == 1 and e.ctx.conductor == conductor
+               for row in rows for e in row):
+            basis = ctx.lane_basis(ctx._table_max * l1_bound())
+            if basis is not None:
+                lanes = [e.residues(basis) for row in rows for e in row]
+                return np.concatenate(lanes).reshape(len(rows), -1, *lanes[0].shape), basis
+    return np.array(rows, dtype=object), None
+
+
+def _row_norm(row) -> int:
+    return sum(e.norm1 for e in row)
+
+
+def _minors(rows, columns: int) -> list:
+    """The minors of full row count of a len(rows) x ``columns`` matrix, one
+    per column subset in ``combinations`` order.  A minor's l1 norm is at
+    most the product of its rows' l1 norms."""
+    grid, basis = _grid(rows, lambda: math.prod(map(_row_norm, rows)))
     level = grid[0]
-    for row, (col, prev, sign) in zip(grid[1:], plan):
-        level = (row[col] * level[prev] * sign).sum(axis=1) % basis.moduli
-    return dict(zip(masks, ctx.from_lanes(level, basis)))
+    for row, (col, prev, plus, minus) in zip(grid[1:], _expansion_plan(len(rows), columns)):
+        terms = row[col] * level[prev]
+        level = terms[:, plus].sum(axis=1)
+        level -= terms[:, minus].sum(axis=1)
+        if basis is not None:
+            level %= basis.moduli
+    if basis is None:
+        return list(level)
+    return rows[0][0].ctx.from_lanes(level, basis)
 
 
 def det(rows) -> object:
@@ -245,7 +223,7 @@ def det(rows) -> object:
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("det requires a square matrix")
-    return _minors(rows, k)[(1 << k) - 1]
+    return _minors(rows, k)[0]
 
 
 def maximal_cofactors(rows) -> tuple:
@@ -257,44 +235,21 @@ def maximal_cofactors(rows) -> tuple:
     columns = len(rows) + 1
     if any(len(r) != columns for r in rows):
         raise ValueError("expected a k x (k+1) matrix")
-    level = _minors(rows, columns)
-    full = (1 << columns) - 1
-    minors = [level[full & ~(1 << j)] for j in range(columns)]
+    # in combinations order the k-column subsets leave out column k first
+    minors = _minors(rows, columns)[::-1]
     return tuple(m if j % 2 == 0 else -m for j, m in enumerate(minors))
 
 
 def incidence_values(cof, rows) -> list:
     """det([x; S]) = sum_j x[j] * cof[j] for each row x of ``rows``, where
-    ``cof`` are the maximal cofactors of S."""
-    if rows:
-        values = _lane_incidence(cof, rows)
-        if values is not None:
-            return values
-    out = []
-    for row in rows:
-        acc = None
-        for coeff, entry in zip(cof, row):
-            term = coeff * entry
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def _lane_incidence(cof, rows):
-    """``incidence_values`` of integral cyclotomic rows in split-prime
-    lanes.  The value sum_j x_j c_j has l1 norm at most
-    l1(x) * max_j l1(c_j), which bounds its lift as in ``_minors``."""
-    ctx = _lane_context([cof, *rows])
-    if ctx is None:
-        return None
-    row_norm = max(sum(e.norm1 for e in row) for row in rows)
-    basis = ctx.lane_basis(ctx._table_max * max(c.norm1 for c in cof) * row_norm)
+    ``cof`` are the maximal cofactors of S.  Each value has l1 norm at most
+    l1(x) * max_j l1(cof[j])."""
+    grid, basis = _grid([cof, *rows], lambda: max(c.norm1 for c in cof)
+                        * max(map(_row_norm, rows), default=0))
+    values = (grid[1:] * grid[0]).sum(axis=1)
     if basis is None:
-        return None
-    lanes = [e.residues(basis) for e in (*cof, *(e for row in rows for e in row))]
-    lanes = np.concatenate(lanes).reshape(len(rows) + 1, len(cof), *lanes[0].shape)
-    values = (lanes[1:] * lanes[0]).sum(axis=1) % basis.moduli
-    return ctx.from_lanes(values, basis)
+        return list(values)
+    return cof[0].ctx.from_lanes(values % basis.moduli, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ _SAFE_INT64 = 1 << 62
 LANE_PRIME_CEILING = 1 << 26
 # most split primes a lane basis takes: the Garner lift and the per-prime
 # tables cost time quadratic in the prime count, so past about this many
-# primes (a coefficient bound near 2^(26 * LANE_PRIME_CAP)) per-scalar
-# expansion is faster
+# primes (a coefficient bound near 2^(26 * LANE_PRIME_CAP)) expanding the
+# elements themselves is faster
 LANE_PRIME_CAP = 32
 
 

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -395,8 +396,8 @@ class TestParallelism:
 class TestLaneCap:
     def test_huge_coordinate_stays_within_the_prime_cap(self, monkeypatch):
         """A 1000-digit coefficient would need hundreds of split primes,
-        whose Garner lift costs more than per-scalar expansion: the lanes
-        stop at LANE_PRIME_CAP primes and the per-scalar loop decides."""
+        whose Garner lift costs more than expanding the elements: the lanes
+        stop at LANE_PRIME_CAP primes and the expansion over scalars decides."""
         from hypersphere_lab import geometry
         from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
         from hypersphere_lab.scalars import LANE_PRIME_CAP
@@ -407,8 +408,9 @@ class TestLaneCap:
         ps = PointSet.build([(big, *coset.points[0][1:]), *coset.points[1:]])
         spec = spectrum(ps)
         assert len(x.ctx._lane_tables) <= LANE_PRIME_CAP
-        monkeypatch.setattr(geometry, "_lane_minors", lambda rows, columns: None)
-        monkeypatch.setattr(geometry, "_lane_incidence", lambda cof, rows: None)
+        # every row set expanded over its own scalars, never in lanes
+        monkeypatch.setattr(geometry, "_grid",
+                            lambda rows, bound: (np.array(rows, dtype=object), None))
         assert spec == spectrum(ps)
 
 

@@ -109,7 +109,7 @@ class TestLaneKernel:
         # integral rows take the lanes: every result carries its residues
         results = self.check(scaled_rows(rows, row=tuple), k, shape)
         assert all(e._lanes is not None for e in results)
-        # rows with denominators take the per-scalar expansion
+        # rows with denominators are expanded over their own elements
         results = self.check(rows, k, shape)
         if any(e.den != 1 for row in rows[:k] for e in row):
             assert all(e._lanes is None for e in results)
@@ -176,6 +176,39 @@ class TestIntegerRows:
         boxes = lifted_row(tuple(IntervalScalar.from_fraction(Fraction(c, 3), 64) for c in (1, 2)))
         [got] = scaled_rows([boxes], row=tuple)
         assert got is boxes
+
+
+class TestIntervalEnclosure:
+    """Interval rows run through the same expansion as exact ones: every
+    cofactor and incidence value encloses the exact value of the rational
+    matrix the boxes were made from."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda k: st.lists(st.tuples(*([small_fraction] * (k + 1))),
+                               min_size=k + 2, max_size=k + 2)
+        ),
+        st.sampled_from(["generic", "repeated_row", "sum_of_rows"]),
+    )
+    def test_cofactors_and_incidences_enclose_exact_values(self, rows, shape):
+        k = len(rows) - 2
+        if shape == "repeated_row":
+            rows[k - 1] = rows[0]
+        elif shape == "sum_of_rows":
+            rows[k - 1] = tuple(sum(column) for column in zip(*rows[:k - 1]))
+        # two free rows and one defining row, whose incidence value is 0
+        defining, probes = rows[:k], rows[k:] + rows[:1]
+        boxes = [tuple(IntervalScalar.from_fraction(e, 128) for e in row) for row in rows]
+        cof = maximal_cofactors(boxes[:k])
+        values = incidence_values(cof, boxes[k:] + boxes[:1])
+        want = reference_cofactors(defining) + [
+            laplace_det([list(x)] + [list(r) for r in defining]) for x in probes
+        ]
+        got = list(cof) + values
+        assert len(got) == len(want)
+        for box, exact in zip(got, want):
+            assert box.lo <= exact <= box.hi
 
 
 class TestLiftProject:
