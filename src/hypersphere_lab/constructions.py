@@ -41,6 +41,7 @@ from .scalars import CyclotomicContext, IntervalScalar, context_for_order, inter
 from .counting import spectrum, Spectrum
 
 TWO_PI = 2 * math.pi
+TRIVIAL_ATTEMPTS = 200  # samples trivial_config draws before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,7 @@ def _random_fraction(rng: random.Random, bound: int = 10) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def trivial_config(d: int, n: int, seed: int, max_attempts: int = 200) -> PointSet:
+def trivial_config(d: int, n: int, seed: int) -> PointSet:
     """n-1 random rational points on the unit sphere plus one point off it,
     resampled until its spectrum is the generic {d+1: C(n-1, d), n-1: 1}."""
     if d < 3:
@@ -60,7 +61,7 @@ def trivial_config(d: int, n: int, seed: int, max_attempts: int = 200) -> PointS
     if n < d + 3:
         raise DomainError(f"need n >= {d + 3} for dimension {d}")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(TRIVIAL_ATTEMPTS):
         sphere_points = []
         seen = set()
         while len(sphere_points) < n - 1:
@@ -84,7 +85,7 @@ def trivial_config(d: int, n: int, seed: int, max_attempts: int = 200) -> PointS
         if counts == {d + 1: math.comb(n - 1, d), n - 1: 1}:
             return ps
     raise GenerationError(
-        f"no valid trivial configuration for d={d}, n={n} within {max_attempts} attempts"
+        f"no valid trivial configuration for d={d}, n={n} within {TRIVIAL_ATTEMPTS} attempts"
     )
 
 

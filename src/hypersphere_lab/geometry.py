@@ -15,18 +15,23 @@ Python ints; cyclotomic rows become elements of denominator 1.
 
 Every minor and incidence value is expanded by one plan of numpy index
 tables, row by row over column subsets; only the number representation
-differs between backends.  Integral cyclotomic rows run in the residue
-lanes of split primes (see ``scalars``), reduced after each row and lifted
-back exactly.  Every other row set (Python ints, intervals, cyclotomic rows
-with denominators or past the lane prime cap) runs as a numpy object array
-of its own scalars.
+differs between backends.  The row set is the unit of residue lanes:
+``scaled_rows`` gives cyclotomic rows of one conductor one basis of split
+primes (see ``scalars``) and returns rows that carry their lanes, and
+``maximal_cofactors`` of such rows returns cofactors that carry them too.
+Values of one set run in its lanes, reduced after each row and lifted back
+exactly.  Everything else (Python ints, intervals, rows of two sets,
+hand-built tuples, a set past the lane prime cap) runs as a numpy object
+array of its own scalars.
 
-The lift from lanes needs a bound on the coefficients of the determinant.
-Read as polynomials in Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a
-determinant has l1 norm at most the product of its rows' l1 norms;
-reducing mod the cyclotomic polynomial multiplies it by at most the
-largest coefficient of a reduced power z^k.  So the bound is a proof, and
-zero in every lane of enough primes means exactly zero.
+The lift needs a bound on the coefficients.  Read as polynomials in
+Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
+most the product of its rows' l1 norms, and reducing mod the cyclotomic
+polynomial multiplies it by at most the largest coefficient of a reduced
+power z^k.  A minor or an incidence value det([x; S]) of one set has at
+most ``width`` distinct rows of it (one that repeats a row is 0), so the
+product of the ``width`` largest row norms bounds every value of the set,
+and zero in every lane of enough primes means exactly zero.
 """
 
 from __future__ import annotations
@@ -124,7 +129,10 @@ class PointSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "PointSet":
-        points = [tuple(scalar_from_json(c) for c in p) for p in data["points"]]
+        points = data["points"]
+        if type(points) is not list or not all(type(p) is list for p in points):
+            raise DomainError("points must be a list of coordinate lists")
+        points = [tuple(scalar_from_json(c) for c in p) for p in points]
         ps = cls.build(points, metadata=data.get("metadata"))
         if ps.dimension != data.get("dimension", ps.dimension):
             raise DomainError("dimension field disagrees with point data")
@@ -173,39 +181,39 @@ def _expansion_plan(k: int, columns: int):
     return plan
 
 
-def _grid(rows, l1_bound):
-    """The entries of ``rows`` as one array for the expansion plan, and the
-    lane basis it is over (None for scalars).
+class _Lanes(tuple):
+    """Scalars of one ``scaled_rows`` call with their residue ``lanes`` over
+    that call's ``basis``: a row of the call, or (``cofactors``) the maximal
+    cofactors of rows of the call.  The basis object is the set's identity;
+    one pickle keeps one basis object, so rows sent together stay a set."""
 
-    Integral cyclotomic rows of one conductor become int64 residue lanes of
-    shape (len(rows), width, primes, degree), over enough split primes to
-    lift every value whose l1 norm is at most ``l1_bound()``, the caller's
-    proof, once reduced mod the cyclotomic polynomial.  Every other
-    row set, and one that would need more than LANE_PRIME_CAP primes,
-    becomes an object array of its own scalars.
+    def __new__(cls, scalars, basis=None, lanes=None, cofactors=False):
+        self = super().__new__(cls, scalars)
+        self.basis, self.lanes, self.cofactors = basis, lanes, cofactors
+        return self
+
+
+def _grid(rows, cof=None):
+    """The entries of ``cof`` (if given) and ``rows`` as one array for the
+    expansion plan, and the lane basis it is over (None for scalars).
+
+    Lanes are used only where the bound of one ``scaled_rows`` call covers
+    every value: every row is a row of that call, and ``cof`` the cofactors
+    of rows of that call.  Anything else is an object array of its scalars.
     """
-    first = rows[0][0]
-    if isinstance(first, CycloElement):
-        ctx = first.ctx
-        conductor = ctx.conductor
-        if all(isinstance(e, CycloElement) and e.den == 1 and e.ctx.conductor == conductor
-               for row in rows for e in row):
-            basis = ctx.lane_basis(ctx._table_max * l1_bound())
-            if basis is not None:
-                lanes = [e.residues(basis) for row in rows for e in row]
-                return np.concatenate(lanes).reshape(len(rows), -1, *lanes[0].shape), basis
-    return np.array(rows, dtype=object), None
+    items = [*rows] if cof is None else [cof, *rows]
+    basis = getattr(items[0], "basis", None)
+    if basis is not None and (cof is None or cof.cofactors) and all(
+            isinstance(r, _Lanes) and r.basis is basis and not r.cofactors for r in rows):
+        return np.stack([r.lanes for r in items]), basis
+    return np.array(items, dtype=object), None
 
 
-def _row_norm(row) -> int:
-    return sum(e.norm1 for e in row)
-
-
-def _minors(rows, columns: int) -> list:
+def _minors(rows, columns: int):
     """The minors of full row count of a len(rows) x ``columns`` matrix, one
-    per column subset in ``combinations`` order.  A minor's l1 norm is at
-    most the product of its rows' l1 norms."""
-    grid, basis = _grid(rows, lambda: math.prod(map(_row_norm, rows)))
+    per column subset in ``combinations`` order, as an array over the basis
+    (reduced) or of scalars, and the basis."""
+    grid, basis = _grid(rows)
     level = grid[0]
     for row, (col, prev, plus, minus) in zip(grid[1:], _expansion_plan(len(rows), columns)):
         terms = row[col] * level[prev]
@@ -213,9 +221,7 @@ def _minors(rows, columns: int) -> list:
         level -= terms[:, minus].sum(axis=1)
         if basis is not None:
             level %= basis.moduli
-    if basis is None:
-        return list(level)
-    return rows[0][0].ctx.from_lanes(level, basis)
+    return level, basis
 
 
 def det(rows) -> object:
@@ -223,7 +229,8 @@ def det(rows) -> object:
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("det requires a square matrix")
-    return _minors(rows, k)[0]
+    level, basis = _minors(rows, k)
+    return level[0] if basis is None else rows[0][0].ctx.from_lanes(level, basis)[0]
 
 
 def maximal_cofactors(rows) -> tuple:
@@ -231,21 +238,25 @@ def maximal_cofactors(rows) -> tuple:
 
     Returns (c_0, ..., c_k) with c_j = (-1)^j * det(matrix without column j),
     so that for any extra row x: det([x; rows]) = sum_j x[j] * c_j.
+    Cofactors of rows of one ``scaled_rows`` set carry the set's lanes.
     """
     columns = len(rows) + 1
     if any(len(r) != columns for r in rows):
         raise ValueError("expected a k x (k+1) matrix")
+    minors, basis = _minors(rows, columns)
     # in combinations order the k-column subsets leave out column k first
-    minors = _minors(rows, columns)[::-1]
-    return tuple(m if j % 2 == 0 else -m for j, m in enumerate(minors))
+    signed = minors[::-1].copy()
+    signed[1::2] = -signed[1::2]
+    if basis is None:
+        return tuple(signed)
+    signed %= basis.moduli
+    return _Lanes(rows[0][0].ctx.from_lanes(signed, basis), basis, signed, cofactors=True)
 
 
 def incidence_values(cof, rows) -> list:
     """det([x; S]) = sum_j x[j] * cof[j] for each row x of ``rows``, where
-    ``cof`` are the maximal cofactors of S.  Each value has l1 norm at most
-    l1(x) * max_j l1(cof[j])."""
-    grid, basis = _grid([cof, *rows], lambda: max(c.norm1 for c in cof)
-                        * max(map(_row_norm, rows), default=0))
+    ``cof`` are the maximal cofactors of S."""
+    grid, basis = _grid(rows, cof)
     values = (grid[1:] * grid[0]).sum(axis=1)
     if basis is None:
         return list(values)
@@ -291,8 +302,24 @@ def _integer_row(row) -> tuple:
 
 def scaled_rows(points, row=lifted_row) -> list:
     """The ``row`` images of the points, as the predicates expand them:
-    each exact row scaled to integral entries, any other row as it is."""
-    return [_integer_row(row(p)) for p in points]
+    each exact row scaled to integral entries, any other row as it is.
+
+    Cyclotomic rows of one conductor come back as one set that carries its
+    residue lanes, over the fewest split primes that lift every minor and
+    incidence value of the set (see the module docstring)."""
+    rows = [_integer_row(row(p)) for p in points]
+    entries = [e for r in rows for e in r]
+    if not entries or not all(isinstance(e, CycloElement)
+                              and e.ctx.conductor == entries[0].ctx.conductor for e in entries):
+        return rows
+    ctx = entries[0].ctx
+    width = max(map(len, rows))
+    norms = sorted((max(1, sum(abs(c) for e in r for c in e.num)) for r in rows), reverse=True)
+    basis = ctx.lane_basis(ctx._table_max * math.prod(norms[:width]))
+    if basis is None:
+        return rows
+    parts = np.split(ctx.to_lanes(entries, basis), np.cumsum([len(r) for r in rows[:-1]]))
+    return [_Lanes(r, basis, part) for r, part in zip(rows, parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +441,7 @@ class Hypersphere:
             raise DomainError("hypersphere coefficients mix backends")
         backend = kinds.pop()
         if backend != "interval":
-            zero = [is_zero_fast(c) for c in coeffs]
-            if all(zero):
+            if all(is_zero_fast(c) for c in coeffs):
                 raise DegeneracyError("all hypersphere coefficients vanish")
             coeffs = _canonicalize(coeffs, backend)
         return cls(coeffs[0], tuple(coeffs[1:-1]), coeffs[-1])
@@ -449,12 +475,8 @@ def _canonicalize(coeffs: list, backend: str) -> list:
     else:
         fractions = [Fraction(c) for c in coeffs]
         coeffs = fractions
-    denom_lcm = 1
-    for f in fractions:
-        denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
-    numer_gcd = 0
-    for f in fractions:
-        numer_gcd = math.gcd(numer_gcd, f.numerator * (denom_lcm // f.denominator))
+    denom_lcm = math.lcm(*(f.denominator for f in fractions))
+    numer_gcd = math.gcd(*(f.numerator * (denom_lcm // f.denominator) for f in fractions))
     scale = Fraction(denom_lcm, numer_gcd or 1)
     coeffs = [c * scale for c in coeffs]
     if backend == "rational":

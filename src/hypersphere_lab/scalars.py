@@ -16,8 +16,9 @@ Cyclotomic determinants are also computed in residue lanes: a prime
 p = 1 mod N splits Z[zeta_N] into phi(N) copies of F_p (the images of zeta
 under the primitive N-th roots of unity mod p), where products act lane by
 lane.  ``CyclotomicContext.lane_basis`` picks enough such primes for a
-proven coefficient bound and ``CyclotomicContext.from_lanes`` recovers the
-exact coefficients by the Chinese remainder theorem.
+proven coefficient bound, ``to_lanes`` maps integral elements into the
+lanes and ``from_lanes`` recovers the exact coefficients by the Chinese
+remainder theorem.  Elements keep no lanes: ``geometry.scaled_rows`` does.
 
 Zero-testing is exact on the first two backends.  Interval scalars never
 certify equality: their zero test answers False (certified nonzero) or
@@ -207,7 +208,6 @@ class CyclotomicContext:
         self._lane_candidate = (LANE_PRIME_CEILING - 2) // conductor
         self._lane_tables: list[tuple[int, np.ndarray, np.ndarray]] = []
         self._lane_products: list[int] = []
-        self._lane_bases: dict[int, LaneBasis] = {}
 
     # -- element constructors ------------------------------------------------
 
@@ -216,10 +216,7 @@ class CyclotomicContext:
         if len(coeffs) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
         coeffs += [0] * (self.degree - len(coeffs))
-        den = 1
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
         num = tuple(int(c * den) if isinstance(c, Fraction) else c * den for c in coeffs)
         return CycloElement(self, num, den)
 
@@ -314,22 +311,27 @@ class CyclotomicContext:
         """The fewest split primes whose product exceeds 2 * ``bound``, so
         that the Chinese remainder theorem recovers every integer of absolute
         value at most ``bound``; None if that takes more than LANE_PRIME_CAP
-        primes or more than lie below the ceiling."""
+        primes or more than lie below the ceiling.  Every call returns a new
+        basis object."""
         while not self._lane_products or self._lane_products[-1] <= 2 * bound:
             if len(self._lane_tables) >= LANE_PRIME_CAP or not self._add_split_prime():
                 return None
         count = bisect.bisect_right(self._lane_products, 2 * bound) + 1
-        basis = self._lane_bases.get(count)
-        if basis is None:
-            primes, evaluate, interpolate = zip(*self._lane_tables[:count])
-            basis = self._lane_bases[count] = LaneBasis(
-                primes,
-                self._lane_products[count - 1],
-                np.array(primes, dtype=np.int64)[:, None],
-                np.stack(evaluate),
-                np.stack(interpolate),
-            )
-        return basis
+        primes, evaluate, interpolate = zip(*self._lane_tables[:count])
+        return LaneBasis(primes, self._lane_products[count - 1],
+                         np.array(primes, dtype=np.int64)[:, None],
+                         np.stack(evaluate), np.stack(interpolate))
+
+    def to_lanes(self, elements, basis: LaneBasis) -> np.ndarray:
+        """Residue lanes of integral elements modulo each prime of ``basis``,
+        shape (len(elements), len(basis.primes), degree)."""
+        if any(e.den != 1 for e in elements):
+            raise ValueError("residue lanes are defined for integral elements only")
+        # reduced as Python ints, so coefficients of any size are exact
+        num = np.array([e.num for e in elements], dtype=object).reshape(-1, 1, self.degree)
+        num = (num % basis.moduli.astype(object)).astype(np.int64)
+        lanes = np.matmul(num.transpose(1, 0, 2), basis.evaluate) % basis.moduli[:, None]
+        return lanes.transpose(1, 0, 2)
 
     def from_lanes(self, lanes: np.ndarray, basis: LaneBasis) -> list["CycloElement"]:
         """The integral elements x_i whose residues over ``basis`` are
@@ -353,12 +355,7 @@ class CyclotomicContext:
         for digit, p in zip(digits[-2::-1], primes[-2::-1]):
             value = value * p + digit
         value = np.where(value > basis.modulus // 2, value - basis.modulus, value)
-        out = []
-        for num, residue in zip(value.tolist(), lanes):
-            element = CycloElement(self, tuple(num), 1)
-            element._lanes = (basis, residue)
-            out.append(element)
-        return out
+        return [CycloElement(self, tuple(num), 1) for num in value.tolist()]
 
     def __repr__(self):
         return f"CyclotomicContext(conductor={self.conductor}, degree={self.degree})"
@@ -415,13 +412,9 @@ def _mul_vectors(ctx: CyclotomicContext, x: tuple[int, ...], y: tuple[int, ...])
 
 class CycloElement:
     """Immutable element of Q(zeta_N): integer coefficient vector over a
-    positive common denominator.
+    positive common denominator."""
 
-    Its residue lanes and the l1 norm of its numerator are computed on first
-    use and kept; they take no part in equality, hashing or JSON.
-    """
-
-    __slots__ = ("ctx", "num", "den", "_lanes", "_norm1")
+    __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: CyclotomicContext, num: tuple[int, ...], den: int):
         if den == 0:
@@ -432,18 +425,12 @@ class CycloElement:
         self.ctx = ctx
         self.num = num
         self.den = den
-        self._lanes = None  # (LaneBasis, residues) once computed
-        self._norm1 = None
 
     # -- representation -------------------------------------------------------
 
     def _normalized(self) -> tuple[tuple[int, ...], int]:
-        g = self.den
-        for c in self.num:
-            g = math.gcd(g, c)
-            if g == 1:
-                return self.num, self.den
-        if g in (0, 1):
+        g = math.gcd(self.den, *self.num)
+        if g == 1:
             return self.num, self.den
         return tuple(c // g for c in self.num), self.den // g
 
@@ -461,29 +448,6 @@ class CycloElement:
         if not self.is_rational():
             raise DomainError("element is not rational")
         return Fraction(self.num[0], self.den)
-
-    @property
-    def norm1(self) -> int:
-        """Sum of the absolute values of the numerator coefficients."""
-        if self._norm1 is None:
-            self._norm1 = sum(map(abs, self.num))
-        return self._norm1
-
-    def residues(self, basis: LaneBasis) -> np.ndarray:
-        """Lanes of this integral element modulo each prime of ``basis``,
-        shape (len(basis.primes), degree)."""
-        if self.den != 1:
-            raise ValueError("residue lanes are defined for integral elements only")
-        count = len(basis.primes)
-        if self._lanes is not None and len(self._lanes[0].primes) >= count:
-            return self._lanes[1][:count]
-        try:
-            num = np.array(self.num, dtype=np.int64) % basis.moduli
-        except OverflowError:
-            num = np.array([[c % p for c in self.num] for p in basis.primes], dtype=np.int64)
-        lanes = np.matmul(num[:, None, :], basis.evaluate)[:, 0, :] % basis.moduli
-        self._lanes = (basis, lanes)
-        return lanes
 
     def _galois(self, k: int) -> "CycloElement":
         """Image under the automorphism z -> z^k of Q(zeta_N), k a unit mod N."""
@@ -526,11 +490,7 @@ class CycloElement:
     __radd__ = __add__
 
     def __neg__(self):
-        out = CycloElement(self.ctx, tuple(-c for c in self.num), self.den)
-        if self._lanes is not None:
-            basis, lanes = self._lanes
-            out._lanes = (basis, -lanes % basis.moduli)
-        return out
+        return CycloElement(self.ctx, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -598,7 +558,7 @@ class CycloElement:
 
     def __reduce__(self):
         # the context is shared, not copied: an unpickled element joins the
-        # process's own get_context(N), and the lane caches stay behind
+        # process's own get_context(N)
         return _cyclo_element, (self.ctx.conductor, self.num, self.den)
 
     # -- certified evaluation ---------------------------------------------
@@ -859,6 +819,8 @@ def scalar_from_json(data):
         return Fraction(data)
     if isinstance(data, dict) and "conductor" in data:
         ctx = get_context(_json_int(data, "conductor"))
+        if type(data["coeffs"]) is not list:
+            raise DomainError(f"scalar field 'coeffs' must be a list, got {data['coeffs']!r}")
         return ctx.element([Fraction(c) for c in data["coeffs"]])
     if isinstance(data, dict) and "lo" in data:
         return IntervalScalar.from_endpoints(data["lo"], data["hi"], _json_int(data, "bits"))

@@ -315,6 +315,31 @@ class TestUsageErrors:
         assert "malformed" in capsys.readouterr().err
 
 
+class TestListsRequired:
+    """A point, the points and a coefficient vector are JSON lists: a string
+    is not read as its characters, nor a dict as its keys."""
+
+    @pytest.mark.parametrize("command", ["count", "lift"])
+    @pytest.mark.parametrize("shape", ["string point", "points string", "points dict",
+                                       "coeffs string"])
+    def test_exit_usage(self, trivial_file, coset_points, tmp_path, capsys, command, shape):
+        payload = read_json(trivial_file)
+        if shape == "string point":
+            payload["points"][0] = "135"
+        elif shape == "points string":
+            payload["points"] = json.dumps(payload["points"])
+        elif shape == "points dict":
+            payload["points"] = dict.fromkeys(["123", "405", "061", "719", "282", "934", "355"])
+        else:
+            payload = json.loads(json.dumps(coset_points))
+            coeffs = payload["points"][0][0]["coeffs"]
+            payload["points"][0][0]["coeffs"] = "2" + "0" * (len(coeffs) - 1)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        assert run([command, str(path)]) == EXIT_USAGE
+        assert "must be a list" in capsys.readouterr().err
+
+
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert run(["selftest"]) == EXIT_OK

@@ -184,10 +184,11 @@ class TestCosetConfig:
         # same invariant at full range, via the engine determinant (the
         # small cases above already cross-check it against Laplace
         # expansion)
-        from hypersphere_lab.geometry import affine_row, det
+        from hypersphere_lab.geometry import affine_row, det, scaled_rows
 
         ps = coset_config(CosetSpec(PARAMS, n, 0), validate=False)
-        rows = [affine_row(p) for p in ps.points]
+        # the engine's own rows: scaling a row keeps the zero pattern
+        rows = scaled_rows(ps.points, row=affine_row)
         for subset in itertools.combinations(range(n), 5):
             assert not is_zero(det([rows[i] for i in subset]))
 
@@ -305,9 +306,12 @@ class TestTrivialConfig:
         with pytest.raises(DomainError):
             trivial_config(3, 5, seed=0)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        from hypersphere_lab import constructions
+
+        monkeypatch.setattr(constructions, "TRIVIAL_ATTEMPTS", 0)
         with pytest.raises(GenerationError):
-            trivial_config(3, 6, seed=0, max_attempts=0)
+            trivial_config(3, 6, seed=0)
 
 
 class TestInversionStability:

@@ -5,7 +5,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -409,8 +408,9 @@ class TestLaneCap:
         spec = spectrum(ps)
         assert len(x.ctx._lane_tables) <= LANE_PRIME_CAP
         # every row set expanded over its own scalars, never in lanes
-        monkeypatch.setattr(geometry, "_grid",
-                            lambda rows, bound: (np.array(rows, dtype=object), None))
+        grid = geometry._grid
+        monkeypatch.setattr(geometry, "_grid", lambda rows, cof=None: grid(
+            [tuple(r) for r in rows], None if cof is None else tuple(cof)))
         assert spec == spectrum(ps)
 
 

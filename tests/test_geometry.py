@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -106,13 +107,12 @@ class TestLaneKernel:
             rows[k - 1] = rows[0]
         elif shape == "sum_of_rows":
             rows[k - 1] = tuple(a + b for a, b in zip(rows[0], rows[k - 2]))
-        # integral rows take the lanes: every result carries its residues
-        results = self.check(scaled_rows(rows, row=tuple), k, shape)
-        assert all(e._lanes is not None for e in results)
-        # rows with denominators are expanded over their own elements
-        results = self.check(rows, k, shape)
-        if any(e.den != 1 for row in rows[:k] for e in row):
-            assert all(e._lanes is None for e in results)
+        # a scaled_rows set takes its lanes: its cofactors carry them
+        cof = self.check(scaled_rows(rows, row=tuple), k, shape)
+        assert cof.basis is not None and cof.lanes.shape[0] == k + 1
+        # plain rows are expanded over their own elements
+        cof = self.check(rows, k, shape)
+        assert type(cof) is tuple and not hasattr(cof, "lanes")
 
     def check(self, rows, k, shape):
         rows, others = rows[:k], rows[k:]
@@ -123,7 +123,8 @@ class TestLaneKernel:
                                   for x in others])
         if shape != "generic":
             assert all(c.is_zero() for c in cof + tuple(values))
-        return cof + tuple(values)
+        assert incidence_values(cof, []) == []
+        return cof
 
     def test_denominator_divisible_by_a_lane_prime(self):
         ctx = get_context(20)
@@ -134,6 +135,75 @@ class TestLaneKernel:
         self.assert_same(cof, reference_cofactors(rows[:3]))
         self.assert_same(incidence_values(cof, rows[3:]),
                          [laplace_det([list(rows[3])] + [list(r) for r in rows[:3]])])
+
+    def test_pickled_rows_stay_one_set(self):
+        """Pool workers receive the rows pickled: one pickle keeps one basis
+        object, so a worker's cofactors still run in the set's lanes."""
+        ctx = get_context(20)
+        rows = scaled_rows(self.random_rows(ctx, random.Random(3), 5, 4, 8), row=tuple)
+        again = pickle.loads(pickle.dumps(rows))
+        assert all(r.basis is again[0].basis for r in again)
+        assert again[0].basis.primes == rows[0].basis.primes
+        for r, s in zip(rows, again):
+            assert r == s and (r.lanes == s.lanes).all()
+        cof = maximal_cofactors(again[:3])
+        assert cof.basis is again[0].basis
+        assert cof == maximal_cofactors(rows[:3])
+        assert incidence_values(cof, again[3:]) == incidence_values(
+            maximal_cofactors(rows[:3]), rows[3:])
+
+
+class TestLaneSetSoundness:
+    """The lane bound is proved per ``scaled_rows`` set: values of one set
+    run in its lanes, and everything that leaves the set (rows of two sets,
+    cofactors used as a row, cofactors against another set's rows) is
+    expanded over its elements.  One row of each set is large, so a value
+    that took lanes outside its set's bound would lift wrongly."""
+
+    @staticmethod
+    def lane_set(ctx, rng, k, big_bits, big_index):
+        def row(bits):
+            return tuple(ctx.element([rng.randint(-2**bits, 2**bits) for _ in range(ctx.degree)])
+                         for _ in range(k + 1))
+
+        rows = [row(big_bits if i == big_index else 3) for i in range(k + 2)]
+        return rows, scaled_rows(rows, row=tuple)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([8, 12, 20]),
+        st.integers(2, 3),
+        st.sampled_from([2, 100]),
+        st.sampled_from([2, 100]),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.integers(0, 2**32),
+    )
+    def test_values_match_per_scalar_expansion(self, conductor, k, bits_a, bits_b,
+                                               big_a, big_b, seed):
+        ctx = get_context(conductor)
+        rng = random.Random(seed)  # full-size coefficients, not shrunk ones
+        plain_a, set_a = self.lane_set(ctx, rng, k, bits_a, big_a % (k + 2))
+        plain_b, set_b = self.lane_set(ctx, rng, k, bits_b, big_b % (k + 2))
+
+        def laplace(rows):
+            return laplace_det([list(r) for r in rows])
+
+        # one set: det, cofactors and incidence values
+        assert det(set_a[:k + 1]) == laplace(plain_a[:k + 1])
+        cof = maximal_cofactors(set_a[:k])
+        assert list(cof) == reference_cofactors(plain_a[:k])
+        assert incidence_values(cof, set_a[k:]) == [laplace([x, *plain_a[:k]])
+                                                    for x in plain_a[k:]]
+        # rows of two sets
+        mixed = [set_a[i] if i % 2 else set_b[i] for i in range(k + 1)]
+        plain = [plain_a[i] if i % 2 else plain_b[i] for i in range(k + 1)]
+        assert det(mixed) == laplace(plain)
+        # the cofactor tuple used as a row
+        assert det([cof, *set_a[:k]]) == laplace([tuple(cof), *plain_a[:k]])
+        assert det([*set_a[1:k + 1], cof]) == laplace([*plain_a[1:k + 1], tuple(cof)])
+        # cofactors of one set against rows of another
+        assert incidence_values(cof, set_b) == [laplace([x, *plain_a[:k]]) for x in plain_b]
 
 
 class TestIntegerRows:
