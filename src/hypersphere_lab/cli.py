@@ -67,7 +67,8 @@ def _load_pointset(path: str) -> geometry.PointSet:
                 if isinstance(c, dict) and "lo" in c:
                     _check_bits(c.get("bits"))
         return geometry.PointSet.from_json(data)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+    except (DomainError, KeyError, ValueError, TypeError, ZeroDivisionError,
+            OverflowError) as exc:
         raise DomainError(f"{path}: malformed point set ({exc})") from None
 
 

@@ -19,10 +19,12 @@ differs between backends.  The row set is the unit of residue lanes:
 ``scaled_rows`` gives cyclotomic rows of one conductor one basis of split
 primes (see ``scalars``) and returns rows that carry their lanes, and
 ``maximal_cofactors`` of such rows returns cofactors that carry them too.
-Values of one set run in its lanes, reduced after each row and lifted back
-exactly.  Everything else (Python ints, intervals, rows of two sets,
-hand-built tuples, a set past the lane prime cap) runs as a numpy object
-array of its own scalars.
+Values of one set run in its lanes, reduced after each row; they are
+zero-tested from their lanes and lifted only when read (their coefficients,
+for equality, hashing, JSON, pickling or arithmetic), each array of values
+by one ``from_lanes`` call.  Everything else (Python ints, intervals, rows
+of two sets, hand-built tuples, a set past the lane prime cap) runs as a
+numpy object array of its own scalars.
 
 The lift needs a bound on the coefficients.  Read as polynomials in
 Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
@@ -30,8 +32,14 @@ most the product of its rows' l1 norms, and reducing mod the cyclotomic
 polynomial multiplies it by at most the largest coefficient of a reduced
 power z^k.  A minor or an incidence value det([x; S]) of one set has at
 most ``width`` distinct rows of it (one that repeats a row is 0), so the
-product of the ``width`` largest row norms bounds every value of the set,
-and zero in every lane of enough primes means exactly zero.
+product of the ``width`` largest row norms bounds every value of the set.
+Under that bound a value is zero exactly when it is zero in every lane:
+each prime's evaluation matrix is invertible mod the prime, so every
+coefficient is 0 mod the product of the primes, and no nonzero coefficient
+of absolute value below half that product is.  This is the zero test of
+residue number systems (Broennimann, Emiris, Pan and Pion, "Sign
+determination in residue number systems", TCS 1999), and the same argument
+the lift rests on.
 """
 
 from __future__ import annotations
@@ -193,6 +201,49 @@ class _Lanes(tuple):
         return self
 
 
+class _LaneArray:
+    """A reduced lane array of shape (count, primes, degree) holding values
+    of one set, lifted by one ``from_lanes`` call on the first read."""
+
+    __slots__ = ("ctx", "lanes", "basis", "lifted")
+
+    def __init__(self, ctx, lanes, basis):
+        self.ctx, self.lanes, self.basis, self.lifted = ctx, lanes, basis, None
+
+    def __getitem__(self, index):
+        if self.lifted is None:
+            self.lifted = self.ctx.from_lanes(self.lanes, self.basis)
+        return self.lifted[index]
+
+
+class _LaneValue(CycloElement):
+    """One value of a ``_LaneArray``.  It is zero exactly when all its lanes
+    are (see the module docstring), so ``is_zero`` reads a flag; its
+    coefficients are lifted, with the whole array, only when read.  Lane
+    values are integral, so ``den`` is 1."""
+
+    __slots__ = ("_array", "_index", "_zero")
+    den = 1
+
+    def __init__(self, array, index, zero):
+        self.ctx, self._array, self._index, self._zero = array.ctx, array, index, zero
+
+    @property
+    def num(self):
+        return self._array[self._index].num
+
+    def is_zero(self) -> bool:
+        return self._zero
+
+
+def _lane_values(ctx, lanes, basis) -> list:
+    """The values of a reduced lane array of one set, zero-tested from
+    their lanes, as elements that are lifted only when read."""
+    array = _LaneArray(ctx, lanes, basis)
+    zero = (~lanes.any(axis=(1, 2))).tolist()
+    return [_LaneValue(array, i, z) for i, z in enumerate(zero)]
+
+
 def _grid(rows, cof=None):
     """The entries of ``cof`` (if given) and ``rows`` as one array for the
     expansion plan, and the lane basis it is over (None for scalars).
@@ -230,7 +281,7 @@ def det(rows) -> object:
     if any(len(r) != k for r in rows):
         raise ValueError("det requires a square matrix")
     level, basis = _minors(rows, k)
-    return level[0] if basis is None else rows[0][0].ctx.from_lanes(level, basis)[0]
+    return level[0] if basis is None else _lane_values(rows[0][0].ctx, level, basis)[0]
 
 
 def maximal_cofactors(rows) -> tuple:
@@ -250,7 +301,7 @@ def maximal_cofactors(rows) -> tuple:
     if basis is None:
         return tuple(signed)
     signed %= basis.moduli
-    return _Lanes(rows[0][0].ctx.from_lanes(signed, basis), basis, signed, cofactors=True)
+    return _Lanes(_lane_values(rows[0][0].ctx, signed, basis), basis, signed, cofactors=True)
 
 
 def incidence_values(cof, rows) -> list:
@@ -260,7 +311,7 @@ def incidence_values(cof, rows) -> list:
     values = (grid[1:] * grid[0]).sum(axis=1)
     if basis is None:
         return list(values)
-    return cof[0].ctx.from_lanes(values % basis.moduli, basis)
+    return _lane_values(cof[0].ctx, values % basis.moduli, basis)
 
 
 # ---------------------------------------------------------------------------

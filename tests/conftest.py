@@ -1,9 +1,22 @@
+import contextlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from hypersphere_lab.geometry import PointSet, general_position_check
+from hypersphere_lab.scalars import CyclotomicContext
+
+
+@contextlib.contextmanager
+def no_lifts():
+    """Inside the block, lifting a lane value back to its coefficients fails."""
+    def refuse(*args):
+        raise AssertionError("a lane value was lifted")
+
+    with mock.patch.object(CyclotomicContext, "from_lanes", refuse):
+        yield
 
 
 def random_fraction(rng, bound=10):

@@ -337,7 +337,25 @@ class TestListsRequired:
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(payload))
         assert run([command, str(path)]) == EXIT_USAGE
-        assert "must be a list" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed point set (")
+        assert "must be a list" in err
+
+    @pytest.mark.parametrize("command", ["count", "lift"])
+    @pytest.mark.parametrize("field, value, problem", [
+        ("dimension", 4, "dimension field disagrees"),
+        ("backend", "cyclotomic", "backend field disagrees"),
+    ])
+    def test_field_disagrees_with_data(self, trivial_file, tmp_path, capsys, command,
+                                       field, value, problem):
+        payload = read_json(trivial_file)
+        payload[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        assert run([command, str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed point set (")
+        assert problem in err
 
 
 class TestSelftest:

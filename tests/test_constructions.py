@@ -168,16 +168,19 @@ class TestCosetConfig:
 
     def test_dimension_six_curve(self):
         # the family is defined for every even d; spot-check the sum rule
-        # and the engine/oracle agreement one dimension up
+        # and the engine/oracle agreement one dimension up, where every
+        # cospherical test is an 8 x 8 determinant
         params6 = CurveParams.default(6)
-        ps = coset_config(CosetSpec(params6, 9, 0), validate=False)
-        for subset in itertools.combinations(range(9), 8):
-            predicted = sum(subset) % 9 == 0
-            assert cospherical([ps.points[i] for i in subset]) is predicted
-        spec = spectrum(ps)
-        oracle = residue_oracle(9, 6, 0)
-        assert (spec.ordinary, spec.next_class) == (oracle.ordinary, oracle.dplus2)
-        assert spec.counts == {7: 28, 8: 1}
+        for n, l, counts in [(9, 0, {7: 28, 8: 1}), (10, 1, {7: 88, 8: 4}),
+                             (11, 0, {7: 210, 8: 15})]:
+            ps = coset_config(CosetSpec(params6, n, l), validate=False)
+            for subset in itertools.combinations(range(n), 8):
+                predicted = (sum(subset) + l) % n == 0
+                assert cospherical([ps.points[i] for i in subset]) is predicted
+            spec = spectrum(ps)
+            oracle = residue_oracle(n, 6, l)
+            assert (spec.ordinary, spec.next_class) == (oracle.ordinary, oracle.dplus2)
+            assert spec.counts == counts
 
     @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
     def test_hyperplane_exclusion_up_to_fourteen(self, n):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_general_position_set
+from conftest import no_lifts, random_general_position_set
 from oracles import gaussian_rank, naive_plane_spectrum, naive_sphere_spectrum
 
 from hypersphere_lab import counting
@@ -412,6 +412,63 @@ class TestLaneCap:
         monkeypatch.setattr(geometry, "_grid", lambda rows, cof=None: grid(
             [tuple(r) for r in rows], None if cof is None else tuple(cof)))
         assert spec == spectrum(ps)
+
+
+class TestZeroFromLanes:
+    """Values of a coset set's lanes are zero-tested from their lanes: the
+    subset walk, general position and cospherical lift nothing, and the
+    callers that read values lift each cofactor tuple once."""
+
+    @staticmethod
+    def coset(n, l):
+        from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+
+        return coset_config(CosetSpec(CurveParams.default(4), n, l), validate=False)
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        from hypersphere_lab.scalars import CyclotomicContext
+
+        tally = Counter()
+        lift = CyclotomicContext.from_lanes
+
+        def counted(ctx, lanes, basis):
+            tally["lifts"] += 1
+            return lift(ctx, lanes, basis)
+
+        monkeypatch.setattr(CyclotomicContext, "from_lanes", counted)
+        return tally
+
+    @pytest.mark.parametrize("n, l", [(8, 0), (12, 3)])
+    def test_predicates_lift_nothing(self, n, l):
+        from hypersphere_lab.constructions import residue_oracle
+        from hypersphere_lab.geometry import cospherical, general_position_check
+
+        ps = self.coset(n, l)
+        with no_lifts():
+            spec = spectrum(ps, threads=1)
+            assert general_position_check(ps) is None
+            verdicts = [cospherical([ps.points[i] for i in subset])
+                        for subset in itertools.combinations(range(n), 6)]
+        oracle = residue_oracle(n, 4, l)
+        assert (spec.ordinary, spec.next_class) == (oracle.ordinary, oracle.dplus2)
+        assert verdicts == [(sum(subset) + l) % n == 0
+                            for subset in itertools.combinations(range(n), 6)]
+        assert any(verdicts)
+
+    def test_hashing_lifts_each_cofactor_tuple_once(self, lifts):
+        ps = self.coset(8, 0)
+        spec = spectrum_by_hashing(ps)
+        assert lifts["lifts"] <= math.comb(8, 5)
+        assert spec.counts == spectrum(ps).counts
+
+    def test_hypersphere_through_lifts_once(self, lifts):
+        from hypersphere_lab.geometry import hypersphere_through, incident
+
+        points = self.coset(8, 0).points[:5]
+        sphere = hypersphere_through(points)
+        assert lifts["lifts"] == 1
+        assert all(incident(sphere, p) for p in points)
 
 
 class TestIntervalMode:

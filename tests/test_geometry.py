@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import no_lifts
 from oracles import gaussian_rank, laplace_det, reference_cofactors
 
 from hypersphere_lab.errors import DegeneracyError, DomainError, PoleError
@@ -34,6 +35,7 @@ from hypersphere_lab.scalars import (
     INDETERMINATE,
     IntervalScalar,
     get_context,
+    is_zero,
     scalar_to_json,
 )
 
@@ -91,6 +93,8 @@ class TestLaneKernel:
             assert a == b
             assert hash(a) == hash(b)
             assert scalar_to_json(a) == scalar_to_json(b)
+            again = pickle.loads(pickle.dumps(a))
+            assert again == b and hash(again) == hash(b)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -116,15 +120,37 @@ class TestLaneKernel:
 
     def check(self, rows, k, shape):
         rows, others = rows[:k], rows[k:]
-        cof = maximal_cofactors(rows)
-        self.assert_same(cof, reference_cofactors(rows))
-        values = incidence_values(cof, others)
-        self.assert_same(values, [laplace_det([list(x)] + [list(r) for r in rows])
-                                  for x in others])
+        want_cof = reference_cofactors(rows)
+        want_values = [laplace_det([list(x)] + [list(r) for r in rows]) for x in others]
+        # every zero test is decided before any value is read, and lifts nothing
+        with no_lifts():
+            cof = maximal_cofactors(rows)
+            values = incidence_values(cof, others)
+            for got, want in zip([*cof, *values], [*want_cof, *want_values]):
+                assert is_zero(got) is (want == 0)
         if shape != "generic":
-            assert all(c.is_zero() for c in cof + tuple(values))
+            assert all(want == 0 for want in want_cof + want_values)
+        self.assert_same(cof, want_cof)
+        self.assert_same(values, want_values)
         assert incidence_values(cof, []) == []
         return cof
+
+    def test_multiple_of_the_first_prime_is_nonzero(self):
+        """A value that is 0 modulo the basis's first prime but not modulo
+        the others is nonzero: the zero test reads every prime's lanes."""
+        ctx = get_context(20)
+        p = ctx.lane_basis(1).primes[0]
+        zero, one = ctx.zero(), ctx.one()
+        rows = scaled_rows([(ctx.from_rational(p), zero, zero), (zero, one, zero),
+                            (zero, zero, one)], row=tuple)
+        assert rows[0].basis.primes[0] == p and len(rows[0].basis.primes) > 1
+        with no_lifts():
+            value = det(rows)
+            cof = maximal_cofactors(rows[:2])
+            [incidence] = incidence_values(cof, rows[2:])
+            assert is_zero(value) is False and is_zero(incidence) is False
+            assert [is_zero(c) for c in cof] == [True, True, False]
+        assert value == p and incidence == p and list(cof) == [0, 0, p]
 
     def test_denominator_divisible_by_a_lane_prime(self):
         ctx = get_context(20)
