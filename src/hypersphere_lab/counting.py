@@ -110,14 +110,16 @@ def _histogram_range(rows, r: int, start: int, stop: int):
     """Incidence-count histogram over subsets with ranks in [start, stop).
 
     Returns (Counter m -> #subsets, indeterminate subsets, first degenerate
-    witness in this range or None).
+    witness in this range or None).  Consecutive subsets share a prefix of
+    rows, whose expansion levels one memo per range carries over.
     """
     n = len(rows)
     hist: Counter = Counter()
     indeterminate = 0
     violation = None
+    memo: dict = {}
     for subset in itertools.islice(itertools.combinations(range(n), r), start, stop):
-        cof = maximal_cofactors([rows[i] for i in subset])
+        cof = maximal_cofactors([rows[i] for i in subset], memo)
         if all(is_zero_fast(c) for c in cof):
             violation = subset
             break
@@ -271,8 +273,9 @@ def spectrum_by_hashing(ps: PointSet) -> Spectrum:
     r = d + 1
     rows = scaled_rows(ps.points)
     keys: Counter = Counter()
+    memo: dict = {}
     for subset in itertools.combinations(range(ps.n), r):
-        cof = maximal_cofactors([rows[i] for i in subset])
+        cof = maximal_cofactors([rows[i] for i in subset], memo)
         if all(is_zero_fast(c) for c in cof):
             raise GeneralPositionError(subset)
         # row layout (1, x, |x|^2) puts u first and w last; the canonical

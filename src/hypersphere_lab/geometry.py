@@ -22,9 +22,24 @@ primes (see ``scalars``) and returns rows that carry their lanes, and
 Values of one set run in its lanes, reduced after each row; they are
 zero-tested from their lanes and lifted only when read (their coefficients,
 for equality, hashing, JSON, pickling or arithmetic), each array of values
-by one ``from_lanes`` call.  Everything else (Python ints, intervals, rows
-of two sets, hand-built tuples, a set past the lane prime cap) runs as a
-numpy object array of its own scalars.
+by one ``from_lanes`` call.  A set keeps the lanes of all its rows in one
+tensor, and a row list gathers its lanes from it by one fancy index.
+Everything else (Python ints, intervals, rows of two sets, hand-built
+tuples, a set past the lane prime cap) runs as a numpy object array of its
+own scalars.
+
+Level j of the expansion holds the minors of rows 0..j and depends on those
+rows alone, so calls whose row lists share a prefix can share its levels.
+Consecutive subsets of a lexicographic walk share all rows but the last
+few: at d=4 a subset that keeps its first four rows of the previous one
+costs the 30 products of the last level instead of all 180.  The walks
+pass ``maximal_cofactors`` a memo of the previous call's rows, its
+representation (the lane basis, or None for scalars) and its levels.  A
+level is reused only for a prefix of the very same row objects (``is``,
+never ``==``: equal scalars may carry other lanes) in the same
+representation, because the same scalars give other arrays as lanes of
+one set or as objects.  The memo holds the rows, so no id can be reused
+while it lives, and its arrays are never written to.
 
 The lift needs a bound on the coefficients.  Read as polynomials in
 Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
@@ -190,15 +205,23 @@ def _expansion_plan(k: int, columns: int):
 
 
 class _Lanes(tuple):
-    """Scalars of one ``scaled_rows`` call with their residue ``lanes`` over
-    that call's ``basis``: a row of the call, or (``cofactors``) the maximal
-    cofactors of rows of the call.  The basis object is the set's identity;
-    one pickle keeps one basis object, so rows sent together stay a set."""
+    """Scalars of one ``scaled_rows`` call with their residue lanes over
+    that call's ``basis``.  A row of the call holds the call's ``tensor``
+    of all its rows' lanes, shape (n, width, primes, degree), and its
+    ``index`` in it; the maximal cofactors of rows of the call hold their
+    own lanes as ``tensor`` and no index.  The basis object is the set's
+    identity; one pickle keeps one basis and one tensor object, so rows
+    sent together stay a set."""
 
-    def __new__(cls, scalars, basis=None, lanes=None, cofactors=False):
+    def __new__(cls, scalars, basis=None, tensor=None, index=None):
         self = super().__new__(cls, scalars)
-        self.basis, self.lanes, self.cofactors = basis, lanes, cofactors
+        self.basis, self.tensor, self.index = basis, tensor, index
         return self
+
+    @property
+    def lanes(self) -> np.ndarray:
+        """The lanes of these scalars, shape (len(self), primes, degree)."""
+        return self.tensor if self.index is None else self.tensor[self.index]
 
 
 class _LaneArray:
@@ -245,34 +268,56 @@ def _lane_values(ctx, lanes, basis) -> list:
 
 
 def _grid(rows, cof=None):
-    """The entries of ``cof`` (if given) and ``rows`` as one array for the
-    expansion plan, and the lane basis it is over (None for scalars).
+    """The entries of ``rows``, and of ``cof`` if given (else None), as
+    arrays for the expansion plan, and the lane basis they are over (None
+    for scalars).
 
     Lanes are used only where the bound of one ``scaled_rows`` call covers
-    every value: every row is a row of that call, and ``cof`` the cofactors
-    of rows of that call.  Anything else is an object array of its scalars.
+    every value: every row is a row of that call, gathered from its tensor
+    by one fancy index, and ``cof`` the cofactors of rows of that call.
+    Anything else is an object array of its scalars.
     """
-    items = [*rows] if cof is None else [cof, *rows]
-    basis = getattr(items[0], "basis", None)
-    if basis is not None and (cof is None or cof.cofactors) and all(
-            isinstance(r, _Lanes) and r.basis is basis and not r.cofactors for r in rows):
-        return np.stack([r.lanes for r in items]), basis
-    return np.array(items, dtype=object), None
+    first = rows[0]
+    if (isinstance(first, _Lanes) and first.index is not None
+            and (cof is None or isinstance(cof, _Lanes) and cof.index is None
+                 and cof.basis is first.basis)
+            and all(isinstance(r, _Lanes) and r.tensor is first.tensor for r in rows)):
+        lanes = first.tensor[[r.index for r in rows]]
+        return lanes, None if cof is None else cof.tensor, first.basis
+    objects = None if cof is None else np.array(cof, dtype=object)
+    return np.array(rows, dtype=object), objects, None
 
 
-def _minors(rows, columns: int):
+def _minors(rows, columns: int, memo=None):
     """The minors of full row count of a len(rows) x ``columns`` matrix, one
     per column subset in ``combinations`` order, as an array over the basis
-    (reduced) or of scalars, and the basis."""
-    grid, basis = _grid(rows)
-    level = grid[0]
-    for row, (col, prev, plus, minus) in zip(grid[1:], _expansion_plan(len(rows), columns)):
-        terms = row[col] * level[prev]
+    (reduced) or of scalars, and the basis.
+
+    With a ``memo`` (see ``maximal_cofactors``) the levels of the longest
+    prefix of rows shared with the memo's call are taken from it, and only
+    the rows after it are expanded.
+    """
+    grid, _, basis = _grid(rows)
+    levels = [grid[0]]
+    if memo and memo["basis"] is basis:
+        shared = 0
+        for new, old in zip(rows, memo["rows"]):
+            if new is not old:
+                break
+            shared += 1
+        levels = memo["levels"][:shared] or levels
+    plan = _expansion_plan(len(rows), columns)
+    for r in range(len(levels), len(rows)):
+        col, prev, plus, minus = plan[r - 1]
+        terms = grid[r][col] * levels[-1][prev]
         level = terms[:, plus].sum(axis=1)
         level -= terms[:, minus].sum(axis=1)
         if basis is not None:
             level %= basis.moduli
-    return level, basis
+        levels.append(level)
+    if memo is not None:
+        memo.update(rows=tuple(rows), basis=basis, levels=levels)
+    return levels[-1], basis
 
 
 def det(rows) -> object:
@@ -284,31 +329,39 @@ def det(rows) -> object:
     return level[0] if basis is None else _lane_values(rows[0][0].ctx, level, basis)[0]
 
 
-def maximal_cofactors(rows) -> tuple:
+def maximal_cofactors(rows, memo=None) -> tuple:
     """Signed maximal cofactors of a k x (k+1) matrix.
 
     Returns (c_0, ..., c_k) with c_j = (-1)^j * det(matrix without column j),
     so that for any extra row x: det([x; rows]) = sum_j x[j] * c_j.
     Cofactors of rows of one ``scaled_rows`` set carry the set's lanes.
+
+    ``memo`` is an optional dict owned by a caller that walks many row
+    lists, such as the subsets of one set in lexicographic order: each call
+    reuses the expansion levels of the rows it shares, as a prefix and by
+    identity, with the previous call (see the module docstring).  Rows in a
+    memo must not be mutated.
     """
     columns = len(rows) + 1
     if any(len(r) != columns for r in rows):
         raise ValueError("expected a k x (k+1) matrix")
-    minors, basis = _minors(rows, columns)
+    minors, basis = _minors(rows, columns, memo)
     # in combinations order the k-column subsets leave out column k first
     signed = minors[::-1].copy()
     signed[1::2] = -signed[1::2]
     if basis is None:
         return tuple(signed)
     signed %= basis.moduli
-    return _Lanes(_lane_values(rows[0][0].ctx, signed, basis), basis, signed, cofactors=True)
+    return _Lanes(_lane_values(rows[0][0].ctx, signed, basis), basis, signed)
 
 
 def incidence_values(cof, rows) -> list:
     """det([x; S]) = sum_j x[j] * cof[j] for each row x of ``rows``, where
     ``cof`` are the maximal cofactors of S."""
-    grid, basis = _grid(rows, cof)
-    values = (grid[1:] * grid[0]).sum(axis=1)
+    if not rows:
+        return []
+    grid, cof_grid, basis = _grid(rows, cof)
+    values = (grid * cof_grid).sum(axis=1)
     if basis is None:
         return list(values)
     return _lane_values(cof[0].ctx, values % basis.moduli, basis)
@@ -355,22 +408,24 @@ def scaled_rows(points, row=lifted_row) -> list:
     """The ``row`` images of the points, as the predicates expand them:
     each exact row scaled to integral entries, any other row as it is.
 
-    Cyclotomic rows of one conductor come back as one set that carries its
-    residue lanes, over the fewest split primes that lift every minor and
-    incidence value of the set (see the module docstring)."""
+    Cyclotomic rows of one conductor come back as one set
+    that carries its residue lanes, over the fewest split primes that lift
+    every minor and incidence value of the set (see the module docstring):
+    one (n, width, primes, degree) tensor, with each row's index in it."""
     rows = [_integer_row(row(p)) for p in points]
     entries = [e for r in rows for e in r]
     if not entries or not all(isinstance(e, CycloElement)
                               and e.ctx.conductor == entries[0].ctx.conductor for e in entries):
         return rows
     ctx = entries[0].ctx
-    width = max(map(len, rows))
+    width = len(rows[0])
     norms = sorted((max(1, sum(abs(c) for e in r for c in e.num)) for r in rows), reverse=True)
     basis = ctx.lane_basis(ctx._table_max * math.prod(norms[:width]))
     if basis is None:
         return rows
-    parts = np.split(ctx.to_lanes(entries, basis), np.cumsum([len(r) for r in rows[:-1]]))
-    return [_Lanes(r, basis, part) for r, part in zip(rows, parts)]
+    lanes = ctx.to_lanes(entries, basis)
+    tensor = lanes.reshape(len(rows), width, *lanes.shape[1:])
+    return [_Lanes(r, basis, tensor, i) for i, r in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +522,9 @@ def general_position_check(ps: PointSet):
         raise DomainError("general position certification requires an exact backend")
     rows = scaled_rows(ps.points)
     d = ps.dimension
+    memo: dict = {}
     for subset in combinations(range(ps.n), d + 1):
-        cof = maximal_cofactors([rows[i] for i in subset])
+        cof = maximal_cofactors([rows[i] for i in subset], memo)
         if all(is_zero_fast(c) for c in cof):
             return subset
     return None

@@ -392,6 +392,41 @@ class TestParallelism:
         assert spectra[0]["certified"] and spectra[0]["counts"]["6"] > 0
 
 
+class TestSplitInvariance:
+    """The walk over all C(n, r) ranks equals the merge of three uneven
+    ranges whose cut points fall inside runs of subsets that share their
+    first r-1 rows: each range carries prefix levels in its own memo, so
+    the result cannot depend on how the pool splits the work."""
+
+    @pytest.mark.parametrize("config", ["coset", "trivial"])
+    def test_uneven_ranges_merge_to_the_whole_walk(self, config):
+        from hypersphere_lab.constructions import (
+            CosetSpec, CurveParams, coset_config, trivial_config)
+        from hypersphere_lab.geometry import scaled_rows
+
+        if config == "coset":
+            ps = coset_config(CosetSpec(CurveParams.default(4), 10, 0), validate=False)
+        else:
+            ps = trivial_config(3, 9, seed=4)
+        rows, r = scaled_rows(ps.points), ps.dimension + 1
+        subsets = list(itertools.combinations(range(ps.n), r))
+
+        def cut(at):
+            return next(c for c in range(at, len(subsets))
+                        if subsets[c - 1][:r - 1] == subsets[c][:r - 1])
+
+        cuts = [0, cut(len(subsets) // 7), cut(3 * len(subsets) // 5), len(subsets)]
+        whole = counting._histogram_range(rows, r, 0, len(subsets))
+        hist, indeterminate, violations = Counter(), 0, []
+        for start, stop in zip(cuts, cuts[1:]):
+            part, indet, violation = counting._histogram_range(rows, r, start, stop)
+            hist.update(part)
+            indeterminate += indet
+            violations += [violation] if violation else []
+        assert whole == (hist, indeterminate, min(violations, default=None))
+        assert max(hist) > r and sum(hist.values()) == len(subsets)
+
+
 class TestLaneCap:
     def test_huge_coordinate_stays_within_the_prime_cap(self, monkeypatch):
         """A 1000-digit coefficient would need hundreds of split primes,
@@ -526,9 +561,9 @@ class TestBenchmarkContract:
         tally = Counter()
         cofactors, zero_test = counting.maximal_cofactors, counting.is_zero
 
-        def counted_cofactors(rows):
+        def counted_cofactors(rows, *rest):
             tally["subsets"] += 1
-            return cofactors(rows)
+            return cofactors(rows, *rest)
 
         def counted_zero_test(value):
             verdict = zero_test(value)

@@ -14,6 +14,7 @@ from oracles import gaussian_rank, laplace_det, reference_cofactors
 from hypersphere_lab.errors import DegeneracyError, DomainError, PoleError
 from hypersphere_lab.geometry import (
     Hypersphere,
+    _Lanes,
     PointSet,
     as_point,
     cospherical,
@@ -230,6 +231,107 @@ class TestLaneSetSoundness:
         assert det([*set_a[1:k + 1], cof]) == laplace([*plain_a[1:k + 1], tuple(cof)])
         # cofactors of one set against rows of another
         assert incidence_values(cof, set_b) == [laplace([x, *plain_a[:k]]) for x in plain_b]
+
+
+class TestPrefixMemo:
+    """One memo fed a sequence of row lists: every call equals a memo-less
+    call and the per-scalar reference.  Levels may be reused only for a
+    prefix of the very same row objects in the same representation (lanes
+    of one set, or an object array of scalars)."""
+
+    @staticmethod
+    def pool(ctx, rng, k):
+        """Named groups of (row, exact row for the reference or None, kind)."""
+        def cyclo(bits):
+            return tuple(ctx.element([rng.randint(-2**bits, 2**bits) for _ in range(ctx.degree)])
+                         for _ in range(k + 1))
+
+        def fraction():
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+
+        plain_a = [cyclo(100 if i == 1 else 3) for i in range(k + 2)]
+        set_a = scaled_rows(plain_a, row=tuple)
+        set_b = scaled_rows([cyclo(3) for _ in range(k + 2)], row=tuple)
+        cof = maximal_cofactors(set_a[:k])
+        # equal to set_a[1] as a tuple, but it carries the lanes of set_a[0]
+        forged = _Lanes(tuple(set_a[1]), set_a[1].basis, set_a[1].tensor, set_a[0].index)
+        ints = [tuple(rng.randint(-2**20, 2**20) for _ in range(k + 1)) for _ in range(k + 1)]
+        exact = [tuple(fraction() for _ in range(k + 1)) for _ in range(k + 1)]
+        boxes = [tuple(IntervalScalar.from_fraction(e, 128) for e in row) for row in exact]
+        return {
+            "a": [(r, r, "cyclo") for r in set_a],
+            "b": [(r, r, "cyclo") for r in set_b],
+            "cof": [(cof, tuple(reference_cofactors(plain_a[:k])), "cyclo")],
+            "forged": [(forged, None, "cyclo")],
+            "ints": [(r, r, "int") for r in ints],
+            "boxes": [(r, e, "interval") for r, e in zip(boxes, exact)],
+        }
+
+    @staticmethod
+    def check(entries, memo):
+        rows = [row for row, _, _ in entries]
+        got = maximal_cofactors(rows, memo)
+        want = maximal_cofactors(rows)
+        assert type(got) is type(want)
+        assert getattr(got, "basis", None) is getattr(want, "basis", None)
+
+        def value(c):
+            return (c.lo, c.hi) if isinstance(c, IntervalScalar) else c
+
+        assert [value(c) for c in got] == [value(c) for c in want]
+        if any(e is None for _, e, _ in entries):
+            return
+        reference = reference_cofactors([e for _, e, _ in entries])
+        if any(kind == "interval" for _, _, kind in entries):
+            assert all(c.lo <= exact <= c.hi for c, exact in zip(got, reference))
+        else:
+            assert list(got) == reference
+            assert [is_zero(c) for c in got] == [exact == 0 for exact in reference]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([8, 12, 20]),
+        st.integers(2, 3),
+        st.integers(0, 2**32),
+        st.lists(st.tuples(st.integers(0, 3), st.lists(st.integers(0, 99), min_size=3,
+                                                       max_size=3)), max_size=12),
+    )
+    def test_memo_matches_memoless_and_reference(self, conductor, k, seed, steps):
+        ctx = get_context(conductor)
+        groups = self.pool(ctx, random.Random(seed), k)
+        a, b, ints, boxes = groups["a"], groups["b"], groups["ints"], groups["boxes"]
+        [cof], [forged] = groups["cof"], groups["forged"]
+        pool = [entry for group in groups.values() for entry in group]
+        script = [
+            a[:k],
+            a[:k],  # every row shared
+            # a shared prefix of every length k-1 .. 0, the last differing at the first row
+            *[a[:p] + a[p + 1:k + 1] for p in range(k - 1, -1, -1)],
+            a[:k],
+            a[:k - 1] + [b[0]],  # the same prefix, rows of two sets: scalars, not lanes
+            a[:k - 1] + [cof],  # a cofactor tuple used as a row
+            a[:k],
+            a[:1] + [forged] + a[2:k],  # == to a[:k], but other lanes
+            a[:k],
+            a[:k - 1] + [ints[0]],  # Python ints after lane rows with the same prefix
+            ints[:k],
+            ints[:k - 1] + [boxes[0]],  # intervals after int rows with the same prefix
+            boxes[:k],
+        ]
+        memo: dict = {}
+        for entries in script:
+            self.check(entries, memo)
+        previous = script[-1]
+        for shared, picks in steps:
+            entries = previous[:min(shared, k)]
+            for pick in picks[:k - len(entries)]:
+                entry = pool[pick % len(pool)]
+                kinds = {kind for _, _, kind in entries}
+                if {entry[2], *kinds} >= {"cyclo", "interval"}:
+                    entry = ints[pick % len(ints)]  # cyclotomic and interval scalars do not mix
+                entries.append(entry)
+            self.check(entries, memo)
+            previous = entries
 
 
 class TestIntegerRows:
