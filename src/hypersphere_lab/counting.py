@@ -107,24 +107,24 @@ def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
 
 
 def _histogram_range(rows, r: int, start: int, stop: int):
-    """Incidence-count histogram over subsets with ranks in [start, stop).
+    """Incidence-count histogram over subsets with ranks in [start, stop)
+    of the ``RowSet`` ``rows``.
 
     Returns (Counter m -> #subsets, indeterminate subsets, first degenerate
-    witness in this range or None).  Consecutive subsets share a prefix of
-    rows, whose expansion levels one memo per range carries over.
+    witness in this range or None).  Each subset and its complement are
+    views of the set, and consecutive subsets share a prefix of indices,
+    whose expansion levels the set keeps (see ``geometry``).
     """
     n = len(rows)
     hist: Counter = Counter()
     indeterminate = 0
     violation = None
-    memo: dict = {}
     for subset in itertools.islice(itertools.combinations(range(n), r), start, stop):
-        cof = maximal_cofactors([rows[i] for i in subset], memo)
+        cof = maximal_cofactors(rows.take(subset))
         if all(is_zero_fast(c) for c in cof):
             violation = subset
             break
-        members = set(subset)
-        others = [row for idx, row in enumerate(rows) if idx not in members]
+        others = rows.take([i for i in range(n) if i not in subset])
         m = r
         uncertain = False
         for value in incidence_values(cof, others):
@@ -268,14 +268,13 @@ def spectrum_by_hashing(ps: PointSet) -> Spectrum:
     runtime self-check.
     """
     if ps.backend == "interval":
-        raise ConsistencyError("hash deduplication requires an exact backend")
+        raise DomainError("hash deduplication requires an exact backend")
     d = ps.dimension
     r = d + 1
     rows = scaled_rows(ps.points)
     keys: Counter = Counter()
-    memo: dict = {}
     for subset in itertools.combinations(range(ps.n), r):
-        cof = maximal_cofactors([rows[i] for i in subset], memo)
+        cof = maximal_cofactors(rows.take(subset))
         if all(is_zero_fast(c) for c in cof):
             raise GeneralPositionError(subset)
         # row layout (1, x, |x|^2) puts u first and w last; the canonical

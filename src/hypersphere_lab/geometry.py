@@ -15,31 +15,27 @@ Python ints; cyclotomic rows become elements of denominator 1.
 
 Every minor and incidence value is expanded by one plan of numpy index
 tables, row by row over column subsets; only the number representation
-differs between backends.  The row set is the unit of residue lanes:
-``scaled_rows`` gives cyclotomic rows of one conductor one basis of split
-primes (see ``scalars``) and returns rows that carry their lanes, and
-``maximal_cofactors`` of such rows returns cofactors that carry them too.
-Values of one set run in its lanes, reduced after each row; they are
-zero-tested from their lanes and lifted only when read (their coefficients,
-for equality, hashing, JSON, pickling or arithmetic), each array of values
-by one ``from_lanes`` call.  A set keeps the lanes of all its rows in one
-tensor, and a row list gathers its lanes from it by one fancy index.
-Everything else (Python ints, intervals, rows of two sets, hand-built
-tuples, a set past the lane prime cap) runs as a numpy object array of its
-own scalars.
+differs between backends.  ``scaled_rows`` returns one ``RowSet``: its rows
+and their entries as one ``grid``, the residue lanes of a cyclotomic set of
+one conductor over one ``basis`` of split primes (see ``scalars``), else an
+object array of scalars.  ``RowSet.take`` makes a view of some of its rows,
+whose grid is gathered by one ``ndarray.take``.  The cofactors of a view of
+a lane set carry its lanes, and run in lanes against views of the same set.
+Values in lanes are reduced after each row, zero-tested from their lanes
+and lifted only when read (their coefficients, for equality, hashing, JSON,
+pickling or arithmetic), each array of values by one ``from_lanes`` call.
+Anything that is not a ``RowSet`` (a list of rows, rows of two sets, a
+cofactor tuple used as a row) runs as a numpy object array of its own
+scalars.
 
-Level j of the expansion holds the minors of rows 0..j and depends on those
-rows alone, so calls whose row lists share a prefix can share its levels.
-Consecutive subsets of a lexicographic walk share all rows but the last
-few: at d=4 a subset that keeps its first four rows of the previous one
-costs the 30 products of the last level instead of all 180.  The walks
-pass ``maximal_cofactors`` a memo of the previous call's rows, its
-representation (the lane basis, or None for scalars) and its levels.  A
-level is reused only for a prefix of the very same row objects (``is``,
-never ``==``: equal scalars may carry other lanes) in the same
-representation, because the same scalars give other arrays as lanes of
-one set or as objects.  The memo holds the rows, so no id can be reused
-while it lives, and its arrays are never written to.
+Level j of the expansion holds the minors of rows 0..j and depends on
+those rows alone: for a view, on its first j+1 indices and the set's
+width.  Consecutive subsets of a lexicographic walk share all rows but the
+last few: at d=4 a subset that keeps its first four rows of the previous
+one costs the 30 products of the last level instead of all 180.  So a set
+keeps the indices and levels of the last of its views that was expanded,
+and the next view reuses the levels of the longest index prefix it shares
+with them.  Cached arrays are never written to.
 
 The lift needs a bound on the coefficients.  Read as polynomials in
 Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
@@ -172,11 +168,7 @@ class PointSet:
 def is_zero_fast(value) -> bool:
     """Structural zero test of an exact scalar, without the tri-state of
     ``is_zero``: an interval is never structurally zero."""
-    if isinstance(value, (int, Fraction)):
-        return value == 0
-    if isinstance(value, CycloElement):
-        return value.is_zero()
-    return False
+    return is_zero(value) is True
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,23 +197,13 @@ def _expansion_plan(k: int, columns: int):
 
 
 class _Lanes(tuple):
-    """Scalars of one ``scaled_rows`` call with their residue lanes over
-    that call's ``basis``.  A row of the call holds the call's ``tensor``
-    of all its rows' lanes, shape (n, width, primes, degree), and its
-    ``index`` in it; the maximal cofactors of rows of the call hold their
-    own lanes as ``tensor`` and no index.  The basis object is the set's
-    identity; one pickle keeps one basis and one tensor object, so rows
-    sent together stay a set."""
+    """The maximal cofactors of a lane set or a view of one: their scalars,
+    the set's ``basis`` and their own ``lanes``, shape (k+1, primes, degree)."""
 
-    def __new__(cls, scalars, basis=None, tensor=None, index=None):
+    def __new__(cls, scalars, basis=None, lanes=None):
         self = super().__new__(cls, scalars)
-        self.basis, self.tensor, self.index = basis, tensor, index
+        self.basis, self.lanes = basis, lanes
         return self
-
-    @property
-    def lanes(self) -> np.ndarray:
-        """The lanes of these scalars, shape (len(self), primes, degree)."""
-        return self.tensor if self.index is None else self.tensor[self.index]
 
 
 class _LaneArray:
@@ -267,45 +249,58 @@ def _lane_values(ctx, lanes, basis) -> list:
     return [_LaneValue(array, i, z) for i, z in enumerate(zero)]
 
 
-def _grid(rows, cof=None):
-    """The entries of ``rows``, and of ``cof`` if given (else None), as
-    arrays for the expansion plan, and the lane basis they are over (None
-    for scalars).
+class RowSet(tuple):
+    """The rows of one ``scaled_rows`` call and their entries as one
+    ``grid``: an (n, width, primes, degree) lane tensor over ``basis``, or
+    an (n, width) object array with ``basis`` None.  The basis object is
+    the set's identity: values over it are covered by the set's bound.
+    ``take`` makes a view (``source``, ``indices``); a set keeps the indices
+    and levels of its last expanded view in ``walk``, which a pickle drops."""
 
-    Lanes are used only where the bound of one ``scaled_rows`` call covers
-    every value: every row is a row of that call, gathered from its tensor
-    by one fancy index, and ``cof`` the cofactors of rows of that call.
-    Anything else is an object array of its scalars.
-    """
-    first = rows[0]
-    if (isinstance(first, _Lanes) and first.index is not None
-            and (cof is None or isinstance(cof, _Lanes) and cof.index is None
-                 and cof.basis is first.basis)
-            and all(isinstance(r, _Lanes) and r.tensor is first.tensor for r in rows)):
-        lanes = first.tensor[[r.index for r in rows]]
-        return lanes, None if cof is None else cof.tensor, first.basis
-    objects = None if cof is None else np.array(cof, dtype=object)
-    return np.array(rows, dtype=object), objects, None
+    walk = ((), ())
+
+    def __new__(cls, rows, grid, basis, source=None, indices=None):
+        self = super().__new__(cls, rows)
+        self.grid, self.basis, self.source, self.indices = grid, basis, source, indices
+        return self
+
+    def __reduce__(self):
+        return RowSet, (tuple(self), self.grid, self.basis)
+
+    def take(self, indices) -> "RowSet":
+        """The view of the rows at ``indices``, in that order."""
+        indices = tuple(indices)
+        return RowSet([self[i] for i in indices], self.grid.take(indices, axis=0), self.basis,
+                      self, indices)
 
 
-def _minors(rows, columns: int, memo=None):
+def _grid(rows):
+    """The entries of ``rows`` for the expansion plan and their lane basis:
+    a ``RowSet`` gives its own, anything else is an object array."""
+    if isinstance(rows, RowSet):
+        return rows.grid, rows.basis
+    return np.array(rows, dtype=object), None
+
+
+def _minors(rows, columns: int):
     """The minors of full row count of a len(rows) x ``columns`` matrix, one
     per column subset in ``combinations`` order, as an array over the basis
     (reduced) or of scalars, and the basis.
 
-    With a ``memo`` (see ``maximal_cofactors``) the levels of the longest
-    prefix of rows shared with the memo's call are taken from it, and only
-    the rows after it are expanded.
+    A view takes the levels of the longest index prefix it shares with its
+    source's ``walk`` and expands only the rows after it.
     """
-    grid, _, basis = _grid(rows)
+    grid, basis = _grid(rows)
     levels = [grid[0]]
-    if memo and memo["basis"] is basis:
+    source = rows.source if isinstance(rows, RowSet) else None
+    if source is not None:
+        indices, cached = source.walk
         shared = 0
-        for new, old in zip(rows, memo["rows"]):
-            if new is not old:
+        for new, old in zip(rows.indices, indices):
+            if new != old:
                 break
             shared += 1
-        levels = memo["levels"][:shared] or levels
+        levels = cached[:shared] or levels
     plan = _expansion_plan(len(rows), columns)
     for r in range(len(levels), len(rows)):
         col, prev, plus, minus = plan[r - 1]
@@ -315,8 +310,8 @@ def _minors(rows, columns: int, memo=None):
         if basis is not None:
             level %= basis.moduli
         levels.append(level)
-    if memo is not None:
-        memo.update(rows=tuple(rows), basis=basis, levels=levels)
+    if source is not None:
+        source.walk = (rows.indices, levels)
     return levels[-1], basis
 
 
@@ -329,23 +324,19 @@ def det(rows) -> object:
     return level[0] if basis is None else _lane_values(rows[0][0].ctx, level, basis)[0]
 
 
-def maximal_cofactors(rows, memo=None) -> tuple:
+def maximal_cofactors(rows) -> tuple:
     """Signed maximal cofactors of a k x (k+1) matrix.
 
     Returns (c_0, ..., c_k) with c_j = (-1)^j * det(matrix without column j),
     so that for any extra row x: det([x; rows]) = sum_j x[j] * c_j.
-    Cofactors of rows of one ``scaled_rows`` set carry the set's lanes.
-
-    ``memo`` is an optional dict owned by a caller that walks many row
-    lists, such as the subsets of one set in lexicographic order: each call
-    reuses the expansion levels of the rows it shares, as a prefix and by
-    identity, with the previous call (see the module docstring).  Rows in a
-    memo must not be mutated.
+    Cofactors of a view of a lane set carry the set's lanes.  A walk over
+    the views of one set reuses the levels each shares with the previous
+    one (see the module docstring).
     """
     columns = len(rows) + 1
     if any(len(r) != columns for r in rows):
         raise ValueError("expected a k x (k+1) matrix")
-    minors, basis = _minors(rows, columns, memo)
+    minors, basis = _minors(rows, columns)
     # in combinations order the k-column subsets leave out column k first
     signed = minors[::-1].copy()
     signed[1::2] = -signed[1::2]
@@ -357,14 +348,17 @@ def maximal_cofactors(rows, memo=None) -> tuple:
 
 def incidence_values(cof, rows) -> list:
     """det([x; S]) = sum_j x[j] * cof[j] for each row x of ``rows``, where
-    ``cof`` are the maximal cofactors of S."""
+    ``cof`` are the maximal cofactors of S; in lanes iff ``cof`` carries
+    the basis of the set ``rows`` is a view of."""
     if not rows:
         return []
-    grid, cof_grid, basis = _grid(rows, cof)
-    values = (grid * cof_grid).sum(axis=1)
-    if basis is None:
-        return list(values)
-    return _lane_values(cof[0].ctx, values % basis.moduli, basis)
+    grid, basis = _grid(rows)
+    if basis is not None and getattr(cof, "basis", None) is basis:
+        values = (grid * cof.lanes).sum(axis=1) % basis.moduli
+        return _lane_values(cof[0].ctx, values, basis)
+    if basis is not None:
+        grid = np.array(rows, dtype=object)
+    return list((grid * np.array(cof, dtype=object)).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -404,28 +398,25 @@ def _integer_row(row) -> tuple:
     return row
 
 
-def scaled_rows(points, row=lifted_row) -> list:
+def scaled_rows(points, row=lifted_row) -> RowSet:
     """The ``row`` images of the points, as the predicates expand them:
     each exact row scaled to integral entries, any other row as it is.
 
-    Cyclotomic rows of one conductor come back as one set
-    that carries its residue lanes, over the fewest split primes that lift
-    every minor and incidence value of the set (see the module docstring):
-    one (n, width, primes, degree) tensor, with each row's index in it."""
+    Cyclotomic rows of one conductor carry their residue lanes, over the
+    fewest split primes that lift every minor and incidence value of the
+    set (see the module docstring), up to the lane prime cap."""
     rows = [_integer_row(row(p)) for p in points]
     entries = [e for r in rows for e in r]
-    if not entries or not all(isinstance(e, CycloElement)
-                              and e.ctx.conductor == entries[0].ctx.conductor for e in entries):
-        return rows
-    ctx = entries[0].ctx
-    width = len(rows[0])
-    norms = sorted((max(1, sum(abs(c) for e in r for c in e.num)) for r in rows), reverse=True)
-    basis = ctx.lane_basis(ctx._table_max * math.prod(norms[:width]))
-    if basis is None:
-        return rows
-    lanes = ctx.to_lanes(entries, basis)
-    tensor = lanes.reshape(len(rows), width, *lanes.shape[1:])
-    return [_Lanes(r, basis, tensor, i) for i, r in enumerate(rows)]
+    if entries and all(isinstance(e, CycloElement)
+                       and e.ctx.conductor == entries[0].ctx.conductor for e in entries):
+        ctx = entries[0].ctx
+        width = len(rows[0])
+        norms = sorted(max(1, sum(abs(c) for e in r for c in e.num)) for r in rows)
+        basis = ctx.lane_basis(ctx._table_max * math.prod(norms[-width:]))
+        if basis is not None:
+            lanes = ctx.to_lanes(entries, basis).reshape(len(rows), width, len(basis.primes), -1)
+            return RowSet(rows, np.ascontiguousarray(lanes), basis)
+    return RowSet(rows, np.array(rows, dtype=object), None)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +493,8 @@ def cospherical(points) -> object:
     INDETERMINATE, which callers must handle explicitly.
     """
     points = list(points)
+    if not points:
+        raise DomainError("cosphericality needs points")
     d = len(points[0])
     if len(points) != d + 2:
         raise DomainError(f"cosphericality in dimension {d} needs {d + 2} points")
@@ -521,10 +514,8 @@ def general_position_check(ps: PointSet):
     if ps.backend == "interval":
         raise DomainError("general position certification requires an exact backend")
     rows = scaled_rows(ps.points)
-    d = ps.dimension
-    memo: dict = {}
-    for subset in combinations(range(ps.n), d + 1):
-        cof = maximal_cofactors([rows[i] for i in subset], memo)
+    for subset in combinations(range(ps.n), ps.dimension + 1):
+        cof = maximal_cofactors(rows.take(subset))
         if all(is_zero_fast(c) for c in cof):
             return subset
     return None
@@ -598,6 +589,8 @@ def hypersphere_through(points) -> Hypersphere:
     lifted rank, solved by cofactor expansion of their scaled rows (the
     canonical form divides the row scales out)."""
     points = list(points)
+    if not points:
+        raise DomainError("a hypersphere needs points")
     d = len(points[0])
     if len(points) != d + 1:
         raise DomainError(f"need exactly {d + 1} points in dimension {d}")

@@ -753,11 +753,15 @@ def sign_of(value, cap: int = DEFAULT_BITS_CAP):
 
 def is_zero(value):
     """Tri-state zero test: True/False for exact backends, False or
-    INDETERMINATE for intervals (an interval never certifies equality)."""
-    if isinstance(value, (int, Fraction)):
+    INDETERMINATE for intervals (an interval never certifies equality).
+    Cyclotomic values are tested before ``Fraction``, whose ``isinstance``
+    runs ``ABCMeta.__instancecheck__``."""
+    if isinstance(value, int):
         return value == 0
     if isinstance(value, CycloElement):
         return value.is_zero()
+    if isinstance(value, Fraction):
+        return value == 0
     if isinstance(value, IntervalScalar):
         if value.contains_zero():
             return INDETERMINATE

@@ -192,8 +192,9 @@ class TestCosetConfig:
         ps = coset_config(CosetSpec(PARAMS, n, 0), validate=False)
         # the engine's own rows: scaling a row keeps the zero pattern
         rows = scaled_rows(ps.points, row=affine_row)
+        assert rows.basis is not None
         for subset in itertools.combinations(range(n), 5):
-            assert not is_zero(det([rows[i] for i in subset]))
+            assert not is_zero(det(rows.take(subset)))
 
 
 class TestResidueOracle:

@@ -297,6 +297,17 @@ class TestHashFastPath:
         assert spec.counts == {4: math.comb(7, 3), 7: 1}
         assert spec.counts == spectrum(ps).counts
 
+    def test_interval_backend_rejected(self):
+        # a precondition on the input, as in general_position_check, not an
+        # internal inconsistency
+        from hypersphere_lab.errors import DomainError
+
+        exact = sphere_plus_point_config(3, 5, seed=7)
+        ps = PointSet.build([tuple(IntervalScalar.from_fraction(c, 128) for c in p)
+                             for p in exact.points])
+        with pytest.raises(DomainError):
+            spectrum_by_hashing(ps)
+
 
 class TestParallelism:
     def test_thread_counts_agree(self):
@@ -395,8 +406,8 @@ class TestParallelism:
 class TestSplitInvariance:
     """The walk over all C(n, r) ranks equals the merge of three uneven
     ranges whose cut points fall inside runs of subsets that share their
-    first r-1 rows: each range carries prefix levels in its own memo, so
-    the result cannot depend on how the pool splits the work."""
+    first r-1 rows: a range may start from the levels another left in the
+    set, so the result cannot depend on how the pool splits the work."""
 
     @pytest.mark.parametrize("config", ["coset", "trivial"])
     def test_uneven_ranges_merge_to_the_whole_walk(self, config):
@@ -442,10 +453,10 @@ class TestLaneCap:
         ps = PointSet.build([(big, *coset.points[0][1:]), *coset.points[1:]])
         spec = spectrum(ps)
         assert len(x.ctx._lane_tables) <= LANE_PRIME_CAP
-        # every row set expanded over its own scalars, never in lanes
+        assert geometry.scaled_rows(ps.points).basis is None
+        # every view expanded as a list of its scalar rows, never from a grid
         grid = geometry._grid
-        monkeypatch.setattr(geometry, "_grid", lambda rows, cof=None: grid(
-            [tuple(r) for r in rows], None if cof is None else tuple(cof)))
+        monkeypatch.setattr(geometry, "_grid", lambda rows: grid(list(rows)))
         assert spec == spectrum(ps)
 
 

@@ -14,7 +14,6 @@ from oracles import gaussian_rank, laplace_det, reference_cofactors
 from hypersphere_lab.errors import DegeneracyError, DomainError, PoleError
 from hypersphere_lab.geometry import (
     Hypersphere,
-    _Lanes,
     PointSet,
     as_point,
     cospherical,
@@ -112,15 +111,15 @@ class TestLaneKernel:
             rows[k - 1] = rows[0]
         elif shape == "sum_of_rows":
             rows[k - 1] = tuple(a + b for a, b in zip(rows[0], rows[k - 2]))
-        # a scaled_rows set takes its lanes: its cofactors carry them
-        cof = self.check(scaled_rows(rows, row=tuple), k, shape)
-        assert cof.basis is not None and cof.lanes.shape[0] == k + 1
+        # views of a scaled_rows set take its lanes: their cofactors carry them
+        lane_set = scaled_rows(rows, row=tuple)
+        cof = self.check(lane_set.take(range(k)), lane_set.take(range(k, k + 2)), shape)
+        assert cof.basis is lane_set.basis is not None and cof.lanes.shape[0] == k + 1
         # plain rows are expanded over their own elements
-        cof = self.check(rows, k, shape)
+        cof = self.check(rows[:k], rows[k:], shape)
         assert type(cof) is tuple and not hasattr(cof, "lanes")
 
-    def check(self, rows, k, shape):
-        rows, others = rows[:k], rows[k:]
+    def check(self, rows, others, shape):
         want_cof = reference_cofactors(rows)
         want_values = [laplace_det([list(x)] + [list(r) for r in rows]) for x in others]
         # every zero test is decided before any value is read, and lifts nothing
@@ -144,11 +143,11 @@ class TestLaneKernel:
         zero, one = ctx.zero(), ctx.one()
         rows = scaled_rows([(ctx.from_rational(p), zero, zero), (zero, one, zero),
                             (zero, zero, one)], row=tuple)
-        assert rows[0].basis.primes[0] == p and len(rows[0].basis.primes) > 1
+        assert rows.basis.primes[0] == p and len(rows.basis.primes) > 1
         with no_lifts():
             value = det(rows)
-            cof = maximal_cofactors(rows[:2])
-            [incidence] = incidence_values(cof, rows[2:])
+            cof = maximal_cofactors(rows.take([0, 1]))
+            [incidence] = incidence_values(cof, rows.take([2]))
             assert is_zero(value) is False and is_zero(incidence) is False
             assert [is_zero(c) for c in cof] == [True, True, False]
         assert value == p and incidence == p and list(cof) == [0, 0, p]
@@ -164,27 +163,29 @@ class TestLaneKernel:
                          [laplace_det([list(rows[3])] + [list(r) for r in rows[:3]])])
 
     def test_pickled_rows_stay_one_set(self):
-        """Pool workers receive the rows pickled: one pickle keeps one basis
-        object, so a worker's cofactors still run in the set's lanes."""
+        """Pool workers receive the set pickled: its rows, grid and basis,
+        without the levels of its last view, so a worker's cofactors still
+        run in the set's lanes."""
         ctx = get_context(20)
         rows = scaled_rows(self.random_rows(ctx, random.Random(3), 5, 4, 8), row=tuple)
+        cof = maximal_cofactors(rows.take(range(3)))
+        assert rows.walk[0] == (0, 1, 2)
         again = pickle.loads(pickle.dumps(rows))
-        assert all(r.basis is again[0].basis for r in again)
-        assert again[0].basis.primes == rows[0].basis.primes
-        for r, s in zip(rows, again):
-            assert r == s and (r.lanes == s.lanes).all()
-        cof = maximal_cofactors(again[:3])
-        assert cof.basis is again[0].basis
-        assert cof == maximal_cofactors(rows[:3])
-        assert incidence_values(cof, again[3:]) == incidence_values(
-            maximal_cofactors(rows[:3]), rows[3:])
+        assert again.walk == ((), ()) and again.source is None
+        assert again.basis is not None and again.basis.primes == rows.basis.primes
+        assert again == rows and (again.grid == rows.grid).all()
+        cof_again = maximal_cofactors(again.take(range(3)))
+        assert cof_again.basis is again.basis
+        assert cof_again == cof
+        assert incidence_values(cof_again, again.take([3, 4])) == incidence_values(
+            cof, rows.take([3, 4]))
 
 
 class TestLaneSetSoundness:
-    """The lane bound is proved per ``scaled_rows`` set: values of one set
-    run in its lanes, and everything that leaves the set (rows of two sets,
-    cofactors used as a row, cofactors against another set's rows) is
-    expanded over its elements.  One row of each set is large, so a value
+    """The lane bound is proved per ``scaled_rows`` set: values of views of
+    one set run in its lanes, and everything that leaves the set (rows of
+    two sets, cofactors used as a row, cofactors against another set's
+    view) is expanded over its elements.  One row of each set is large, so a value
     that took lanes outside its set's bound would lift wrongly."""
 
     @staticmethod
@@ -217,11 +218,12 @@ class TestLaneSetSoundness:
             return laplace_det([list(r) for r in rows])
 
         # one set: det, cofactors and incidence values
-        assert det(set_a[:k + 1]) == laplace(plain_a[:k + 1])
-        cof = maximal_cofactors(set_a[:k])
+        assert det(set_a.take(range(k + 1))) == laplace(plain_a[:k + 1])
+        cof = maximal_cofactors(set_a.take(range(k)))
+        assert cof.basis is set_a.basis is not None
         assert list(cof) == reference_cofactors(plain_a[:k])
-        assert incidence_values(cof, set_a[k:]) == [laplace([x, *plain_a[:k]])
-                                                    for x in plain_a[k:]]
+        assert incidence_values(cof, set_a.take(range(k, k + 2))) == [
+            laplace([x, *plain_a[:k]]) for x in plain_a[k:]]
         # rows of two sets
         mixed = [set_a[i] if i % 2 else set_b[i] for i in range(k + 1)]
         plain = [plain_a[i] if i % 2 else plain_b[i] for i in range(k + 1)]
@@ -229,109 +231,92 @@ class TestLaneSetSoundness:
         # the cofactor tuple used as a row
         assert det([cof, *set_a[:k]]) == laplace([tuple(cof), *plain_a[:k]])
         assert det([*set_a[1:k + 1], cof]) == laplace([*plain_a[1:k + 1], tuple(cof)])
-        # cofactors of one set against rows of another
-        assert incidence_values(cof, set_b) == [laplace([x, *plain_a[:k]]) for x in plain_b]
+        # cofactors of one set against a view of another
+        assert set_b.basis is not None
+        assert incidence_values(cof, set_b.take(range(k + 2))) == [
+            laplace([x, *plain_a[:k]]) for x in plain_b]
 
 
-class TestPrefixMemo:
-    """One memo fed a sequence of row lists: every call equals a memo-less
-    call and the per-scalar reference.  Levels may be reused only for a
-    prefix of the very same row objects in the same representation (lanes
-    of one set, or an object array of scalars)."""
-
-    @staticmethod
-    def pool(ctx, rng, k):
-        """Named groups of (row, exact row for the reference or None, kind)."""
-        def cyclo(bits):
-            return tuple(ctx.element([rng.randint(-2**bits, 2**bits) for _ in range(ctx.degree)])
-                         for _ in range(k + 1))
-
-        def fraction():
-            return Fraction(rng.randint(-99, 99), rng.randint(1, 9))
-
-        plain_a = [cyclo(100 if i == 1 else 3) for i in range(k + 2)]
-        set_a = scaled_rows(plain_a, row=tuple)
-        set_b = scaled_rows([cyclo(3) for _ in range(k + 2)], row=tuple)
-        cof = maximal_cofactors(set_a[:k])
-        # equal to set_a[1] as a tuple, but it carries the lanes of set_a[0]
-        forged = _Lanes(tuple(set_a[1]), set_a[1].basis, set_a[1].tensor, set_a[0].index)
-        ints = [tuple(rng.randint(-2**20, 2**20) for _ in range(k + 1)) for _ in range(k + 1)]
-        exact = [tuple(fraction() for _ in range(k + 1)) for _ in range(k + 1)]
-        boxes = [tuple(IntervalScalar.from_fraction(e, 128) for e in row) for row in exact]
-        return {
-            "a": [(r, r, "cyclo") for r in set_a],
-            "b": [(r, r, "cyclo") for r in set_b],
-            "cof": [(cof, tuple(reference_cofactors(plain_a[:k])), "cyclo")],
-            "forged": [(forged, None, "cyclo")],
-            "ints": [(r, r, "int") for r in ints],
-            "boxes": [(r, e, "interval") for r, e in zip(boxes, exact)],
-        }
+class TestViewCache:
+    """A view reuses the levels of the longest index prefix it shares with
+    the last expanded view of its set.  Index tuples with shared, reordered
+    and fresh prefixes, views of a second set in between, and det of square
+    views: every result equals a fresh set's result and the per-scalar
+    reference."""
 
     @staticmethod
-    def check(entries, memo):
-        rows = [row for row, _, _ in entries]
-        got = maximal_cofactors(rows, memo)
-        want = maximal_cofactors(rows)
-        assert type(got) is type(want)
-        assert getattr(got, "basis", None) is getattr(want, "basis", None)
+    def rows(kind, ctx, rng, n, width):
+        """(rows given to ``scaled_rows``, exact rows for the reference)."""
+        if kind == "cyclo":
+            rows = [tuple(ctx.element([rng.randint(-2**bits, 2**bits) for _ in range(ctx.degree)])
+                          for _ in range(width))
+                    for bits in [3, 100, *[3] * (n - 2)]]
+            return rows, rows
+        if kind == "int":
+            rows = [tuple(rng.randint(-2**20, 2**20) for _ in range(width)) for _ in range(n)]
+            return rows, rows
+        exact = [tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(width))
+                 for _ in range(n)]
+        return [tuple(IntervalScalar.from_fraction(e, 128) for e in row) for row in exact], exact
 
-        def value(c):
-            return (c.lo, c.hi) if isinstance(c, IntervalScalar) else c
-
-        assert [value(c) for c in got] == [value(c) for c in want]
-        if any(e is None for _, e, _ in entries):
-            return
-        reference = reference_cofactors([e for _, e, _ in entries])
-        if any(kind == "interval" for _, _, kind in entries):
-            assert all(c.lo <= exact <= c.hi for c, exact in zip(got, reference))
+    @staticmethod
+    def check(kind, given, exact, rowset, indices):
+        """Cofactors of a k-row view, or det of a square one."""
+        rows = [exact[i] for i in indices]
+        fresh = scaled_rows(given, row=tuple).take(indices)
+        if len(indices) == len(exact[0]):
+            got, again = [det(rowset.take(indices))], [det(fresh)]
+            want = [laplace_det([list(r) for r in rows])]
         else:
-            assert list(got) == reference
-            assert [is_zero(c) for c in got] == [exact == 0 for exact in reference]
+            got = list(maximal_cofactors(rowset.take(indices)))
+            again, want = list(maximal_cofactors(fresh)), reference_cofactors(rows)
+        if kind == "interval":
+            assert [(c.lo, c.hi) for c in got] == [(c.lo, c.hi) for c in again]
+            assert all(c.lo <= w <= c.hi for c, w in zip(got, want))
+        else:
+            assert got == again == want
+            assert [is_zero(c) for c in got] == [w == 0 for w in want]
 
     @settings(max_examples=40, deadline=None)
     @given(
+        st.sampled_from(["cyclo", "int", "interval"]),
         st.sampled_from([8, 12, 20]),
         st.integers(2, 3),
         st.integers(0, 2**32),
-        st.lists(st.tuples(st.integers(0, 3), st.lists(st.integers(0, 99), min_size=3,
-                                                       max_size=3)), max_size=12),
+        st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(0, 4), st.booleans(),
+                           st.lists(st.integers(0, 99), min_size=4, max_size=4)),
+                 max_size=12),
     )
-    def test_memo_matches_memoless_and_reference(self, conductor, k, seed, steps):
+    def test_views_match_a_fresh_set_and_the_reference(self, kind, conductor, k, seed, steps):
         ctx = get_context(conductor)
-        groups = self.pool(ctx, random.Random(seed), k)
-        a, b, ints, boxes = groups["a"], groups["b"], groups["ints"], groups["boxes"]
-        [cof], [forged] = groups["cof"], groups["forged"]
-        pool = [entry for group in groups.values() for entry in group]
+        rng = random.Random(seed)  # full-size coefficients, not shrunk ones
+        n = k + 3
+        sets = []
+        for _ in range(2):
+            given, exact = self.rows(kind, ctx, rng, n, k + 1)
+            sets.append((given, exact, scaled_rows(given, row=tuple)))
+        assert (sets[0][2].basis is not None) is (kind == "cyclo")
+        first = tuple(range(k))
         script = [
-            a[:k],
-            a[:k],  # every row shared
-            # a shared prefix of every length k-1 .. 0, the last differing at the first row
-            *[a[:p] + a[p + 1:k + 1] for p in range(k - 1, -1, -1)],
-            a[:k],
-            a[:k - 1] + [b[0]],  # the same prefix, rows of two sets: scalars, not lanes
-            a[:k - 1] + [cof],  # a cofactor tuple used as a row
-            a[:k],
-            a[:1] + [forged] + a[2:k],  # == to a[:k], but other lanes
-            a[:k],
-            a[:k - 1] + [ints[0]],  # Python ints after lane rows with the same prefix
-            ints[:k],
-            ints[:k - 1] + [boxes[0]],  # intervals after int rows with the same prefix
-            boxes[:k],
+            (0, first),
+            (0, first),  # every index shared
+            # a shared prefix of every length k-1 .. 0, the last differing at the first index
+            *[(0, first[:p] + tuple(range(p + 1, k + 1))) for p in range(k - 1, -1, -1)],
+            (0, first),
+            (1, first),  # the same indices in the second set
+            (0, (1, 0) + first[2:]),  # the same prefix in another order
+            (0, first + (k + 1,)),  # det of a square view after cofactors
+            (0, first[:-1] + (k + 2,)),
+            (0, (k + 2,) * k),  # a repeated index
         ]
-        memo: dict = {}
-        for entries in script:
-            self.check(entries, memo)
-        previous = script[-1]
-        for shared, picks in steps:
-            entries = previous[:min(shared, k)]
-            for pick in picks[:k - len(entries)]:
-                entry = pool[pick % len(pool)]
-                kinds = {kind for _, _, kind in entries}
-                if {entry[2], *kinds} >= {"cyclo", "interval"}:
-                    entry = ints[pick % len(ints)]  # cyclotomic and interval scalars do not mix
-                entries.append(entry)
-            self.check(entries, memo)
-            previous = entries
+        last = [(k + 2,) * k, first]
+        for other, square, shared, reorder, picks in steps:
+            prefix = last[other][:shared]
+            indices = (prefix[::-1] if reorder else prefix) + tuple(i % n for i in picks)
+            script.append((int(other), indices[:k + square]))
+            last[other] = script[-1][1]
+        for which, indices in script:
+            self.check(kind, *sets[which], indices)
 
 
 class TestIntegerRows:
@@ -513,6 +498,8 @@ class TestCospherical:
     def test_wrong_arity_rejected(self):
         with pytest.raises(DomainError):
             cospherical([as_point((0, 0)), as_point((1, 0)), as_point((2, 1))])
+        with pytest.raises(DomainError):
+            cospherical([])
 
     @settings(max_examples=30, deadline=None)
     @given(st.permutations(list(range(5))))
@@ -607,6 +594,11 @@ class TestGeneralPosition:
 
 
 class TestHypersphereThrough:
+    def test_wrong_arity_rejected(self):
+        for points in ([], [as_point((0, 0)), as_point((1, 0))]):
+            with pytest.raises(DomainError):
+                hypersphere_through(points)
+
     def test_circle_through_three_points_canonical(self):
         sphere = hypersphere_through([as_point(t) for t in [(0, 0), (2, 0), (0, 2)]])
         assert sphere.coefficients() == (1, -2, -2, 0)
