@@ -13,20 +13,30 @@ Scaling a row by a nonzero constant scales every minor that contains it by
 that constant, so every zero test is unchanged.  Rational rows become
 Python ints; cyclotomic rows become elements of denominator 1.
 
-Every minor and incidence value is expanded by one plan of numpy index
-tables, row by row over column subsets; only the number representation
-differs between backends.  ``scaled_rows`` returns one ``RowSet``: its rows
-and their entries as one ``grid``, the residue lanes of a cyclotomic set of
-one conductor over one ``basis`` of split primes (see ``scalars``), else an
-object array of scalars.  ``RowSet.take`` makes a view of some of its rows,
-whose grid is gathered by one ``ndarray.take``.  The cofactors of a view of
-a lane set carry its lanes, and run in lanes against views of the same set.
-Values in lanes are reduced after each row, zero-tested from their lanes
-and lifted only when read (their coefficients, for equality, hashing, JSON,
-pickling or arithmetic), each array of values by one ``from_lanes`` call.
-Anything that is not a ``RowSet`` (a list of rows, rows of two sets, a
-cofactor tuple used as a row) runs as a numpy object array of its own
-scalars.
+Every minor and incidence value is expanded row by row over column
+subsets by one plan (``_expansion_plan``).  Rows with one number per entry
+expand in plain Python, by functions compiled from the plan once per
+shape, so that a level of minors costs one call and its products.  Each
+minor is its plus terms summed left to right less its minus terms summed
+left to right; interval enclosures depend on that order.  ``scaled_rows``
+returns one ``RowSet``; ``RowSet.take`` makes a view of some of its rows.
+Rational, interval and capped sets, and plain lists of rows, expand over
+their own scalars.
+
+A cyclotomic set of one conductor is a lane set: it keeps the residue
+lanes of its entries over one ``basis`` of split primes (see ``scalars``)
+as one ``grid``, and expands in its *filter lane*, each entry's residue in
+lane 0 of the basis's first prime, kept as Python ints.  The cofactors of a
+view of a lane set, and their incidence values against a view of the same
+set, are lane values known by their filter residues.  A nonzero residue
+proves a value nonzero.  A zero one is decided in every lane under the
+set's bound (below): a cofactor or a determinant by an all-lane expansion
+of its view, whose grid is gathered from the set then, and an incidence
+value det([x; S]) by the all-lane determinant of the sorted indices of S
+and x, which the set records, so that each (d+2)-set is certified once.
+Coefficients are lifted only when read (equality, hashing, JSON, pickling
+or arithmetic), each array of values by one ``from_lanes`` call.  Rows of
+two sets, or a cofactor tuple used as a row, expand over their elements.
 
 Level j of the expansion holds the minors of rows 0..j and depends on
 those rows alone: for a view, on its first j+1 indices and the set's
@@ -35,7 +45,7 @@ last few: at d=4 a subset that keeps its first four rows of the previous
 one costs the 30 products of the last level instead of all 180.  So a set
 keeps the indices and levels of the last of its views that was expanded,
 and the next view reuses the levels of the longest index prefix it shares
-with them.  Cached arrays are never written to.
+with them.  Cached levels are never written to.
 
 The lift needs a bound on the coefficients.  Read as polynomials in
 Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
@@ -50,7 +60,8 @@ coefficient is 0 mod the product of the primes, and no nonzero coefficient
 of absolute value below half that product is.  This is the zero test of
 residue number systems (Broennimann, Emiris, Pan and Pion, "Sign
 determination in residue number systems", TCS 1999), and the same argument
-the lift rests on.
+the lift rests on.  A value nonzero in any one lane is nonzero with no
+bound at all, which is why one filter lane decides almost every test.
 """
 
 from __future__ import annotations
@@ -196,123 +207,205 @@ def _expansion_plan(k: int, columns: int):
     return plan
 
 
-class _Lanes(tuple):
-    """The maximal cofactors of a lane set or a view of one: their scalars,
-    the set's ``basis`` and their own ``lanes``, shape (k+1, primes, degree)."""
+@functools.lru_cache(maxsize=None)
+def _level_functions(k: int, columns: int, reduced: bool):
+    """``_expansion_plan`` compiled to plain Python, so that a level costs
+    one call and its products and sums.  For each row r >= 1, a function
+    ``level(row, last, prime)`` of the row and level r-1 that returns level
+    r as a list: each minor is its plus terms summed left to right less its
+    minus terms summed left to right, taken mod ``prime`` if ``reduced``."""
+    functions = []
+    for col, prev, plus, minus in _expansion_plan(k, columns):
+        minors = []
+        for c, q in zip(col.tolist(), prev.tolist()):
+            plus_terms = " + ".join(f"row[{a}] * last[{b}]" for a, b in zip(c[plus], q[plus]))
+            minus_terms = " + ".join(f"row[{a}] * last[{b}]" for a, b in zip(c[minus], q[minus]))
+            minor = f"({plus_terms}) - ({minus_terms})"
+            minors.append(f"({minor}) % prime" if reduced else minor)
+        functions.append(_compiled("row, last, prime", f"[{', '.join(minors)}]"))
+    return functions
 
-    def __new__(cls, scalars, basis=None, lanes=None):
-        self = super().__new__(cls, scalars)
-        self.basis, self.lanes = basis, lanes
+
+@functools.lru_cache(maxsize=None)
+def _dot_function(width: int, reduced: bool):
+    """A function ``dots(rows, cof, prime)`` that returns the list of
+    sum_j x[j] * cof[j], summed left to right, for each row x of ``rows``,
+    taken mod ``prime`` if ``reduced``."""
+    dot = " + ".join(f"x[{j}] * cof[{j}]" for j in range(width))
+    return _compiled("rows, cof, prime", f"[({dot}){' % prime' if reduced else ''} for x in rows]")
+
+
+def _compiled(arguments: str, expression: str):
+    """A function of ``arguments`` that returns ``expression``."""
+    namespace = {}
+    exec(f"def function({arguments}):\n    return {expression}\n", namespace)
+    return namespace["function"]
+
+
+def _lane_minors(grid, basis, columns: int) -> np.ndarray:
+    """The minors of full row count of the lane rows ``grid``, shape (k,
+    ``columns``, primes, degree), in every lane and reduced: shape (count,
+    primes, degree)."""
+    level = grid[0]
+    for r, (col, prev, plus, minus) in enumerate(_expansion_plan(len(grid), columns), 1):
+        terms = grid[r][col] * level[prev]
+        level = terms[:, plus].sum(axis=1)
+        level -= terms[:, minus].sum(axis=1)
+        level %= basis.moduli
+    return level
+
+
+class RowSet(tuple):
+    """The rows of one ``scaled_rows`` call.
+
+    A lane set (``basis`` not None) keeps its entries' residue lanes as one
+    ``grid``, an (n, width, primes, degree) tensor over ``basis``, and as
+    ``entries`` its filter lane: lane 0 of the basis's first prime,
+    ``prime``, as n lists of Python ints.  Any other set's ``entries`` are
+    its rows.  The basis object is the set's identity: values over it are
+    covered by the set's bound.  ``take`` makes a view (``source``,
+    ``indices``).  A set keeps the indices and levels of its last expanded
+    view in ``walk`` and its zero certificates in ``certified``, which a
+    pickle drops.
+    """
+
+    walk = ((), ())
+
+    def __new__(cls, rows, grid=None, basis=None):
+        self = super().__new__(cls, rows)
+        self.basis, self.source, self.indices = basis, self, tuple(range(len(self)))
+        self._grid, self.certified = grid, {}
+        if basis is None:
+            self.entries, self.prime = self, None
+        else:
+            self.entries, self.prime = grid[:, :, 0, 0].tolist(), basis.primes[0]
         return self
+
+    def __reduce__(self):
+        return RowSet, (tuple(self), self.grid, self.basis)
+
+    @property
+    def grid(self):
+        """The lane tensor of these rows (a view gathers it from its source
+        on each read), or None without a basis."""
+        grid = self.source._grid
+        return grid if grid is None or self is self.source else grid.take(self.indices, axis=0)
+
+    def take(self, indices) -> "RowSet":
+        """The view of the rows at ``indices`` of this set or view, in that
+        order."""
+        source = self.source
+        indices = tuple(indices) if self is source else tuple(self.indices[i] for i in indices)
+        view = tuple.__new__(RowSet, map(source.__getitem__, indices))
+        view.basis, view.source, view.indices = self.basis, source, indices
+        return view
+
+    def certify_zero(self, indices: tuple) -> bool:
+        """Whether the determinant of the rows of this lane set at
+        ``indices`` vanishes, decided in every lane under the set's bound
+        once per index tuple."""
+        verdict = self.certified.get(indices)
+        if verdict is None:
+            minors = _lane_minors(self._grid.take(indices, axis=0), self.basis, len(indices))
+            verdict = self.certified[indices] = not minors.any()
+        return verdict
 
 
 class _LaneArray:
-    """A reduced lane array of shape (count, primes, degree) holding values
-    of one set, lifted by one ``from_lanes`` call on the first read."""
+    """Values of one lane set, known by their filter residues.  Their
+    lanes over the set's basis, shape (count, primes, degree), are computed
+    by ``expand`` when first needed, and lifted by one ``from_lanes`` call
+    on the first read.  A value with a zero filter residue is zero iff
+    ``certify(index)``, by default iff all its lanes are."""
 
-    __slots__ = ("ctx", "lanes", "basis", "lifted")
+    __slots__ = ("ctx", "basis", "expand", "certify", "lanes", "lifted")
 
-    def __init__(self, ctx, lanes, basis):
-        self.ctx, self.lanes, self.basis, self.lifted = ctx, lanes, basis, None
+    def __init__(self, ctx, basis, expand, certify=None):
+        self.ctx, self.basis, self.expand, self.certify = ctx, basis, expand, certify
+        self.lanes = self.lifted = None
+
+    def all_lanes(self) -> np.ndarray:
+        if self.lanes is None:
+            self.lanes = self.expand()
+        return self.lanes
+
+    def zero(self, index) -> bool:
+        if self.certify is not None:
+            return self.certify(index)
+        return not self.all_lanes()[index].any()
 
     def __getitem__(self, index):
         if self.lifted is None:
-            self.lifted = self.ctx.from_lanes(self.lanes, self.basis)
+            self.lifted = self.ctx.from_lanes(self.all_lanes(), self.basis)
         return self.lifted[index]
 
 
 class _LaneValue(CycloElement):
-    """One value of a ``_LaneArray``.  It is zero exactly when all its lanes
-    are (see the module docstring), so ``is_zero`` reads a flag; its
-    coefficients are lifted, with the whole array, only when read.  Lane
-    values are integral, so ``den`` is 1."""
+    """One value of a ``_LaneArray``.  A nonzero filter residue proves it
+    nonzero; a zero one is certified in every lane (see the module
+    docstring).  Its coefficients are lifted, with the whole array, only
+    when read.  Lane values are integral, so ``den`` is 1."""
 
-    __slots__ = ("_array", "_index", "_zero")
+    __slots__ = ("_array", "_index", "_residue")
     den = 1
 
-    def __init__(self, array, index, zero):
-        self.ctx, self._array, self._index, self._zero = array.ctx, array, index, zero
+    def __init__(self, array, index, residue):
+        self.ctx, self._array, self._index, self._residue = array.ctx, array, index, residue
 
     @property
     def num(self):
         return self._array[self._index].num
 
     def is_zero(self) -> bool:
-        return self._zero
+        return not self._residue and self._array.zero(self._index)
 
 
-def _lane_values(ctx, lanes, basis) -> list:
-    """The values of a reduced lane array of one set, zero-tested from
-    their lanes, as elements that are lifted only when read."""
-    array = _LaneArray(ctx, lanes, basis)
-    zero = (~lanes.any(axis=(1, 2))).tolist()
-    return [_LaneValue(array, i, z) for i, z in enumerate(zero)]
+def _lane_values(array, residues) -> list:
+    """The values of ``array``, one per filter residue."""
+    return [_LaneValue(array, i, residue) for i, residue in enumerate(residues)]
 
 
-class RowSet(tuple):
-    """The rows of one ``scaled_rows`` call and their entries as one
-    ``grid``: an (n, width, primes, degree) lane tensor over ``basis``, or
-    an (n, width) object array with ``basis`` None.  The basis object is
-    the set's identity: values over it are covered by the set's bound.
-    ``take`` makes a view (``source``, ``indices``); a set keeps the indices
-    and levels of its last expanded view in ``walk``, which a pickle drops."""
+class _Lanes(tuple):
+    """The maximal cofactors of a view of a lane set: their values, the
+    ``view``, the ``array`` that holds their lanes and their filter
+    ``residues``."""
 
-    walk = ((), ())
-
-    def __new__(cls, rows, grid, basis, source=None, indices=None):
-        self = super().__new__(cls, rows)
-        self.grid, self.basis, self.source, self.indices = grid, basis, source, indices
+    def __new__(cls, view, array, residues):
+        self = super().__new__(cls, _lane_values(array, residues))
+        self.basis, self.view, self.array, self.residues = view.basis, view, array, residues
         return self
 
-    def __reduce__(self):
-        return RowSet, (tuple(self), self.grid, self.basis)
-
-    def take(self, indices) -> "RowSet":
-        """The view of the rows at ``indices``, in that order."""
-        indices = tuple(indices)
-        return RowSet([self[i] for i in indices], self.grid.take(indices, axis=0), self.basis,
-                      self, indices)
+    @property
+    def lanes(self) -> np.ndarray:
+        return self.array.all_lanes()
 
 
-def _grid(rows):
-    """The entries of ``rows`` for the expansion plan and their lane basis:
-    a ``RowSet`` gives its own, anything else is an object array."""
-    if isinstance(rows, RowSet):
-        return rows.grid, rows.basis
-    return np.array(rows, dtype=object), None
-
-
-def _minors(rows, columns: int):
+def _minors(rows, columns: int) -> list:
     """The minors of full row count of a len(rows) x ``columns`` matrix, one
-    per column subset in ``combinations`` order, as an array over the basis
-    (reduced) or of scalars, and the basis.
+    per column subset in ``combinations`` order, expanded in plain Python
+    over the ``entries`` of a ``RowSet`` (each level of a filter lane
+    reduced mod its prime), or over the scalars of a list of rows.
 
     A view takes the levels of the longest index prefix it shares with its
     source's ``walk`` and expands only the rows after it.
     """
-    grid, basis = _grid(rows)
-    levels = [grid[0]]
-    source = rows.source if isinstance(rows, RowSet) else None
-    if source is not None:
-        indices, cached = source.walk
-        shared = 0
-        for new, old in zip(rows.indices, indices):
-            if new != old:
-                break
-            shared += 1
-        levels = cached[:shared] or levels
-    plan = _expansion_plan(len(rows), columns)
-    for r in range(len(levels), len(rows)):
-        col, prev, plus, minus = plan[r - 1]
-        terms = grid[r][col] * levels[-1][prev]
-        level = terms[:, plus].sum(axis=1)
-        level -= terms[:, minus].sum(axis=1)
-        if basis is not None:
-            level %= basis.moduli
-        levels.append(level)
-    if source is not None:
-        source.walk = (rows.indices, levels)
-    return levels[-1], basis
+    if isinstance(rows, RowSet):
+        source, indices = rows.source, rows.indices
+        entries, prime = source.entries, source.prime
+        walked, cached = source.walk
+        shared = len(indices)
+        while indices[:shared] != walked[:shared]:
+            shared -= 1
+        levels = cached[:shared] or [entries[indices[0]]]
+    else:
+        entries, indices, prime = rows, range(len(rows)), None
+        levels = [rows[0]]
+    functions = _level_functions(len(indices), columns, prime is not None)
+    for r in range(len(levels), len(indices)):
+        levels.append(functions[r - 1](entries[indices[r]], levels[-1], prime))
+    if isinstance(rows, RowSet):
+        source.walk = (indices, levels)
+    return levels[-1]
 
 
 def det(rows) -> object:
@@ -320,8 +413,12 @@ def det(rows) -> object:
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("det requires a square matrix")
-    level, basis = _minors(rows, k)
-    return level[0] if basis is None else _lane_values(rows[0][0].ctx, level, basis)[0]
+    [value] = _minors(rows, k)
+    basis = getattr(rows, "basis", None)
+    if basis is None:
+        return value
+    array = _LaneArray(rows[0][0].ctx, basis, lambda: _lane_minors(rows.grid, basis, k))
+    return _LaneValue(array, 0, value)
 
 
 def maximal_cofactors(rows) -> tuple:
@@ -329,36 +426,49 @@ def maximal_cofactors(rows) -> tuple:
 
     Returns (c_0, ..., c_k) with c_j = (-1)^j * det(matrix without column j),
     so that for any extra row x: det([x; rows]) = sum_j x[j] * c_j.
-    Cofactors of a view of a lane set carry the set's lanes.  A walk over
-    the views of one set reuses the levels each shares with the previous
-    one (see the module docstring).
+    Cofactors of a view of a lane set are its lane values.  A walk over the
+    views of one set reuses the levels each shares with the previous one
+    (see the module docstring).
     """
     columns = len(rows) + 1
-    if any(len(r) != columns for r in rows):
+    if set(map(len, rows)) - {columns}:
         raise ValueError("expected a k x (k+1) matrix")
-    minors, basis = _minors(rows, columns)
     # in combinations order the k-column subsets leave out column k first
-    signed = minors[::-1].copy()
-    signed[1::2] = -signed[1::2]
+    signed = _minors(rows, columns)[::-1]
+    signed[1::2] = [-c for c in signed[1::2]]
+    basis = getattr(rows, "basis", None)
     if basis is None:
         return tuple(signed)
-    signed %= basis.moduli
-    return _Lanes(_lane_values(rows[0][0].ctx, signed, basis), basis, signed)
+
+    def expand():
+        lanes = _lane_minors(rows.grid, basis, columns)[::-1].copy()
+        lanes[1::2] *= -1
+        return lanes % basis.moduli
+
+    return _Lanes(rows, _LaneArray(rows[0][0].ctx, basis, expand), signed)
 
 
 def incidence_values(cof, rows) -> list:
     """det([x; S]) = sum_j x[j] * cof[j] for each row x of ``rows``, where
-    ``cof`` are the maximal cofactors of S; in lanes iff ``cof`` carries
-    the basis of the set ``rows`` is a view of."""
+    ``cof`` are the maximal cofactors of S.  If ``cof`` are lane values of
+    the set ``rows`` is a view of, so are these: their filter residues come
+    from the filter lane, and a zero residue is certified by the set's
+    determinant of the sorted indices of S and x."""
     if not rows:
         return []
-    grid, basis = _grid(rows)
-    if basis is not None and getattr(cof, "basis", None) is basis:
-        values = (grid * cof.lanes).sum(axis=1) % basis.moduli
-        return _lane_values(cof[0].ctx, values, basis)
-    if basis is not None:
-        grid = np.array(rows, dtype=object)
-    return list((grid * np.array(cof, dtype=object)).sum(axis=1))
+    if not (isinstance(cof, _Lanes) and cof.basis is getattr(rows, "basis", None)):
+        return _dot_function(len(cof), False)(rows, cof, None)
+    source, defining = rows.source, cof.view.indices
+    residues = _dot_function(len(cof), True)(map(source.entries.__getitem__, rows.indices),
+                                             cof.residues, source.prime)
+
+    def expand():
+        return (rows.grid * cof.lanes).sum(axis=1) % cof.basis.moduli
+
+    def certify(index):
+        return source.certify_zero(tuple(sorted((*defining, rows.indices[index]))))
+
+    return _lane_values(_LaneArray(cof.array.ctx, cof.basis, expand, certify), residues)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +526,7 @@ def scaled_rows(points, row=lifted_row) -> RowSet:
         if basis is not None:
             lanes = ctx.to_lanes(entries, basis).reshape(len(rows), width, len(basis.primes), -1)
             return RowSet(rows, np.ascontiguousarray(lanes), basis)
-    return RowSet(rows, np.array(rows, dtype=object), None)
+    return RowSet(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,12 @@ class CyclotomicContext:
         if len(coeffs) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
         coeffs += [0] * (self.degree - len(coeffs))
-        den = math.lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
-        num = tuple(int(c * den) if isinstance(c, Fraction) else c * den for c in coeffs)
+        # ints are tested first: ``isinstance(c, Fraction)`` runs
+        # ``ABCMeta.__instancecheck__``
+        fractions = [type(c) is not int and isinstance(c, Fraction) for c in coeffs]
+        den = math.lcm(*(c.denominator for c, f in zip(coeffs, fractions) if f))
+        num = tuple(c.numerator * (den // c.denominator) if f else c * den
+                    for c, f in zip(coeffs, fractions))
         return CycloElement(self, num, den)
 
     def from_rational(self, value) -> "CycloElement":
@@ -818,6 +822,17 @@ def _json_int(data: dict, key: str) -> int:
     return data[key]
 
 
+def _coefficient(text):
+    """A cyclotomic coefficient read from JSON.  A short string of ASCII
+    digits, with or without a leading minus, is read as a Python int (most
+    coefficients are "0"); anything else goes through ``Fraction``, with
+    its values and errors."""
+    if (type(text) is str and len(text) < 20 and text.isascii()
+            and (text.isdigit() or text[:1] == "-" and text[1:].isdigit())):
+        return int(text)
+    return Fraction(text)
+
+
 def scalar_from_json(data):
     if isinstance(data, str):
         return Fraction(data)
@@ -825,7 +840,7 @@ def scalar_from_json(data):
         ctx = get_context(_json_int(data, "conductor"))
         if type(data["coeffs"]) is not list:
             raise DomainError(f"scalar field 'coeffs' must be a list, got {data['coeffs']!r}")
-        return ctx.element([Fraction(c) for c in data["coeffs"]])
+        return ctx.element([_coefficient(c) for c in data["coeffs"]])
     if isinstance(data, dict) and "lo" in data:
         return IntervalScalar.from_endpoints(data["lo"], data["hi"], _json_int(data, "bits"))
     raise ValueError(f"unrecognized scalar encoding: {data!r}")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -419,6 +420,37 @@ class TestMalformedScalars:
             code = run(["count", str(path), "--threads", "1"])
         assert code in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("text", ["1/0", "abc", "", "-", "--1", "\u00b2", "9" * 5000,
+                                      None, [1]])
+    def test_bad_coefficient_reports_the_fraction_error(self, coset_points, tmp_path, capsys,
+                                                        text):
+        try:
+            Fraction(text)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            problem = str(exc)
+        payload = json.loads(json.dumps(coset_points))
+        payload["points"][0][0]["coeffs"][1] = text
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert run(["count", str(path), "--threads", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: malformed point set ({problem})\n"
+
+    @pytest.mark.parametrize("zero", ["-0", "000", "+0", " 0", "0_0", "\u0660", "0/7", "0.0",
+                                      0, 0.0, False])
+    def test_zero_coefficient_encodings_count_the_same(self, coset_points, tmp_path, zero):
+        payload = json.loads(json.dumps(coset_points))
+        for point in payload["points"]:
+            for c in point:
+                c["coeffs"] = [zero if text == "0" else text for text in c["coeffs"]]
+        outputs = []
+        for name, data in (("plain", coset_points), ("spelled", payload)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            assert run(["count", str(path), "--threads", "1", "-o", str(tmp_path / "out.json")
+                        ]) == EXIT_OK
+            outputs.append(read_json(tmp_path / "out.json")["spectrum"])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("conductor", [float("inf"), 4 * (10**20 + 39)])
     def test_unbuildable_conductor_is_usage_error(self, coset_points, tmp_path, conductor):

@@ -439,12 +439,13 @@ class TestSplitInvariance:
 
 
 class TestLaneCap:
-    def test_huge_coordinate_stays_within_the_prime_cap(self, monkeypatch):
+    def test_huge_coordinate_stays_within_the_prime_cap(self):
         """A 1000-digit coefficient would need hundreds of split primes,
         whose Garner lift costs more than expanding the elements: the lanes
         stop at LANE_PRIME_CAP primes and the expansion over scalars decides."""
         from hypersphere_lab import geometry
         from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+        from hypersphere_lab.geometry import cospherical
         from hypersphere_lab.scalars import LANE_PRIME_CAP
 
         coset = coset_config(CosetSpec(CurveParams.default(4), 7, 0), validate=False)
@@ -454,10 +455,11 @@ class TestLaneCap:
         spec = spectrum(ps)
         assert len(x.ctx._lane_tables) <= LANE_PRIME_CAP
         assert geometry.scaled_rows(ps.points).basis is None
-        # every view expanded as a list of its scalar rows, never from a grid
-        grid = geometry._grid
-        monkeypatch.setattr(geometry, "_grid", lambda rows: grid(list(rows)))
-        assert spec == spectrum(ps)
+        # the scalar expansion counts the same as cospherical on each 6-set
+        sixes = sum(bool(cospherical([ps.points[i] for i in six]))
+                    for six in itertools.combinations(range(ps.n), 6))
+        assert spec.counts == {m: c for m, c in {5: math.comb(ps.n, 5) - 6 * sixes,
+                                                 6: sixes}.items() if c}
 
 
 class TestZeroFromLanes:

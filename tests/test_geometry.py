@@ -164,18 +164,23 @@ class TestLaneKernel:
 
     def test_pickled_rows_stay_one_set(self):
         """Pool workers receive the set pickled: its rows, grid and basis,
-        without the levels of its last view, so a worker's cofactors still
-        run in the set's lanes."""
+        without the levels of its last view or its zero certificates, so a
+        worker's cofactors still run in the set's lanes."""
         ctx = get_context(20)
         rows = scaled_rows(self.random_rows(ctx, random.Random(3), 5, 4, 8), row=tuple)
         cof = maximal_cofactors(rows.take(range(3)))
-        assert rows.walk[0] == (0, 1, 2)
+        [repeated] = incidence_values(cof, rows.take([1]))
+        assert is_zero(repeated) is True
+        assert rows.walk[0] == (0, 1, 2) and rows.certified == {(0, 1, 1, 2): True}
         again = pickle.loads(pickle.dumps(rows))
-        assert again.walk == ((), ()) and again.source is None
+        assert again.walk == ((), ()) and again.certified == {}
+        assert again.source is again and again.indices == rows.indices
         assert again.basis is not None and again.basis.primes == rows.basis.primes
         assert again == rows and (again.grid == rows.grid).all()
+        assert again.entries == rows.entries and again.prime == rows.prime
         cof_again = maximal_cofactors(again.take(range(3)))
         assert cof_again.basis is again.basis
+        assert again.walk[0] == (0, 1, 2)
         assert cof_again == cof
         assert incidence_values(cof_again, again.take([3, 4])) == incidence_values(
             cof, rows.take([3, 4]))
@@ -235,6 +240,50 @@ class TestLaneSetSoundness:
         assert set_b.basis is not None
         assert incidence_values(cof, set_b.take(range(k + 2))) == [
             laplace([x, *plain_a[:k]]) for x in plain_b]
+
+
+class TestFilterLane:
+    """A lane set tests each value in its filter lane, lane 0 of its basis's
+    first prime.  A nonzero residue there proves the value nonzero; a zero
+    one is certified in every lane, once per (d+2)-set of the set."""
+
+    def test_value_zero_in_the_filter_lane_only_is_nonzero(self):
+        """det [[z, w], [1, 1]] = z - w with w the root that z maps to in
+        the filter lane: its filter residue is 0, its value is not."""
+        ctx = get_context(20)
+        z, one = ctx.zeta_power(1), ctx.one()
+        basis = ctx.lane_basis(1)
+        w = ctx.from_rational(int(ctx.to_lanes([z], basis)[0, 0, 0]))
+        rows = scaled_rows([(z, w), (one, one)], row=tuple)
+        assert rows.prime == basis.primes[0] and rows.entries[0][0] == rows.entries[0][1]
+        with no_lifts():
+            value = det(rows)
+            cof = maximal_cofactors(rows.take([0]))
+            [incidence] = incidence_values(cof, rows.take([1]))
+            assert is_zero(value) is False and is_zero(incidence) is False
+        assert value == z - w and incidence == w - z
+
+    @pytest.mark.parametrize("n, l, spheres", [(12, 3, 80), (13, 0, 132)])
+    def test_one_certificate_per_sphere(self, monkeypatch, n, l, spheres):
+        """Coset sets have no false filter candidates, so every all-lane
+        expansion of a spectrum certifies one (d+2)-point sphere."""
+        from hypersphere_lab import geometry
+        from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+        from hypersphere_lab.counting import spectrum
+
+        ps = coset_config(CosetSpec(CurveParams.default(4), n, l), validate=False)
+        expansions = []
+        lane_minors = geometry._lane_minors
+
+        def counted(grid, basis, columns):
+            expansions.append(len(grid))
+            return lane_minors(grid, basis, columns)
+
+        monkeypatch.setattr(geometry, "_lane_minors", counted)
+        with no_lifts():
+            spec = spectrum(ps, threads=1)
+        assert spec.next_class == spheres and max(spec.counts) == 6
+        assert expansions == [6] * spheres
 
 
 class TestViewCache:

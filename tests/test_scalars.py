@@ -304,6 +304,27 @@ class TestSerialization:
         assert data["conductor"] == 12
         assert scalar_from_json(data) == e
 
+    @pytest.mark.parametrize("text", [
+        "0", "-0", "7", "-12", "007", "9" * 19, "9" * 20, "-" + "9" * 30, "1/2", "-3/4", "4/2",
+        " 7", "7 ", "+5", "1_0", "\u0663", "1e3", "0.5", "9" * 5000, "\u00b2", "", "-", "--1",
+        "1-", "1/0", "abc", 3, -2, 0.25, True, None, [1],
+    ])
+    def test_cyclotomic_coefficients_read_as_through_fraction(self, text):
+        """Short ASCII integers are read as ints; every coefficient encoding
+        gives the element, or raises the error, that ``Fraction`` gives."""
+        ctx = get_context(12)
+        coeffs = ["3", text, "-1/6"]
+        try:
+            want = ctx.element([Fraction(c) for c in coeffs])
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                scalar_from_json({"conductor": 12, "coeffs": coeffs})
+            assert str(raised.value) == str(exc)
+        else:
+            got = scalar_from_json({"conductor": 12, "coeffs": coeffs})
+            assert (got.num, got.den) == (want.num, want.den)
+            assert all(type(c) is int for c in got.num)
+
     def test_interval_round_trip_exact(self):
         x = IntervalScalar.from_fraction(Fraction(1, 3), 96)
         data = scalar_to_json(x)
