@@ -8,6 +8,11 @@ inputs, each invocation in a process of its own:
   n=14 seed 7, and that trivial set with ``--backend interval --bits 192``;
 * on each generated file: ``count --csv`` at ``--threads 1`` and ``2``,
   ``compare --csv`` (at ``--threads 2``), ``validate`` and ``lift``;
+* the same ``count``, ``compare`` and ``validate`` runs on a literal
+  rational d=3 n=12 file whose points 8-11 lie on one circle, which
+  violates general position: (8, 9, 10, 11) is its only degenerate 4-subset
+  and the last of its C(12, 4) = 495, so at ``--threads 2`` the pool finds
+  it in its second rank range;
 * ``selftest``.
 
 Each artifact is a directory of OUT_DIR holding the command's ``stdout``,
@@ -20,6 +25,7 @@ Usage:
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +39,10 @@ INPUTS = {
     "trivial-n14-seed7-interval": ["--d", "4", "--n", "14", "--kind", "trivial", "--seed", "7",
                                    "--backend", "interval", "--bits", "192"],
 }
+
+# eight integer points, then four points of the unit circle in z = 0
+VIOLATION_POINTS = [[2, 1, 3], [-1, 4, 2], [3, -2, 1], [1, 2, -4], [-3, -1, 5], [4, 3, -2],
+                    [-2, 5, -1], [5, -3, 4], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
 
 
 def artifact(out_dir: str, name: str, args: list) -> int:
@@ -51,6 +61,18 @@ def artifact(out_dir: str, name: str, args: list) -> int:
     return proc.returncode
 
 
+def examine(out_dir: str, label: str, points: str):
+    """``count`` at one and two threads, ``compare`` and ``validate`` on the
+    file ``points``."""
+    for threads in (1, 2):
+        name = f"count-t{threads}-{label}"
+        artifact(out_dir, name, ["count", points, "--threads", str(threads),
+                                 "--csv", f"{name}/spectrum.csv"])
+    name = f"compare-{label}"
+    artifact(out_dir, name, ["compare", points, "--threads", "2", "--csv", f"{name}/table.csv"])
+    artifact(out_dir, f"validate-{label}", ["validate", points])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="new or empty directory for the artifacts")
@@ -61,14 +83,13 @@ def main(argv=None) -> int:
     for label, args in INPUTS.items():
         points = f"generate-{label}/points.json"
         artifact(out_dir, f"generate-{label}", ["generate", *args, "-o", points])
-        for threads in (1, 2):
-            name = f"count-t{threads}-{label}"
-            artifact(out_dir, name, ["count", points, "--threads", str(threads),
-                                     "--csv", f"{name}/spectrum.csv"])
-        name = f"compare-{label}"
-        artifact(out_dir, name, ["compare", points, "--threads", "2", "--csv", f"{name}/table.csv"])
-        artifact(out_dir, f"validate-{label}", ["validate", points])
+        examine(out_dir, label, points)
         artifact(out_dir, f"lift-{label}", ["lift", points])
+    points = "violation-points.json"
+    with open(os.path.join(out_dir, points), "w") as fh:
+        json.dump({"dimension": 3, "backend": "rational",
+                   "points": [[str(c) for c in p] for p in VIOLATION_POINTS]}, fh)
+    examine(out_dir, "violation", points)
     artifact(out_dir, "selftest", ["selftest"])
     return 0
 

@@ -3,9 +3,13 @@ exactly m points of a configuration.
 
 Every (d+1)-subset of a set in general position determines one
 hypersphere-or-hyperplane; a surface through exactly m points is found by
-exactly C(m, d+1) subsets.  The engine therefore histograms incidence
-counts over all subsets and divides by binomials, which yields a free
-integrity check: inexact division means a predicate lied somewhere.
+exactly C(m, d+1) subsets.  One walk (``_histogram_range``) visits every
+subset in lexicographic order, stops at the first degenerate one, and
+histograms a key of each other subset.  ``spectrum`` keys a subset by its
+incidence count m and divides by binomials, which yields a free integrity
+check: inexact division means a predicate lied somewhere.
+``spectrum_by_hashing`` keys it by its canonical surface and inverts the
+key multiplicities C(m, d+1) back to m.
 
 The same scheme with affine rows (1, y) counts hyperplanes of a set in
 R^D, which is how lifted configurations are cross-checked.
@@ -25,8 +29,8 @@ from .geometry import (
     Hypersphere,
     PointSet,
     affine_row,
+    degenerate,
     incidence_values,
-    is_zero_fast,
     lift_set,
     lifted_row,
     maximal_cofactors,
@@ -102,75 +106,71 @@ def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# subset histogram core
+# the subset walk
 # ---------------------------------------------------------------------------
 
 
-def _histogram_range(rows, r: int, start: int, stop: int):
-    """Incidence-count histogram over subsets with ranks in [start, stop)
-    of the ``RowSet`` ``rows``.
+def _incidence_count(rows, subset, cof):
+    """The number of rows of ``rows`` on the surface of ``subset``, or
+    INDETERMINATE once one incidence test is."""
+    m = len(subset)
+    others = rows.take([i for i in range(len(rows)) if i not in subset])
+    for value in incidence_values(cof, others):
+        verdict = is_zero(value)
+        if verdict is INDETERMINATE:
+            return INDETERMINATE
+        if verdict:
+            m += 1
+    return m
 
-    Returns (Counter m -> #subsets, indeterminate subsets, first degenerate
-    witness in this range or None).  Each subset and its complement are
-    views of the set, and consecutive subsets share a prefix of indices,
-    whose expansion levels the set keeps (see ``geometry``).
+
+def _surface(rows, subset, cof):
+    return Hypersphere.from_cofactors(cof)
+
+
+def _histogram_range(rows, r: int, start: int, stop: int, key):
+    """Histogram of ``key(rows, subset, cof)`` over the r-subsets with ranks
+    in [start, stop) of the ``RowSet`` ``rows``, with ``cof`` the maximal
+    cofactors of the subset's rows.
+
+    Returns (Counter key -> #subsets, first degenerate subset in this range
+    or None).  Each subset and its complement are views of the set, and
+    consecutive subsets share a prefix of indices, whose expansion levels
+    the set keeps (see ``geometry``).
     """
-    n = len(rows)
     hist: Counter = Counter()
-    indeterminate = 0
-    violation = None
-    for subset in itertools.islice(itertools.combinations(range(n), r), start, stop):
+    for subset in itertools.islice(itertools.combinations(range(len(rows)), r), start, stop):
         cof = maximal_cofactors(rows.take(subset))
-        if all(is_zero_fast(c) for c in cof):
-            violation = subset
-            break
-        others = rows.take([i for i in range(n) if i not in subset])
-        m = r
-        uncertain = False
-        for value in incidence_values(cof, others):
-            verdict = is_zero(value)
-            if verdict is INDETERMINATE:
-                uncertain = True
-                break
-            if verdict:
-                m += 1
-        if uncertain:
-            indeterminate += 1
-        else:
-            hist[m] += 1
-    return hist, indeterminate, violation
+        if degenerate(cof):
+            return hist, subset
+        hist[key(rows, subset, cof)] += 1
+    return hist, None
 
 
-def _subset_histogram(ps: PointSet, row, r: int, threads: int):
+def _subset_histogram(ps: PointSet, row, r: int, threads: int, key):
     rows = scaled_rows(ps.points, row)
     total = math.comb(ps.n, r)
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1 or total < 256:
-        return _histogram_range(rows, r, 0, total)
+        return _histogram_range(rows, r, 0, total, key)
     # contiguous rank ranges; merged results are independent of the split
     chunk = -(-total // workers)
     starts = range(0, total, chunk)
     stops = [min(start + chunk, total) for start in starts]
-    hist: Counter = Counter()
-    indeterminate = 0
-    violations = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part, indet, violation in pool.map(
-            _histogram_range, itertools.repeat(rows), itertools.repeat(r), starts, stops
-        ):
-            hist.update(part)
-            indeterminate += indet
-            if violation is not None:
-                violations.append(violation)
-    return hist, indeterminate, min(violations, default=None)
+        parts = list(pool.map(_histogram_range, itertools.repeat(rows), itertools.repeat(r),
+                              starts, stops, itertools.repeat(key)))
+    violations = [violation for _, violation in parts if violation is not None]
+    return sum((part for part, _ in parts), Counter()), min(violations, default=None)
 
 
 def _spectrum(ps: PointSet, row, r: int, violation_error, threads: int) -> Spectrum:
     """Histogram every r-subset's incidence count over ``row`` images of
     the points, then divide by the multiplicities C(m, r)."""
-    hist, indeterminate, violation = _subset_histogram(ps, row, r, threads)
+    hist, violation = _subset_histogram(ps, row, r, threads, _incidence_count)
     if violation is not None:
         raise violation_error(violation)
+    indeterminate = hist.pop(INDETERMINATE, 0)
     counts = {}
     for m, subsets in sorted(hist.items()):
         quotient, remainder = divmod(subsets, math.comb(m, r))
@@ -255,33 +255,27 @@ def verify_correspondence(ps: PointSet, threads: int = 1) -> CorrespondenceRepor
 
 
 # ---------------------------------------------------------------------------
-# exact-mode fast path: canonical-key deduplication
+# the hash-key cross-check
 # ---------------------------------------------------------------------------
 
 
 def spectrum_by_hashing(ps: PointSet) -> Spectrum:
-    """Alternative exact-mode spectrum: canonicalize the surface of every
-    (d+1)-subset and invert key multiplicities t = C(m, d+1) back to m.
+    """Alternative exact-mode spectrum: the same walk keys every
+    (d+1)-subset by its canonical surface, and key multiplicities
+    t = C(m, d+1) are inverted back to m.
 
-    Shares the cofactor expansion but none of the incidence counting with
-    ``spectrum``; the two are cross-checked in tests and available as a
-    runtime self-check.
+    Shares the walk and the cofactor expansion but none of the incidence
+    counting with ``spectrum``; the two are cross-checked in tests and
+    available as a runtime self-check.
     """
     if ps.backend == "interval":
         raise DomainError("hash deduplication requires an exact backend")
-    d = ps.dimension
-    r = d + 1
-    rows = scaled_rows(ps.points)
-    keys: Counter = Counter()
-    for subset in itertools.combinations(range(ps.n), r):
-        cof = maximal_cofactors(rows.take(subset))
-        if all(is_zero_fast(c) for c in cof):
-            raise GeneralPositionError(subset)
-        # row layout (1, x, |x|^2) puts u first and w last; the canonical
-        # form divides the row scales out
-        keys[Hypersphere.from_coefficients(cof[-1], cof[1:-1], cof[0])] += 1
+    r = ps.dimension + 1
+    keys, violation = _subset_histogram(ps, lifted_row, r, 1, _surface)
+    if violation is not None:
+        raise GeneralPositionError(violation)
     counts: Counter = Counter()
-    for sphere, multiplicity in keys.items():
+    for multiplicity in keys.values():
         m = r
         while m <= ps.n and math.comb(m, r) < multiplicity:
             m += 1
@@ -290,7 +284,7 @@ def spectrum_by_hashing(ps: PointSet) -> Spectrum:
                 f"key multiplicity {multiplicity} is not a binomial C(m,{r})"
             )
         counts[m] += 1
-    spec = Spectrum(d, ps.n, r, dict(counts), 0)
+    spec = Spectrum(ps.dimension, ps.n, r, dict(counts), 0)
     if not spec.partition_holds():
         raise ConsistencyError("partition identity failed in hash fast path")
     return spec

@@ -3,9 +3,9 @@
 A hypersphere-or-hyperplane is the zero set of w*|x|^2 + a.x + u.  All
 predicates reduce to determinants of rows (1, x, |x|^2): d+2 points lie on
 a common hypersphere-or-hyperplane exactly when that determinant vanishes,
-and a (d+1)-subset admits a unique such surface exactly when its rows have
-full rank.  Working with these rows keeps entries polynomial in the input
-coordinates (no denominators) and makes every predicate division-free.
+and a (d+1)-subset spans a unique such surface unless its maximal cofactors
+are all zero (``degenerate``).  These rows keep entries polynomial in the
+input coordinates (no denominators) and every predicate division-free.
 
 Exact rows are made integral once (``scaled_rows``) before the predicates
 expand them: each row is multiplied by the lcm of its denominators.
@@ -28,12 +28,13 @@ lanes of its entries over one ``basis`` of split primes (see ``scalars``)
 as one ``grid``, and expands in its *filter lane*, each entry's residue in
 lane 0 of the basis's first prime, kept as Python ints.  The cofactors of a
 view of a lane set, and their incidence values against a view of the same
-set, are lane values known by their filter residues.  A nonzero residue
-proves a value nonzero.  A zero one is decided in every lane under the
-set's bound (below): a cofactor or a determinant by an all-lane expansion
-of its view, whose grid is gathered from the set then, and an incidence
-value det([x; S]) by the all-lane determinant of the sorted indices of S
-and x, which the set records, so that each (d+2)-set is certified once.
+set (one of the same ``source``), are lane values known by their filter
+residues.  A nonzero residue proves a value nonzero.  A zero one is
+decided in every lane under the set's bound (below): a cofactor or a
+determinant by an all-lane expansion of its view, whose grid is gathered
+from the set then, and an incidence value det([x; S]) by the all-lane
+determinant of the sorted indices of S and x, which the set records, so
+that each (d+2)-set is certified once.
 Coefficients are lifted only when read (equality, hashing, JSON, pickling
 or arithmetic), each array of values by one ``from_lanes`` call.  Rows of
 two sets, or a cofactor tuple used as a row, expand over their elements.
@@ -176,10 +177,10 @@ class PointSet:
 # ---------------------------------------------------------------------------
 
 
-def is_zero_fast(value) -> bool:
-    """Structural zero test of an exact scalar, without the tri-state of
-    ``is_zero``: an interval is never structurally zero."""
-    return is_zero(value) is True
+def degenerate(values) -> bool:
+    """Whether every value is certified zero, as a subset's cofactors or a
+    surface's coefficients may be; an interval never is."""
+    return all(is_zero(value) is True for value in values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -262,11 +263,11 @@ class RowSet(tuple):
     ``grid``, an (n, width, primes, degree) tensor over ``basis``, and as
     ``entries`` its filter lane: lane 0 of the basis's first prime,
     ``prime``, as n lists of Python ints.  Any other set's ``entries`` are
-    its rows.  The basis object is the set's identity: values over it are
-    covered by the set's bound.  ``take`` makes a view (``source``,
-    ``indices``).  A set keeps the indices and levels of its last expanded
-    view in ``walk`` and its zero certificates in ``certified``, which a
-    pickle drops.
+    its rows.  ``take`` makes a view (``source``, ``indices``); the source
+    is the set's identity, and its bound covers the values of its views.
+    A set keeps the indices and levels of its last expanded view in
+    ``walk`` and its zero certificates in ``certified``, which a pickle
+    drops.
     """
 
     walk = ((), ())
@@ -372,7 +373,7 @@ class _Lanes(tuple):
 
     def __new__(cls, view, array, residues):
         self = super().__new__(cls, _lane_values(array, residues))
-        self.basis, self.view, self.array, self.residues = view.basis, view, array, residues
+        self.view, self.array, self.residues = view, array, residues
         return self
 
     @property
@@ -456,19 +457,19 @@ def incidence_values(cof, rows) -> list:
     determinant of the sorted indices of S and x."""
     if not rows:
         return []
-    if not (isinstance(cof, _Lanes) and cof.basis is getattr(rows, "basis", None)):
+    if not (isinstance(cof, _Lanes) and cof.view.source is getattr(rows, "source", None)):
         return _dot_function(len(cof), False)(rows, cof, None)
     source, defining = rows.source, cof.view.indices
     residues = _dot_function(len(cof), True)(map(source.entries.__getitem__, rows.indices),
                                              cof.residues, source.prime)
 
     def expand():
-        return (rows.grid * cof.lanes).sum(axis=1) % cof.basis.moduli
+        return (rows.grid * cof.lanes).sum(axis=1) % source.basis.moduli
 
     def certify(index):
         return source.certify_zero(tuple(sorted((*defining, rows.indices[index]))))
 
-    return _lane_values(_LaneArray(cof.array.ctx, cof.basis, expand, certify), residues)
+    return _lane_values(_LaneArray(cof.array.ctx, source.basis, expand, certify), residues)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +626,7 @@ def general_position_check(ps: PointSet):
         raise DomainError("general position certification requires an exact backend")
     rows = scaled_rows(ps.points)
     for subset in combinations(range(ps.n), ps.dimension + 1):
-        cof = maximal_cofactors(rows.take(subset))
-        if all(is_zero_fast(c) for c in cof):
+        if degenerate(maximal_cofactors(rows.take(subset))):
             return subset
     return None
 
@@ -649,10 +649,16 @@ class Hypersphere:
             raise DomainError("hypersphere coefficients mix backends")
         backend = kinds.pop()
         if backend != "interval":
-            if all(is_zero_fast(c) for c in coeffs):
+            if degenerate(coeffs):
                 raise DegeneracyError("all hypersphere coefficients vanish")
             coeffs = _canonicalize(coeffs, backend)
         return cls(coeffs[0], tuple(coeffs[1:-1]), coeffs[-1])
+
+    @classmethod
+    def from_cofactors(cls, cof) -> "Hypersphere":
+        """The surface of a subset from the maximal cofactors of its rows
+        (1, x, |x|^2), u first and w last; the canonical form drops scales."""
+        return cls.from_coefficients(cof[-1], cof[1:-1], cof[0])
 
     @property
     def dimension(self) -> int:
@@ -705,10 +711,9 @@ def hypersphere_through(points) -> Hypersphere:
     if len(points) != d + 1:
         raise DomainError(f"need exactly {d + 1} points in dimension {d}")
     cof = maximal_cofactors(scaled_rows(points))
-    if all(is_zero_fast(c) for c in cof):
+    if degenerate(cof):
         raise DegeneracyError("points lie on a common (d-2)-sphere or (d-2)-flat")
-    # row layout (1, x, |x|^2) puts u first and w last
-    return Hypersphere.from_coefficients(cof[-1], cof[1:-1], cof[0])
+    return Hypersphere.from_cofactors(cof)
 
 
 def incident(sphere: Hypersphere, point: Point):

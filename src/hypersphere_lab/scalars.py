@@ -315,8 +315,7 @@ class CyclotomicContext:
         """The fewest split primes whose product exceeds 2 * ``bound``, so
         that the Chinese remainder theorem recovers every integer of absolute
         value at most ``bound``; None if that takes more than LANE_PRIME_CAP
-        primes or more than lie below the ceiling.  Every call returns a new
-        basis object."""
+        primes or more than lie below the ceiling."""
         while not self._lane_products or self._lane_products[-1] <= 2 * bound:
             if len(self._lane_tables) >= LANE_PRIME_CAP or not self._add_split_prime():
                 return None

@@ -29,7 +29,8 @@ from hypersphere_lab.constructions import (
     trivial_config,
 )
 from hypersphere_lab.counting import spectrum, verify_correspondence
-from hypersphere_lab.geometry import cospherical, invert_set
+from hypersphere_lab.geometry import det, invert_set, scaled_rows
+from hypersphere_lab.scalars import is_zero
 
 PARAMS = CurveParams.default(4)
 
@@ -121,10 +122,12 @@ def test_criterion_5_group_law_validation():
         assert residual.contains_zero(), (ts, residual)
     cases = [(n, 0) for n in range(7, 15)] + [(12, 1)]
     for n, l in cases:
-        ps = coset_config(CosetSpec(PARAMS, n, l), validate=False)
+        # one row set per configuration; cospherical itself is tested per
+        # call in test_geometry.py and test_counting.py::TestZeroFromLanes
+        rows = scaled_rows(coset_config(CosetSpec(PARAMS, n, l), validate=False).points)
         for subset in itertools.combinations(range(n), 6):
             predicted = (sum(subset) + l) % n == 0
-            actual = cospherical([ps.points[i] for i in subset])
+            actual = is_zero(det(rows.take(subset)))
             assert actual is predicted, (n, l, subset)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0, f"took {elapsed:.1f}s (budget 600s)"

@@ -23,7 +23,7 @@ from hypersphere_lab.counting import (
     verify_correspondence,
 )
 from hypersphere_lab.errors import GeneralPositionError, SpanError
-from hypersphere_lab.geometry import PointSet, as_point, lift_set
+from hypersphere_lab.geometry import PointSet, as_point, general_position_check, lift_set
 from hypersphere_lab.scalars import IntervalScalar
 
 
@@ -140,6 +140,10 @@ class TestRationalPins:
             with pytest.raises(GeneralPositionError) as err:
                 spectrum(ps, threads=threads)
             assert err.value.witness == first
+        assert general_position_check(ps) == first
+        with pytest.raises(GeneralPositionError) as err:
+            spectrum_by_hashing(ps)
+        assert err.value.witness == first
 
 
 class TestHyperplaneSpectrum:
@@ -407,18 +411,23 @@ class TestSplitInvariance:
     """The walk over all C(n, r) ranks equals the merge of three uneven
     ranges whose cut points fall inside runs of subsets that share their
     first r-1 rows: a range may start from the levels another left in the
-    set, so the result cannot depend on how the pool splits the work."""
+    set, so the result cannot depend on how the pool splits the work.  On
+    interval boxes the INDETERMINATE key merges like any count."""
 
-    @pytest.mark.parametrize("config", ["coset", "trivial"])
+    @pytest.mark.parametrize("config", ["coset", "trivial", "interval"])
     def test_uneven_ranges_merge_to_the_whole_walk(self, config):
         from hypersphere_lab.constructions import (
             CosetSpec, CurveParams, coset_config, trivial_config)
         from hypersphere_lab.geometry import scaled_rows
+        from hypersphere_lab.scalars import INDETERMINATE
 
         if config == "coset":
             ps = coset_config(CosetSpec(CurveParams.default(4), 10, 0), validate=False)
         else:
             ps = trivial_config(3, 9, seed=4)
+        if config == "interval":
+            ps = PointSet.build([tuple(IntervalScalar.from_fraction(c, 128) for c in p)
+                                 for p in ps.points])
         rows, r = scaled_rows(ps.points), ps.dimension + 1
         subsets = list(itertools.combinations(range(ps.n), r))
 
@@ -427,15 +436,20 @@ class TestSplitInvariance:
                         if subsets[c - 1][:r - 1] == subsets[c][:r - 1])
 
         cuts = [0, cut(len(subsets) // 7), cut(3 * len(subsets) // 5), len(subsets)]
-        whole = counting._histogram_range(rows, r, 0, len(subsets))
-        hist, indeterminate, violations = Counter(), 0, []
+        key = counting._incidence_count
+        whole = counting._histogram_range(rows, r, 0, len(subsets), key)
+        hist, violations = Counter(), []
         for start, stop in zip(cuts, cuts[1:]):
-            part, indet, violation = counting._histogram_range(rows, r, start, stop)
+            part, violation = counting._histogram_range(rows, r, start, stop, key)
             hist.update(part)
-            indeterminate += indet
             violations += [violation] if violation else []
-        assert whole == (hist, indeterminate, min(violations, default=None))
-        assert max(hist) > r and sum(hist.values()) == len(subsets)
+        assert whole == (hist, min(violations, default=None))
+        assert sum(hist.values()) == len(subsets)
+        indeterminate = hist.pop(INDETERMINATE, 0)
+        if config == "interval":
+            assert indeterminate > 0
+        else:
+            assert indeterminate == 0 and max(hist) > r
 
 
 class TestLaneCap:
@@ -532,6 +546,19 @@ class TestIntervalMode:
         # fifth incidence; everything else is certified ordinary
         assert spec.indeterminate_count == math.comb(5, 4)
         assert spec.counts == {4: 10}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_indeterminate_key_survives_the_pool(self, threads):
+        """C(12, 4) = 495 subsets reach the pool at two threads: the
+        INDETERMINATE key of each worker's histogram is the one singleton
+        after pickling, so the counts merge as in the serial walk."""
+        from hypersphere_lab.constructions import trivial_config
+
+        exact = trivial_config(3, 12, seed=2)
+        ps = PointSet.build([tuple(IntervalScalar.from_fraction(c, 128) for c in p)
+                             for p in exact.points])
+        spec = spectrum(ps, threads=threads)
+        assert spec.counts == {4: 165} and spec.indeterminate_count == 330
 
     def test_preconditions(self):
         from hypersphere_lab.errors import DomainError
