@@ -13,6 +13,9 @@ inputs, each invocation in a process of its own:
   violates general position: (8, 9, 10, 11) is its only degenerate 4-subset
   and the last of its C(12, 4) = 495, so at ``--threads 2`` the pool finds
   it in its second rank range;
+* two malformed runs, which exit 2: ``count`` on a d=2 interval file whose
+  second point has its first coordinate's endpoints swapped, and ``count
+  -o`` into a missing directory;
 * ``selftest``.
 
 Each artifact is a directory of OUT_DIR holding the command's ``stdout``,
@@ -43,6 +46,10 @@ INPUTS = {
 # eight integer points, then four points of the unit circle in z = 0
 VIOLATION_POINTS = [[2, 1, 3], [-1, 4, 2], [3, -2, 1], [1, 2, -4], [-3, -1, 5], [4, 3, -2],
                     [-2, 5, -1], [5, -3, 4], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
+
+# (lo, hi) of each coordinate; the second point's first one has lo > hi
+SWAPPED_ENDPOINTS = [[("0", "0"), ("0", "0")], [("1.5", "0.5"), ("0", "0")],
+                     [("0", "0"), ("1", "1")], [("2", "2"), ("3", "3")]]
 
 
 def artifact(out_dir: str, name: str, args: list) -> int:
@@ -90,6 +97,15 @@ def main(argv=None) -> int:
         json.dump({"dimension": 3, "backend": "rational",
                    "points": [[str(c) for c in p] for p in VIOLATION_POINTS]}, fh)
     examine(out_dir, "violation", points)
+    points = "swapped-endpoints.json"
+    with open(os.path.join(out_dir, points), "w") as fh:
+        json.dump({"dimension": 2, "backend": "interval",
+                   "points": [[{"lo": lo, "hi": hi, "bits": 128} for lo, hi in p]
+                              for p in SWAPPED_ENDPOINTS]}, fh)
+    artifact(out_dir, "count-swapped-endpoints", ["count", points, "--threads", "1"])
+    artifact(out_dir, "count-missing-directory",
+             ["count", "generate-trivial-n14-seed7/points.json", "--threads", "1",
+              "-o", "missing/spectrum.json"])
     artifact(out_dir, "selftest", ["selftest"])
     return 0
 

@@ -32,14 +32,22 @@ def _emit_json(payload: dict, args: argparse.Namespace):
     payload["run"] = {k: v for k, v in vars(args).items() if v is not None and v is not False}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
+        with _open_output(args.output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _open_output(path: str, newline=None):
+    """``path`` opened for writing; a path that cannot be is a usage error."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from None
+
+
 def _write_csv(path: str, rows):
-    with open(path, "w", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         for row in rows:
             writer.writerow(row)
@@ -171,7 +179,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ps = _load_pointset(args.input)
     report = constructions.compare_report(ps, threads=args.threads or 1)
     if args.output:
-        with open(args.output, "w") as fh:
+        with _open_output(args.output) as fh:
             fh.write(report.to_markdown())
     else:
         sys.stdout.write(report.to_markdown())

@@ -26,18 +26,18 @@ their own scalars.
 A cyclotomic set of one conductor is a lane set: it keeps the residue
 lanes of its entries over one ``basis`` of split primes (see ``scalars``)
 as one ``grid``, and expands in its *filter lane*, each entry's residue in
-lane 0 of the basis's first prime, kept as Python ints.  The cofactors of a
-view of a lane set, and their incidence values against a view of the same
-set (one of the same ``source``), are lane values known by their filter
-residues.  A nonzero residue proves a value nonzero.  A zero one is
-decided in every lane under the set's bound (below): a cofactor or a
-determinant by an all-lane expansion of its view, whose grid is gathered
-from the set then, and an incidence value det([x; S]) by the all-lane
-determinant of the sorted indices of S and x, which the set records, so
-that each (d+2)-set is certified once.
-Coefficients are lifted only when read (equality, hashing, JSON, pickling
-or arithmetic), each array of values by one ``from_lanes`` call.  Rows of
-two sets, or a cofactor tuple used as a row, expand over their elements.
+lane 0 of the basis's first prime, kept as Python ints.  The cofactors or
+the determinant of a view of a lane set are lane values known by their
+filter residues.  A nonzero residue proves a value nonzero.  A zero one is
+decided in every lane under the set's bound (below): the view expands all
+its values in every lane once, from a grid gathered from the set then, and
+lifts them by one ``from_lanes`` call only when one is read (equality,
+hashing, JSON, pickling or arithmetic).  Incidence values det([x; S])
+against a view of the same set (one of the same ``source``) are only
+decided: by a nonzero filter residue, or else by the all-lane determinant
+of the sorted indices of S and x, which the set records, so that each
+(d+2)-set is certified once.  Rows of two sets, or a cofactor tuple used
+as a row, expand over their elements.
 
 Level j of the expansion holds the minors of rows 0..j and depends on
 those rows alone: for a view, on its first j+1 indices and the set's
@@ -265,12 +265,14 @@ class RowSet(tuple):
     ``prime``, as n lists of Python ints.  Any other set's ``entries`` are
     its rows.  ``take`` makes a view (``source``, ``indices``); the source
     is the set's identity, and its bound covers the values of its views.
-    A set keeps the indices and levels of its last expanded view in
-    ``walk`` and its zero certificates in ``certified``, which a pickle
-    drops.
+    A view of a lane set owns its values in every lane: ``lanes`` expands
+    them once and ``lifted`` lifts them once.  A set keeps the indices and
+    levels of its last expanded view in ``walk`` and its zero certificates
+    in ``certified``, which a pickle drops.
     """
 
     walk = ((), ())
+    _lanes = _lifted = None
 
     def __new__(cls, rows, grid=None, basis=None):
         self = super().__new__(cls, rows)
@@ -301,84 +303,67 @@ class RowSet(tuple):
         view.basis, view.source, view.indices = self.basis, source, indices
         return view
 
+    def lanes(self) -> np.ndarray:
+        """The values of these lane rows in every lane, reduced, shape
+        (count, primes, degree): the determinant if the rows are square,
+        else their signed maximal cofactors.  Expanded on the first call."""
+        if self._lanes is None:
+            # in combinations order the minors leave out the last column
+            # first; c_j = (-1)^j * (the minor without column j), and a
+            # square view has one minor, its determinant
+            lanes = _lane_minors(self.grid, self.basis, len(self[0]))[::-1].copy()
+            lanes[1::2] *= -1
+            self._lanes = lanes % self.basis.moduli
+        return self._lanes
+
+    def lifted(self) -> list:
+        """The ``lanes`` values as elements, lifted by one ``from_lanes``
+        call on the first one."""
+        if self._lifted is None:
+            self._lifted = self[0][0].ctx.from_lanes(self.lanes(), self.basis)
+        return self._lifted
+
     def certify_zero(self, indices: tuple) -> bool:
         """Whether the determinant of the rows of this lane set at
         ``indices`` vanishes, decided in every lane under the set's bound
         once per index tuple."""
         verdict = self.certified.get(indices)
         if verdict is None:
-            minors = _lane_minors(self._grid.take(indices, axis=0), self.basis, len(indices))
-            verdict = self.certified[indices] = not minors.any()
+            verdict = self.certified[indices] = not self.take(indices).lanes().any()
         return verdict
 
 
-class _LaneArray:
-    """Values of one lane set, known by their filter residues.  Their
-    lanes over the set's basis, shape (count, primes, degree), are computed
-    by ``expand`` when first needed, and lifted by one ``from_lanes`` call
-    on the first read.  A value with a zero filter residue is zero iff
-    ``certify(index)``, by default iff all its lanes are."""
-
-    __slots__ = ("ctx", "basis", "expand", "certify", "lanes", "lifted")
-
-    def __init__(self, ctx, basis, expand, certify=None):
-        self.ctx, self.basis, self.expand, self.certify = ctx, basis, expand, certify
-        self.lanes = self.lifted = None
-
-    def all_lanes(self) -> np.ndarray:
-        if self.lanes is None:
-            self.lanes = self.expand()
-        return self.lanes
-
-    def zero(self, index) -> bool:
-        if self.certify is not None:
-            return self.certify(index)
-        return not self.all_lanes()[index].any()
-
-    def __getitem__(self, index):
-        if self.lifted is None:
-            self.lifted = self.ctx.from_lanes(self.all_lanes(), self.basis)
-        return self.lifted[index]
-
-
 class _LaneValue(CycloElement):
-    """One value of a ``_LaneArray``.  A nonzero filter residue proves it
-    nonzero; a zero one is certified in every lane (see the module
-    docstring).  Its coefficients are lifted, with the whole array, only
-    when read.  Lane values are integral, so ``den`` is 1."""
+    """Value ``index`` of a view of a lane set, known by its filter
+    ``residue``.  A nonzero residue proves it nonzero; a zero one is decided
+    in the view's ``lanes``.  Its coefficients are lifted, with the view's
+    other values, only when read.  Lane values are integral, so ``den`` is
+    1."""
 
-    __slots__ = ("_array", "_index", "_residue")
+    __slots__ = ("_view", "_index", "_residue")
     den = 1
 
-    def __init__(self, array, index, residue):
-        self.ctx, self._array, self._index, self._residue = array.ctx, array, index, residue
+    def __init__(self, ctx, view, index, residue):
+        self.ctx, self._view, self._index, self._residue = ctx, view, index, residue
 
     @property
     def num(self):
-        return self._array[self._index].num
+        return self._view.lifted()[self._index].num
 
     def is_zero(self) -> bool:
-        return not self._residue and self._array.zero(self._index)
-
-
-def _lane_values(array, residues) -> list:
-    """The values of ``array``, one per filter residue."""
-    return [_LaneValue(array, i, residue) for i, residue in enumerate(residues)]
+        return not self._residue and not self._view.lanes()[self._index].any()
 
 
 class _Lanes(tuple):
     """The maximal cofactors of a view of a lane set: their values, the
-    ``view``, the ``array`` that holds their lanes and their filter
-    ``residues``."""
+    ``view`` that owns their lanes, and their filter ``residues``."""
 
-    def __new__(cls, view, array, residues):
-        self = super().__new__(cls, _lane_values(array, residues))
-        self.view, self.array, self.residues = view, array, residues
+    def __new__(cls, view, residues):
+        ctx = view[0][0].ctx
+        self = super().__new__(cls, [_LaneValue(ctx, view, i, residue)
+                                     for i, residue in enumerate(residues)])
+        self.view, self.residues = view, residues
         return self
-
-    @property
-    def lanes(self) -> np.ndarray:
-        return self.array.all_lanes()
 
 
 def _minors(rows, columns: int) -> list:
@@ -415,11 +400,9 @@ def det(rows) -> object:
     if any(len(r) != k for r in rows):
         raise ValueError("det requires a square matrix")
     [value] = _minors(rows, k)
-    basis = getattr(rows, "basis", None)
-    if basis is None:
+    if getattr(rows, "basis", None) is None:
         return value
-    array = _LaneArray(rows[0][0].ctx, basis, lambda: _lane_minors(rows.grid, basis, k))
-    return _LaneValue(array, 0, value)
+    return _LaneValue(rows[0][0].ctx, rows, 0, value)
 
 
 def maximal_cofactors(rows) -> tuple:
@@ -437,24 +420,18 @@ def maximal_cofactors(rows) -> tuple:
     # in combinations order the k-column subsets leave out column k first
     signed = _minors(rows, columns)[::-1]
     signed[1::2] = [-c for c in signed[1::2]]
-    basis = getattr(rows, "basis", None)
-    if basis is None:
+    if getattr(rows, "basis", None) is None:
         return tuple(signed)
-
-    def expand():
-        lanes = _lane_minors(rows.grid, basis, columns)[::-1].copy()
-        lanes[1::2] *= -1
-        return lanes % basis.moduli
-
-    return _Lanes(rows, _LaneArray(rows[0][0].ctx, basis, expand), signed)
+    return _Lanes(rows, signed)
 
 
 def incidence_values(cof, rows) -> list:
     """det([x; S]) = sum_j x[j] * cof[j] for each row x of ``rows``, where
     ``cof`` are the maximal cofactors of S.  If ``cof`` are lane values of
-    the set ``rows`` is a view of, so are these: their filter residues come
-    from the filter lane, and a zero residue is certified by the set's
-    determinant of the sorted indices of S and x."""
+    the set ``rows`` is a view of, each value is only decided, as a Python
+    int that is zero iff the value is: its filter residue, or where that is
+    0, whether the set's determinant of the sorted indices of S and x is
+    certified nonzero."""
     if not rows:
         return []
     if not (isinstance(cof, _Lanes) and cof.view.source is getattr(rows, "source", None)):
@@ -462,14 +439,8 @@ def incidence_values(cof, rows) -> list:
     source, defining = rows.source, cof.view.indices
     residues = _dot_function(len(cof), True)(map(source.entries.__getitem__, rows.indices),
                                              cof.residues, source.prime)
-
-    def expand():
-        return (rows.grid * cof.lanes).sum(axis=1) % source.basis.moduli
-
-    def certify(index):
-        return source.certify_zero(tuple(sorted((*defining, rows.indices[index]))))
-
-    return _lane_values(_LaneArray(cof.array.ctx, source.basis, expand, certify), residues)
+    return [residue or int(not source.certify_zero(tuple(sorted((*defining, i)))))
+            for residue, i in zip(residues, rows.indices)]
 
 
 # ---------------------------------------------------------------------------

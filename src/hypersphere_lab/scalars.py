@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import finf, fninf, mpf_lt
 
 from .errors import ConductorError, DomainError, ResourceError
 
@@ -646,11 +647,19 @@ class IntervalScalar:
 
     @classmethod
     def from_endpoints(cls, lo, hi, bits: int) -> "IntervalScalar":
-        # extra headroom so exact decimal endpoints round-trip unchanged
-        v = interval_context(bits + 32).mpf([lo, hi])
-        if v.a > v.b:
+        for endpoint in (lo, hi):
+            if not isinstance(endpoint, (int, float, str)):
+                raise ValueError(f"interval endpoint must be a number or a string, "
+                                 f"got {endpoint!r}")
+        # extra headroom so exact decimal endpoints round-trip unchanged;
+        # the endpoints are rounded outward (a NaN to -inf and +inf)
+        iv = interval_context(bits + 32)
+        lower, upper = iv.mpf([lo, lo])._mpi_[0], iv.mpf([hi, hi])._mpi_[1]
+        if lower in (finf, fninf) or upper in (finf, fninf):
+            raise ValueError("interval endpoints must be finite")
+        if mpf_lt(upper, lower):
             raise ValueError("interval lower bound exceeds upper bound")
-        return cls(v, bits)
+        return cls(iv.make_mpf((lower, upper)), bits)
 
     @property
     def lo(self) -> Fraction:

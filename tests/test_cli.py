@@ -391,19 +391,27 @@ wrong_types = st.one_of(
 
 
 class TestMalformedScalars:
-    """Mutated cyclotomic encodings end in a documented exit code, never a
-    traceback; integer conductors stay in -8..64 so that fields stay small."""
+    """Mutated cyclotomic and interval encodings end in a documented exit
+    code, never a traceback; integer conductors stay in -8..64 so that
+    fields stay small."""
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), everywhere=st.booleans(), kind=st.sampled_from(
-        ["conductor", "coefficient", "wrong type"]))
-    def test_count_exit_contract(self, coset_points, tmp_path_factory, data, everywhere, kind):
-        payload = json.loads(json.dumps(coset_points))
+        ["conductor", "coefficient", "wrong type", "endpoint", "swapped endpoints"]))
+    def test_count_exit_contract(self, coset_points, interval_points, tmp_path_factory, data,
+                                 everywhere, kind):
+        interval = kind in ("endpoint", "swapped endpoints")
+        payload = json.loads(json.dumps(interval_points if interval else coset_points))
         n, d = len(payload["points"]), payload["dimension"]
         if kind == "conductor":
             mutate = {"conductor": data.draw(st.integers(-8, 64))}
         elif kind == "coefficient":
             mutate = {"coeffs": data.draw(st.lists(fraction_strings, min_size=1, max_size=12))}
+        elif kind == "endpoint":
+            mutate = {data.draw(st.sampled_from(["lo", "hi"])): data.draw(wrong_types)}
+        elif kind == "swapped endpoints":
+            low, gap = data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 9))
+            mutate = {"lo": str(low + gap), "hi": str(low)}
         else:
             mutate = None
         targets = ([(i, j) for i in range(n) for j in range(d)] if everywhere
@@ -491,3 +499,44 @@ class TestIntervalFileBits:
         path.write_text(json.dumps(payload))
         assert run(["count", str(path), "--threads", "1"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestIntervalEndpoints:
+    """Interval endpoints that are not numbers or strings, not finite, or
+    out of order make a malformed point set on every command that reads
+    one (an infinite endpoint would be written back as 0)."""
+
+    @pytest.mark.parametrize("command", [["count"], ["validate"], ["lift"], ["compare"],
+                                         ["invert", "--center", "0,0,0,0"]])
+    @pytest.mark.parametrize("lo, hi", [("2", "1"), ("1", "-1/2"), (None, "1"), ([1], "1"),
+                                        ("0", {"lo": "1"}), ("-inf", "1"), ("0", float("inf")),
+                                        (float("nan"), "1")])
+    def test_exit_usage(self, interval_points, tmp_path, capsys, command, lo, hi):
+        payload = json.loads(json.dumps(interval_points))
+        payload["points"][0][0].update(lo=lo, hi=hi)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert run([command[0], str(path), *command[1:]]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed point set (") and err.count("\n") == 1
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory, or naming a directory, exits 2
+    with one error line and no traceback."""
+
+    @pytest.mark.parametrize("command, flag", [
+        (["count", "{input}", "--threads", "1"], "-o"),
+        (["count", "{input}", "--threads", "1"], "--csv"),
+        (["compare", "{input}", "--threads", "1"], "-o"),
+        (["compare", "{input}", "--threads", "1"], "--csv"),
+        (["generate", "--d", "3", "--n", "6", "--kind", "trivial"], "-o"),
+        (["oracle", "--d", "4", "--n", "12"], "-o"),
+    ])
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_exit_usage(self, trivial_file, tmp_path, capsys, command, flag, target):
+        path = tmp_path / "missing" / "out" if target == "missing directory" else tmp_path
+        argv = [str(trivial_file) if arg == "{input}" else arg for arg in command]
+        assert run([*argv, flag, str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
