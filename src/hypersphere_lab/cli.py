@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import constructions, counting, geometry, scalars
 from .errors import ConsistencyError, DomainError, GeneralPositionError, HypersphereLabError
@@ -146,7 +145,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 def _cmd_invert(args: argparse.Namespace) -> int:
     ps = _load_pointset(args.input)
     try:
-        center = tuple(Fraction(part) for part in args.center.split(","))
+        center = tuple(scalars.read_fraction(part) for part in args.center.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad --center value {args.center!r}: {exc}") from None
     if len(center) != ps.dimension:

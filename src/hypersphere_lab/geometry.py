@@ -30,23 +30,36 @@ lane 0 of the basis's first prime, kept as Python ints.  The cofactors or
 the determinant of a view of a lane set are lane values known by their
 filter residues.  A nonzero residue proves a value nonzero.  A zero one is
 decided in every lane under the set's bound (below): the view expands all
-its values in every lane once, from a grid gathered from the set then, and
-lifts them by one ``from_lanes`` call only when one is read (equality,
-hashing, JSON, pickling or arithmetic).  Incidence values det([x; S])
-against a view of the same set (one of the same ``source``) are only
-decided: by a nonzero filter residue, or else by the all-lane determinant
-of the sorted indices of S and x, which the set records, so that each
-(d+2)-set is certified once.  Rows of two sets, or a cofactor tuple used
-as a row, expand over their elements.
+its values in every lane once, and lifts them by one ``from_lanes`` call
+only when one is read (equality, hashing, JSON, pickling or arithmetic).
+Incidence values det([x; S]) against a view of the same set (one of the
+same ``source``) are only decided: by a nonzero filter residue, or else by
+the all-lane determinant of the sorted indices of S and x, which the set
+records, so that each (d+2)-set is certified once.  Rows of two sets, or a
+cofactor tuple used as a row, expand over their elements.
+
+"Every lane" means one lane of each *lane class*.  Lane arithmetic is
+element-wise, so two lanes of a prime that are equal in every entry of a
+set are equal in every value expanded from it: a value is zero in every
+lane exactly when it is zero in one lane of each class.  Coset entries
+generate a small subfield of Q(zeta_N) (the fixed field of the
+automorphisms that fix them; Washington, *Introduction to Cyclotomic
+Fields*, ch. 2), so most lanes repeat: 4 classes of 24 lanes per prime at
+n=12 l=3, 12 of 48 at n=13 l=0.  ``scaled_rows`` finds each prime's
+classes once and the ``grid`` keeps one lane of each; ``classes`` maps
+every lane back to its class, and only the lift reads all lanes.
 
 Level j of the expansion holds the minors of rows 0..j and depends on
 those rows alone: for a view, on its first j+1 indices and the set's
 width.  Consecutive subsets of a lexicographic walk share all rows but the
 last few: at d=4 a subset that keeps its first four rows of the previous
 one costs the 30 products of the last level instead of all 180.  So a set
-keeps the indices and levels of the last of its views that was expanded,
-and the next view reuses the levels of the longest index prefix it shares
-with them.  Cached levels are never written to.
+keeps the indices and levels of the last of its views that was expanded
+in the filter lane, and the next view reuses the levels of the longest
+index prefix it shares with them.  The all-lane expansions, certificates
+above all, keep their own last indices and levels the same way:
+consecutive certificates of a walk mostly share three or four leading
+indices.  Cached levels are never written to.
 
 The lift needs a bound on the coefficients.  Read as polynomials in
 Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
@@ -243,49 +256,103 @@ def _compiled(arguments: str, expression: str):
     return namespace["function"]
 
 
-def _lane_minors(grid, basis, columns: int) -> np.ndarray:
-    """The minors of full row count of the lane rows ``grid``, shape (k,
-    ``columns``, primes, degree), in every lane and reduced: shape (count,
-    primes, degree)."""
-    level = grid[0]
-    for r, (col, prev, plus, minus) in enumerate(_expansion_plan(len(grid), columns), 1):
-        terms = grid[r][col] * level[prev]
-        level = terms[:, plus].sum(axis=1)
-        level -= terms[:, minus].sum(axis=1)
+def _shared_levels(indices: tuple, walk) -> list:
+    """The levels of ``walk``, an index tuple and its expansion levels, for
+    the longest index prefix they share with ``indices``, as a new list."""
+    walked, cached = walk
+    shared = len(indices)
+    while indices[:shared] != walked[:shared]:
+        shared -= 1
+    return cached[:shared]
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_plan(k: int, columns: int):
+    """``_expansion_plan`` for rows followed by their negated entries: for
+    each row r >= 1, (col, prev) with the column of each minus term moved
+    into the negated half, so that every minor is the sum of its terms."""
+    plan = []
+    for col, prev, plus, minus in _expansion_plan(k, columns):
+        col = col.copy()
+        col[:, minus] += columns
+        plan.append((col, prev))
+    return plan
+
+
+def _lane_minors(signed, indices: tuple, basis, levels: list) -> list:
+    """The expansion levels of the rows at ``indices`` of a lane set, in
+    every lane class and reduced, from its ``signed`` tensor (n, 2 * width,
+    primes, classes), each row's entries followed by their negations:
+    ``levels``, those of a prefix of the indices (never written to),
+    extended by one level per further row.  Level r has shape (C(width,
+    r+1), primes, classes); the last one holds the minors of full row
+    count."""
+    width = signed.shape[1] // 2
+    levels = levels or [signed[indices[0], :width]]
+    plan = _signed_plan(len(indices), width)
+    for r in range(len(levels), len(indices)):
+        col, prev = plan[r - 1]
+        level = np.add.reduce(signed[indices[r]][col] * levels[-1][prev], axis=1)
         level %= basis.moduli
-    return level
+        levels.append(level)
+    return levels
+
+
+def _lane_classes(grid):
+    """The lane classes of the lane tensor ``grid``, shape (n, width,
+    primes, degree): per prime, the lanes equal in every entry.
+
+    Returns the grid on the first lane of each class, shape (n, width,
+    primes, classes), and ``classes``, shape (primes, degree), the column
+    of each lane's class.  Classes are numbered in order of their first
+    lane, so lane 0 is in column 0.  A prime with fewer classes than
+    another repeats some of its columns; a repeat changes no zero test."""
+    kept, classes = [], []
+    for lanes in grid.reshape(-1, *grid.shape[2:]).transpose(1, 2, 0):
+        first = {}  # a lane's values in every entry -> its class
+        column = [first.setdefault(values.tobytes(), len(first)) for values in lanes]
+        kept.append([column.index(c) for c in range(len(first))])
+        classes.append(column)
+    count = max(map(len, kept))
+    kept = np.array([np.resize(first_lanes, count) for first_lanes in kept])[None, None]
+    return np.ascontiguousarray(np.take_along_axis(grid, kept, axis=3)), np.array(classes)
 
 
 class RowSet(tuple):
     """The rows of one ``scaled_rows`` call.
 
     A lane set (``basis`` not None) keeps its entries' residue lanes as one
-    ``grid``, an (n, width, primes, degree) tensor over ``basis``, and as
-    ``entries`` its filter lane: lane 0 of the basis's first prime,
-    ``prime``, as n lists of Python ints.  Any other set's ``entries`` are
-    its rows.  ``take`` makes a view (``source``, ``indices``); the source
-    is the set's identity, and its bound covers the values of its views.
-    A view of a lane set owns its values in every lane: ``lanes`` expands
-    them once and ``lifted`` lifts them once.  A set keeps the indices and
-    levels of its last expanded view in ``walk`` and its zero certificates
-    in ``certified``, which a pickle drops.
+    ``grid``, an (n, width, primes, classes) tensor over ``basis`` with one
+    lane of each lane class, ``classes`` mapping each prime's lanes to their
+    class columns, and as ``entries`` its filter lane: lane 0 of the basis's
+    first prime, ``prime`` (column 0 of ``grid``), as n lists of Python
+    ints.  Any other set's ``entries`` are its rows.  ``take`` makes a view
+    (``source``, ``indices``); the source is the set's identity, and its
+    bound covers the values of its views.  A view of a lane set owns its
+    values in every lane class: ``lanes`` expands them once and ``lifted``
+    lifts them once.  A set keeps the indices and levels of its last view
+    expanded in the filter lane in ``walk``, those of its last all-lane
+    expansion (a view's ``lanes`` or a certificate) in ``lane_walk``, and
+    its zero certificates in ``certified``; a pickle drops all three.
     """
 
-    walk = ((), ())
+    walk = lane_walk = ((), ())
     _lanes = _lifted = None
 
-    def __new__(cls, rows, grid=None, basis=None):
+    def __new__(cls, rows, grid=None, basis=None, classes=None):
         self = super().__new__(cls, rows)
         self.basis, self.source, self.indices = basis, self, tuple(range(len(self)))
-        self._grid, self.certified = grid, {}
+        self._grid, self.classes, self.certified = grid, classes, {}
         if basis is None:
             self.entries, self.prime = self, None
         else:
-            self.entries, self.prime = grid[:, :, 0, 0].tolist(), basis.primes[0]
+            self.entries = grid[:, :, 0, 0].tolist()
+            self.prime = basis.primes[0]
+            self._signed = np.concatenate([grid, -grid % basis.moduli], axis=1)
         return self
 
     def __reduce__(self):
-        return RowSet, (tuple(self), self.grid, self.basis)
+        return RowSet, (tuple(self), self.grid, self.basis, self.source.classes)
 
     @property
     def grid(self):
@@ -304,33 +371,43 @@ class RowSet(tuple):
         return view
 
     def lanes(self) -> np.ndarray:
-        """The values of these lane rows in every lane, reduced, shape
-        (count, primes, degree): the determinant if the rows are square,
+        """The values of these lane rows in every lane class, reduced, shape
+        (count, primes, classes): the determinant if the rows are square,
         else their signed maximal cofactors.  Expanded on the first call."""
         if self._lanes is None:
             # in combinations order the minors leave out the last column
             # first; c_j = (-1)^j * (the minor without column j), and a
             # square view has one minor, its determinant
-            lanes = _lane_minors(self.grid, self.basis, len(self[0]))[::-1].copy()
+            lanes = self.source._all_lanes(self.indices)[::-1].copy()
             lanes[1::2] *= -1
             self._lanes = lanes % self.basis.moduli
         return self._lanes
 
     def lifted(self) -> list:
-        """The ``lanes`` values as elements, lifted by one ``from_lanes``
-        call on the first one."""
+        """The ``lanes`` values as elements, lifted from every lane by one
+        ``from_lanes`` call on the first one."""
         if self._lifted is None:
-            self._lifted = self[0][0].ctx.from_lanes(self.lanes(), self.basis)
+            lanes = np.take_along_axis(self.lanes(), self.source.classes[None], axis=2)
+            self._lifted = self[0][0].ctx.from_lanes(lanes, self.basis)
         return self._lifted
 
     def certify_zero(self, indices: tuple) -> bool:
         """Whether the determinant of the rows of this lane set at
-        ``indices`` vanishes, decided in every lane under the set's bound
-        once per index tuple."""
+        ``indices`` vanishes, decided in every lane class under the set's
+        bound once per index tuple."""
         verdict = self.certified.get(indices)
         if verdict is None:
-            verdict = self.certified[indices] = not self.take(indices).lanes().any()
+            verdict = self.certified[indices] = not self._all_lanes(indices).any()
         return verdict
+
+    def _all_lanes(self, indices: tuple) -> np.ndarray:
+        """The minors of full row count of this lane set's rows at
+        ``indices`` in every lane class, expanded from the levels of the
+        index prefix they share with ``lane_walk``."""
+        levels = _lane_minors(self._signed, indices, self.basis,
+                              _shared_levels(indices, self.lane_walk))
+        self.lane_walk = (indices, levels)
+        return levels[-1]
 
 
 class _LaneValue(CycloElement):
@@ -378,11 +455,7 @@ def _minors(rows, columns: int) -> list:
     if isinstance(rows, RowSet):
         source, indices = rows.source, rows.indices
         entries, prime = source.entries, source.prime
-        walked, cached = source.walk
-        shared = len(indices)
-        while indices[:shared] != walked[:shared]:
-            shared -= 1
-        levels = cached[:shared] or [entries[indices[0]]]
+        levels = _shared_levels(indices, source.walk) or [entries[indices[0]]]
     else:
         entries, indices, prime = rows, range(len(rows)), None
         levels = [rows[0]]
@@ -486,7 +559,8 @@ def scaled_rows(points, row=lifted_row) -> RowSet:
 
     Cyclotomic rows of one conductor carry their residue lanes, over the
     fewest split primes that lift every minor and incidence value of the
-    set (see the module docstring), up to the lane prime cap."""
+    set (see the module docstring), up to the lane prime cap, on one lane
+    of each lane class."""
     rows = [_integer_row(row(p)) for p in points]
     entries = [e for r in rows for e in r]
     if entries and all(isinstance(e, CycloElement)
@@ -497,7 +571,8 @@ def scaled_rows(points, row=lifted_row) -> RowSet:
         basis = ctx.lane_basis(ctx._table_max * math.prod(norms[-width:]))
         if basis is not None:
             lanes = ctx.to_lanes(entries, basis).reshape(len(rows), width, len(basis.primes), -1)
-            return RowSet(rows, np.ascontiguousarray(lanes), basis)
+            grid, classes = _lane_classes(lanes)
+            return RowSet(rows, grid, basis, classes)
     return RowSet(rows)
 
 

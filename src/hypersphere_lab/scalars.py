@@ -31,6 +31,7 @@ import bisect
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,6 +56,11 @@ LANE_PRIME_CEILING = 1 << 26
 # primes (a coefficient bound near 2^(26 * LANE_PRIME_CAP)) expanding the
 # elements themselves is faster
 LANE_PRIME_CAP = 32
+# largest decimal exponent, in absolute value, of a number read from text:
+# Python's int-to-str digit limit, so no command could print a value past
+# it, and ``Fraction`` would build every digit of 10**exponent first
+EXPONENT_CAP = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
 
 
 class _IndeterminateType:
@@ -830,20 +836,32 @@ def _json_int(data: dict, key: str) -> int:
     return data[key]
 
 
+def read_fraction(text) -> Fraction:
+    """``Fraction(text)``, with its values and errors, for a number read
+    from a file or the command line; a string whose decimal exponent
+    exceeds EXPONENT_CAP in absolute value is a DomainError."""
+    match = _EXPONENT.search(text) if isinstance(text, str) else None
+    if match:
+        digits = match[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(EXPONENT_CAP)) or int(digits or 0) > EXPONENT_CAP:
+            raise DomainError(f"decimal exponent of {text[:40]!r} exceeds "
+                              f"{EXPONENT_CAP} in absolute value")
+    return Fraction(text)
+
+
 def _coefficient(text):
     """A cyclotomic coefficient read from JSON.  A short string of ASCII
     digits, with or without a leading minus, is read as a Python int (most
-    coefficients are "0"); anything else goes through ``Fraction``, with
-    its values and errors."""
+    coefficients are "0"); anything else goes through ``read_fraction``."""
     if (type(text) is str and len(text) < 20 and text.isascii()
             and (text.isdigit() or text[:1] == "-" and text[1:].isdigit())):
         return int(text)
-    return Fraction(text)
+    return read_fraction(text)
 
 
 def scalar_from_json(data):
     if isinstance(data, str):
-        return Fraction(data)
+        return read_fraction(data)
     if isinstance(data, dict) and "conductor" in data:
         ctx = get_context(_json_int(data, "conductor"))
         if type(data["coeffs"]) is not list:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -540,3 +543,62 @@ class TestUnwritableOutput:
         assert run([*argv, flag, str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+class TestExponentCap:
+    """A number read from text with a decimal exponent past 4300 in absolute
+    value (Python's int-to-str digit limit) exits 2 with one error line,
+    before ``Fraction`` builds its digits; "1e3000" still reads."""
+
+    @staticmethod
+    def six_points(tmp_path, coordinate, backend):
+        """A d=3 n=6 trivial file with its first coordinate replaced."""
+        path = tmp_path / "six.json"
+        assert run(["generate", "--d", "3", "--n", "6", "--kind", "trivial",
+                    "--seed", "1", "-o", str(path)]) == EXIT_OK
+        data = read_json(path)
+        data["points"][0][0] = coordinate
+        if backend == "cyclotomic":
+            data["points"] = [[{"conductor": 4, "coeffs": [c, "0"]} for c in p]
+                              for p in data["points"]]
+            data["backend"] = "cyclotomic"
+        path.write_text(json.dumps(data))
+        return path
+
+    @staticmethod
+    def run_cli(argv):
+        """The command in a child process under a time limit, so that a
+        reader that builds the whole number fails instead of hanging."""
+        import hypersphere_lab
+
+        src = os.path.dirname(os.path.dirname(hypersphere_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "hypersphere_lab", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("backend", ["rational", "cyclotomic"])
+    @pytest.mark.parametrize("coordinate", ["1e999999999", "-1e-999999999"])
+    def test_count_refuses_a_huge_exponent(self, tmp_path, coordinate, backend):
+        done = self.run_cli(["count", str(self.six_points(tmp_path, coordinate, backend)),
+                             "--threads", "1"])
+        assert done.returncode == EXIT_USAGE and not done.stdout
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "exceeds 4300" in done.stderr
+
+    @pytest.mark.parametrize("part", ["1e999999999", "-2E-4_301"])
+    def test_invert_refuses_a_huge_center_exponent(self, trivial_file, part):
+        done = self.run_cli(["invert", "--center", f"0,{part},0", str(trivial_file)])
+        assert done.returncode == EXIT_USAGE and not done.stdout
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "exceeds 4300" in done.stderr
+
+    @pytest.mark.parametrize("coordinate", ["1e3000", "-1e-4300", "1e0004300"])
+    def test_exponents_up_to_the_cap_still_read(self, tmp_path, coordinate):
+        from hypersphere_lab.scalars import read_fraction
+
+        assert read_fraction(coordinate) == Fraction(coordinate)
+        out = tmp_path / "out.json"
+        assert run(["count", str(self.six_points(tmp_path, coordinate, "rational")),
+                    "--threads", "1", "-o", str(out)]) == EXIT_OK
+        assert read_json(out)["spectrum"]["certified"] is True

@@ -4,6 +4,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,7 +131,7 @@ class TestLaneKernel:
         assert cof.view.lanes().shape[0] == k + 1
         # plain rows are expanded over their own elements
         cof = self.check(rows[:k], rows[k:], shape)
-        assert type(cof) is tuple and not hasattr(cof, "lanes")
+        assert type(cof) is tuple and not hasattr(cof, "view")
 
     def check(self, rows, others, shape):
         want_cof = reference_cofactors(rows)
@@ -291,15 +292,151 @@ class TestFilterLane:
         expansions = []
         lane_minors = geometry._lane_minors
 
-        def counted(grid, basis, columns):
-            expansions.append(len(grid))
-            return lane_minors(grid, basis, columns)
+        def counted(grid, indices, basis, levels):
+            expansions.append(len(indices))
+            return lane_minors(grid, indices, basis, levels)
 
         monkeypatch.setattr(geometry, "_lane_minors", counted)
         with no_lifts():
             spec = spectrum(ps, threads=1)
         assert spec.next_class == spheres and max(spec.counts) == 6
         assert expansions == [6] * spheres
+
+
+class TestLaneClasses:
+    """A lane set keeps one lane of each class of lanes that are equal in
+    all its entries, per prime, and maps every lane back to its class:
+    values expanded on the classes equal the full-lane values, and lift to
+    the exact values."""
+
+    @staticmethod
+    def element(ctx, rng, field):
+        if field == "rational":
+            return ctx.from_rational(rng.randint(-9, 9))
+        if field == "real":  # the fixed field of complex conjugation
+            return sum(((ctx.zeta_power(k) + ctx.zeta_power(-k)) * rng.randint(-9, 9)
+                        for k in range(ctx.conductor // 2)), ctx.zero())
+        return ctx.element([rng.randint(-9, 9) for _ in range(ctx.degree)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([8, 12, 20]),
+        st.integers(2, 3),
+        st.lists(st.sampled_from(["generic", "real", "rational"]), min_size=5, max_size=5),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_class_expansion_equals_the_full_lanes(self, conductor, k, fields, scaled, seed):
+        ctx = get_context(conductor)
+        rng = random.Random(seed)  # full-size coefficients, not shrunk ones
+        first = ctx.lane_basis(1).primes[0]
+        # entries that are multiples of the first prime make its lanes one
+        # class, so that the primes have different class counts
+        rows = scaled_rows([tuple(self.element(ctx, rng, field) * (first if scaled else 1)
+                                  for _ in range(k + 1)) for field in fields[:k + 2]], row=tuple)
+        basis, degree = rows.basis, ctx.degree
+        assert basis.primes[0] == first
+        full = ctx.to_lanes([e for row in rows for e in row], basis).reshape(
+            k + 2, k + 1, len(basis.primes), degree)
+        counts = []
+        for i, classes in enumerate(rows.classes):
+            columns = full[:, :, i].reshape(-1, degree)
+            for a, b in itertools.product(range(degree), repeat=2):
+                assert (classes[a] == classes[b]) == (columns[:, a] == columns[:, b]).all()
+            assert (rows.grid[:, :, i][..., classes] == full[:, :, i]).all()
+            counts.append(len(set(classes)))
+        assert rows.grid.shape == (k + 2, k + 1, len(basis.primes), max(counts))
+        if scaled:
+            assert counts[0] == 1
+        for count in counts[scaled:]:
+            assert count == degree if "generic" in fields[:k + 2] else count < degree
+        for indices in (range(k), range(2, k + 2), range(k + 1), range(1, k + 2)):
+            view, exact = rows.take(indices), [rows[i] for i in indices]
+            want = [laplace_det(exact)] if len(exact) == k + 1 else reference_cofactors(exact)
+            lanes = view.lanes()
+            assert lanes.shape == (len(want), len(basis.primes), max(counts))
+            assert (np.take_along_axis(lanes, rows.classes[None], axis=2)
+                    == ctx.to_lanes(want, basis)).all()
+            assert view.lifted() == want
+        assert rows.certify_zero(tuple(range(1, k + 2))) is (laplace_det(list(rows[1:])) == 0)
+
+    @pytest.mark.parametrize("n, l, classes, degree, spheres",
+                             [(12, 3, 4, 24, 80), (13, 0, 12, 48, 132)])
+    def test_coset_classes_and_pickled_certificates(self, n, l, classes, degree, spheres):
+        """Coset entries lie in a small subfield.  An unpickled set keeps
+        the classes and certifies every six-set as the original does: the
+        zero six-sets are the six-point spheres."""
+        from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+
+        ps = coset_config(CosetSpec(CurveParams.default(4), n, l), validate=False)
+        rows = scaled_rows(ps.points)
+        primes = len(rows.basis.primes)
+        assert rows.classes.shape == (primes, degree) and rows.grid.shape[2:] == (primes, classes)
+        assert [len(set(c)) for c in rows.classes] == [classes] * primes
+        sixes = list(itertools.combinations(range(n), 6))
+        verdicts = [rows.certify_zero(six) for six in sixes]
+        assert sum(verdicts) == spheres
+        again = pickle.loads(pickle.dumps(rows))
+        assert again.lane_walk == ((), ()) and again.certified == {}
+        assert (again.classes == rows.classes).all() and (again.grid == rows.grid).all()
+        assert again.entries == rows.entries
+        assert [again.certify_zero(six) for six in sixes] == verdicts
+
+
+class TestCertificatePrefix:
+    """All-lane expansions reuse the levels of the index prefix they share
+    with the set's last one.  Index tuples with shared, reordered and fresh
+    prefixes, cofactor views and another set's certificates in between:
+    every verdict equals the exact determinant's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([8, 12, 20]),
+        st.integers(2, 3),
+        st.integers(0, 2**32),
+        st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(0, 4), st.booleans(),
+                           st.lists(st.integers(0, 99), min_size=4, max_size=4)),
+                 max_size=12),
+    )
+    def test_verdicts_match_the_exact_determinant(self, conductor, k, seed, steps):
+        ctx = get_context(conductor)
+        rng = random.Random(seed)  # full-size coefficients, not shrunk ones
+        width, n = k + 1, k + 5
+        sets = []
+        for _ in range(2):
+            plain = [tuple(ctx.element([rng.randint(-2**bits, 2**bits) for _ in range(ctx.degree)])
+                           for _ in range(width)) for bits in [3, 60, *[3] * (n - 3)]]
+            plain.append(tuple(a + b for a, b in zip(plain[0], plain[1])))
+            sets.append((plain, scaled_rows(plain, row=tuple)))
+        first = tuple(range(width))
+        dependent = first[:-1] + (n - 1,)  # holds rows 0, 1 and their sum
+        script = [
+            (0, first),
+            (0, dependent),  # zero, sharing every index but the last
+            (0, first[:-1] + (n - 2,)),  # nonzero, sharing the zero one's prefix
+            (0, (1, 0) + first[2:]),  # a reordered prefix
+            (1, dependent),  # the other set
+            (0, (n - 1, 0, 1, 2)[:width]),  # a fresh prefix
+            (0, (n - 1, 0, 1, 3)[:k]),  # cofactors of a view
+            (0, (n - 1, 0, 1, 3)[:width]),
+            (0, (2,) * width),  # a repeated index
+        ]
+        last = [script[-1][1], dependent]
+        for other, cofactors, shared, reorder, picks in steps:
+            prefix = last[other][:shared]
+            indices = (prefix[::-1] if reorder else prefix) + tuple(i % n for i in picks)
+            script.append((int(other), indices[:k if cofactors else width]))
+            last[other] = script[-1][1]
+        for which, indices in script:
+            plain, rows = sets[which]
+            exact = [plain[i] for i in indices]
+            if len(indices) == k:
+                assert rows.take(indices).lifted() == reference_cofactors(exact)
+                continue
+            fresh = indices not in rows.certified
+            assert rows.certify_zero(indices) is (laplace_det(exact) == 0)
+            if fresh:
+                assert rows.lane_walk[0] == indices
 
 
 class TestViewCache:
