@@ -109,7 +109,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         ps = constructions.trivial_config(args.d, args.n, seed=args.seed)
     else:
         params = constructions.CurveParams.default(args.d)
-        ps = constructions.coset_config(constructions.CosetSpec(params, args.n, args.l or 0))
+        ps = constructions.coset_config(constructions.CosetSpec(params, args.n, args.l))
     if args.backend == "interval":
         ps = _to_interval_pointset(ps, args.bits or 256)
     _emit_json(ps.to_json(), args)
@@ -160,7 +160,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.scan:
         payload = constructions.residue_oracle_scan(args.n, args.d)
     else:
-        payload = constructions.residue_oracle(args.n, args.d, args.l or 0).to_json()
+        payload = constructions.residue_oracle(args.n, args.d, args.l).to_json()
     _emit_json(payload, args)
     return EXIT_OK
 

@@ -245,12 +245,8 @@ def verify_correspondence(ps: PointSet, threads: int = 1) -> CorrespondenceRepor
     sphere = spectrum(ps, threads=threads)
     plane = ordinary_hyperplane_spectrum(lift_set(ps), threads=threads)
     equal = sphere.counts == plane.counts and sphere.indeterminate_count == plane.indeterminate_count
-    mismatch = None
-    if not equal:
-        for m in sorted(set(sphere.counts) | set(plane.counts)):
-            if sphere.counts.get(m, 0) != plane.counts.get(m, 0):
-                mismatch = m
-                break
+    mismatch = min((m for m in set(sphere.counts) | set(plane.counts)
+                    if sphere.counts.get(m, 0) != plane.counts.get(m, 0)), default=None)
     return CorrespondenceReport(sphere, plane, equal, mismatch)
 
 

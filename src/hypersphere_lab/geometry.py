@@ -20,8 +20,8 @@ shape, so that a level of minors costs one call and its products.  Each
 minor is its plus terms summed left to right less its minus terms summed
 left to right; interval enclosures depend on that order.  ``scaled_rows``
 returns one ``RowSet``; ``RowSet.take`` makes a view of some of its rows.
-Rational, interval and capped sets, and plain lists of rows, expand over
-their own scalars.
+Rational, interval and capped sets, and plain lists of rows (a set with no
+basis), expand over their own scalars.
 
 A cyclotomic set of one conductor is a lane set: it keeps the residue
 lanes of its entries over one ``basis`` of split primes (see ``scalars``)
@@ -106,13 +106,6 @@ def as_point(coords) -> Point:
     return tuple(Fraction(c) if isinstance(c, (int, str)) else c for c in coords)
 
 
-def point_backend(point: Point) -> str:
-    kinds = {backend_of(c) for c in point}
-    if len(kinds) != 1:
-        raise DomainError(f"point mixes scalar backends: {sorted(kinds)}")
-    return kinds.pop()
-
-
 def _points_distinct(p: Point, q: Point, backend: str):
     """True if certified distinct, False if exactly equal, INDETERMINATE if
     the interval boxes overlap without witnessing separation."""
@@ -144,7 +137,7 @@ class PointSet:
             raise DomainError("dimension must be at least 2")
         if any(len(p) != d for p in pts):
             raise DomainError("points of mixed dimension")
-        backends = {point_backend(p) for p in pts}
+        backends = {backend_of(c) for p in pts for c in p}
         if len(backends) != 1:
             raise DomainError(f"point set mixes backends: {sorted(backends)}")
         backend = backends.pop()
@@ -342,7 +335,7 @@ class RowSet(tuple):
     def __new__(cls, rows, grid=None, basis=None, classes=None):
         self = super().__new__(cls, rows)
         self.basis, self.source, self.indices = basis, self, tuple(range(len(self)))
-        self._grid, self.classes, self.certified = grid, classes, {}
+        self.grid, self.classes, self.certified = grid, classes, {}
         if basis is None:
             self.entries, self.prime = self, None
         else:
@@ -352,14 +345,7 @@ class RowSet(tuple):
         return self
 
     def __reduce__(self):
-        return RowSet, (tuple(self), self.grid, self.basis, self.source.classes)
-
-    @property
-    def grid(self):
-        """The lane tensor of these rows (a view gathers it from its source
-        on each read), or None without a basis."""
-        grid = self.source._grid
-        return grid if grid is None or self is self.source else grid.take(self.indices, axis=0)
+        return RowSet, (tuple(self), self.grid, self.basis, self.classes)
 
     def take(self, indices) -> "RowSet":
         """The view of the rows at ``indices`` of this set or view, in that
@@ -443,27 +429,22 @@ class _Lanes(tuple):
         return self
 
 
-def _minors(rows, columns: int) -> list:
+def _minors(rows: RowSet, columns: int) -> list:
     """The minors of full row count of a len(rows) x ``columns`` matrix, one
     per column subset in ``combinations`` order, expanded in plain Python
-    over the ``entries`` of a ``RowSet`` (each level of a filter lane
-    reduced mod its prime), or over the scalars of a list of rows.
+    over the ``entries`` of the set (each level of a filter lane reduced mod
+    its prime).
 
     A view takes the levels of the longest index prefix it shares with its
     source's ``walk`` and expands only the rows after it.
     """
-    if isinstance(rows, RowSet):
-        source, indices = rows.source, rows.indices
-        entries, prime = source.entries, source.prime
-        levels = _shared_levels(indices, source.walk) or [entries[indices[0]]]
-    else:
-        entries, indices, prime = rows, range(len(rows)), None
-        levels = [rows[0]]
+    source, indices = rows.source, rows.indices
+    entries, prime = source.entries, source.prime
+    levels = _shared_levels(indices, source.walk) or [entries[indices[0]]]
     functions = _level_functions(len(indices), columns, prime is not None)
     for r in range(len(levels), len(indices)):
         levels.append(functions[r - 1](entries[indices[r]], levels[-1], prime))
-    if isinstance(rows, RowSet):
-        source.walk = (indices, levels)
+    source.walk = (indices, levels)
     return levels[-1]
 
 
@@ -472,8 +453,9 @@ def det(rows) -> object:
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("det requires a square matrix")
+    rows = rows if isinstance(rows, RowSet) else RowSet(rows)
     [value] = _minors(rows, k)
-    if getattr(rows, "basis", None) is None:
+    if rows.basis is None:
         return value
     return _LaneValue(rows[0][0].ctx, rows, 0, value)
 
@@ -490,10 +472,11 @@ def maximal_cofactors(rows) -> tuple:
     columns = len(rows) + 1
     if set(map(len, rows)) - {columns}:
         raise ValueError("expected a k x (k+1) matrix")
+    rows = rows if isinstance(rows, RowSet) else RowSet(rows)
     # in combinations order the k-column subsets leave out column k first
     signed = _minors(rows, columns)[::-1]
     signed[1::2] = [-c for c in signed[1::2]]
-    if getattr(rows, "basis", None) is None:
+    if rows.basis is None:
         return tuple(signed)
     return _Lanes(rows, signed)
 
@@ -505,8 +488,6 @@ def incidence_values(cof, rows) -> list:
     int that is zero iff the value is: its filter residue, or where that is
     0, whether the set's determinant of the sorted indices of S and x is
     certified nonzero."""
-    if not rows:
-        return []
     if not (isinstance(cof, _Lanes) and cof.view.source is getattr(rows, "source", None)):
         return _dot_function(len(cof), False)(rows, cof, None)
     source, defining = rows.source, cof.view.indices
@@ -583,9 +564,11 @@ def scaled_rows(points, row=lifted_row) -> RowSet:
 
 def lift(point: Point) -> Point:
     """Inverse stereographic image (2x, |x|^2 - 1) / (|x|^2 + 1) on the unit
-    sphere of R^(d+1); exact on exact backends since |x|^2 + 1 > 0 always."""
+    sphere of R^(d+1); exact on exact backends, and none if |x|^2 = -1."""
     q = squared_norm(point)
     denom = q + 1
+    if is_zero(denom) is True:
+        raise DomainError("|x|^2 + 1 vanishes: the point has no inverse stereographic image")
     return tuple([(c + c) / denom for c in point] + [(q - 1) / denom])
 
 
@@ -655,10 +638,7 @@ def cospherical(points) -> object:
     d = len(points[0])
     if len(points) != d + 2:
         raise DomainError(f"cosphericality in dimension {d} needs {d + 2} points")
-    verdict = is_zero(det(scaled_rows(points)))
-    if verdict is INDETERMINATE:
-        return INDETERMINATE
-    return bool(verdict)
+    return is_zero(det(scaled_rows(points)))
 
 
 def general_position_check(ps: PointSet):
@@ -768,7 +748,4 @@ def incident(sphere: Hypersphere, point: Point):
         raise DomainError(
             f"point dimension {len(point)} != surface dimension {sphere.dimension}"
         )
-    verdict = is_zero(sphere.evaluate(point))
-    if verdict is INDETERMINATE:
-        return INDETERMINATE
-    return bool(verdict)
+    return is_zero(sphere.evaluate(point))

@@ -205,9 +205,7 @@ class CyclotomicContext:
                 for i in range(deg):
                     vec[i] -= carry * self.poly[i]
         self.power_table = tuple(table)
-        self._reduction_np = np.array(
-            [table[deg + i] for i in range(deg - 1)], dtype=np.int64
-        ) if deg > 1 else np.zeros((0, 1), dtype=np.int64)
+        self._reduction_np = np.array(table[deg:2 * deg - 1], dtype=np.int64)
         self._table_max = max(1, max(abs(c) for row in table for c in row))
         self._root_cache: dict[int, list[tuple]] = {}
         self.units = tuple(k for k in range(1, conductor) if math.gcd(k, conductor) == 1)
@@ -390,19 +388,11 @@ def trig_pair(j: int, n: int, ctx: CyclotomicContext | None = None):
 
 def _mul_vectors(ctx: CyclotomicContext, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     deg = ctx.degree
-    if deg == 1:
-        return (x[0] * y[0],)
-    xmax = max(map(abs, x))
-    ymax = max(map(abs, y))
-    if xmax and ymax:
-        bound = xmax * ymax * deg
-        if bound * ctx._table_max * deg < _SAFE_INT64:
-            conv = np.convolve(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64))
-            out = conv[:deg].copy()
-            high = conv[deg:]
-            if high.size:
-                out += high @ ctx._reduction_np
-            return tuple(int(v) for v in out)
+    # maxes of at least 1 send a huge operand times a zero one to the exact path
+    bound = max(1, *map(abs, x)) * max(1, *map(abs, y)) * deg
+    if bound * ctx._table_max * deg < _SAFE_INT64:
+        conv = np.convolve(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64))
+        return tuple((conv[:deg] + conv[deg:] @ ctx._reduction_np).tolist())
     # big-coefficient fallback: exact python integers
     conv = [0] * (2 * deg - 1)
     for i, xi in enumerate(x):

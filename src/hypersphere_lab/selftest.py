@@ -106,19 +106,16 @@ CHECKS = [
 ]
 
 
-def run_selftest(stream=None) -> bool:
-    import sys
-
-    stream = stream or sys.stdout
+def run_selftest() -> bool:
     all_ok = True
     for name, check in CHECKS:
         try:
             ok = check()
         except Exception as exc:  # a crash is a failure, not an abort
             ok = False
-            print(f"FAIL  {name}  ({type(exc).__name__}: {exc})", file=stream)
+            print(f"FAIL  {name}  ({type(exc).__name__}: {exc})")
             all_ok = False
             continue
-        print(f"{'PASS' if ok else 'FAIL'}  {name}", file=stream)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
         all_ok = all_ok and ok
     return all_ok

@@ -5,8 +5,9 @@ from unittest import mock
 
 import pytest
 
+from hypersphere_lab import counting
 from hypersphere_lab.geometry import PointSet, general_position_check
-from hypersphere_lab.scalars import CyclotomicContext
+from hypersphere_lab.scalars import CyclotomicContext, is_zero
 
 
 @contextlib.contextmanager
@@ -17,6 +18,17 @@ def no_lifts():
 
     with mock.patch.object(CyclotomicContext, "from_lanes", refuse):
         yield
+
+
+def flip_first_verdict(monkeypatch):
+    """Make the first incidence test of the subset walk answer wrongly."""
+    answers = []
+
+    def flipped(value):
+        answers.append(is_zero(value))
+        return not answers[-1] if len(answers) == 1 else answers[-1]
+
+    monkeypatch.setattr(counting, "is_zero", flipped)
 
 
 def random_fraction(rng, bound=10):

@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import flip_first_verdict
+
 from hypersphere_lab.cli import (
     EXIT_GENERAL_POSITION,
     EXIT_INCONSISTENT,
@@ -140,6 +142,23 @@ class TestTransformCommands:
         point = read_json(src)["points"][0]
         center = ",".join(point)
         assert run(["invert", "--center", center, str(src)]) == EXIT_USAGE
+
+    def test_lift_without_an_image_is_usage_error(self, tmp_path):
+        # the point (i, 0) has |x|^2 + 1 = 0
+        path, out_path = tmp_path / "i.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"points": [[{"conductor": 4, "coeffs": ["0", "1"]},
+                                                {"conductor": 4, "coeffs": ["0"]}]]}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["lift", str(path), "-o", str(out_path)])
+        assert code == EXIT_USAGE
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert not out_path.exists() and not out.getvalue()
+
+    def test_unreadable_center_is_usage_error(self, trivial_file, capsys):
+        assert run(["invert", "--center", "1,x,0", str(trivial_file)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --center value '1,x,0'") and err.count("\n") == 1
 
     def test_invert_dimension_mismatch(self, trivial_file):
         assert run(["invert", "--center", "1,2", str(trivial_file)]) == EXIT_USAGE
@@ -360,6 +379,17 @@ class TestListsRequired:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: malformed point set (")
         assert problem in err
+
+
+class TestInconsistentCount:
+    def test_wrong_incidence_verdict_exits_inconsistent(self, trivial_file, monkeypatch,
+                                                        capsys):
+        flip_first_verdict(monkeypatch)
+        assert run(["count", str(trivial_file), "--threads", "1"]) == EXIT_INCONSISTENT
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "not a multiple of C" in captured.err
 
 
 class TestSelftest:

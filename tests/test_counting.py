@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import no_lifts, random_general_position_set
+from conftest import flip_first_verdict, no_lifts, random_general_position_set
 from oracles import gaussian_rank, naive_plane_spectrum, naive_sphere_spectrum
 
 from hypersphere_lab import counting
 from hypersphere_lab.counting import (
+    Spectrum,
     count_dplus2,
     count_ordinary,
     ordinary_hyperplane_spectrum,
@@ -22,7 +23,7 @@ from hypersphere_lab.counting import (
     unrank_combination,
     verify_correspondence,
 )
-from hypersphere_lab.errors import GeneralPositionError, SpanError
+from hypersphere_lab.errors import ConsistencyError, GeneralPositionError, SpanError
 from hypersphere_lab.geometry import PointSet, as_point, general_position_check, lift_set
 from hypersphere_lab.scalars import IntervalScalar
 
@@ -311,6 +312,79 @@ class TestHashFastPath:
                              for p in exact.points])
         with pytest.raises(DomainError):
             spectrum_by_hashing(ps)
+
+
+class TestIntegrityChecks:
+    """Each check that guards a count against a lying predicate or a lost
+    subset fires, on a sphere-plus-point set with spectrum {4: 10, 5: 1};
+    all run on one thread, so the patches reach the walk."""
+
+    @pytest.fixture
+    def ps(self):
+        return sphere_plus_point_config(3, 5, seed=1)
+
+    def test_one_wrong_incidence_verdict_breaks_exact_division(self, ps, monkeypatch):
+        flip_first_verdict(monkeypatch)
+        with pytest.raises(ConsistencyError, match="not a multiple of C"):
+            spectrum(ps, threads=1)
+
+    def test_lost_subsets_break_the_partition_identity(self, ps, monkeypatch):
+        histogram = counting._subset_histogram
+
+        def lose_the_largest_surface(ps, row, r, threads, key):
+            hist, violation = histogram(ps, row, r, threads, key)
+            hist[max(hist)] -= math.comb(max(hist), r)
+            return hist, violation
+
+        monkeypatch.setattr(counting, "_subset_histogram", lose_the_largest_surface)
+        with pytest.raises(ConsistencyError, match="partition identity failed after"):
+            spectrum(ps, threads=1)
+
+    def test_one_moved_hash_key_is_not_a_binomial(self, ps, monkeypatch):
+        surface, moved = counting._surface, []
+
+        def move_one_key_on_the_five_point_sphere(rows, subset, cof):
+            key = surface(rows, subset, cof)
+            if not moved and counting._incidence_count(rows, subset, cof) == len(subset) + 1:
+                moved.append(subset)
+                return ("moved", key)
+            return key
+
+        monkeypatch.setattr(counting, "_surface", move_one_key_on_the_five_point_sphere)
+        with pytest.raises(ConsistencyError, match="is not a binomial"):
+            spectrum_by_hashing(ps)
+        assert len(moved) == 1
+
+    def test_a_lost_hash_key_breaks_the_partition_identity(self, ps, monkeypatch):
+        histogram = counting._subset_histogram
+
+        def lose_one_surface(*args):
+            keys, violation = histogram(*args)
+            del keys[next(iter(keys))]
+            return keys, violation
+
+        monkeypatch.setattr(counting, "_subset_histogram", lose_one_surface)
+        with pytest.raises(ConsistencyError, match="partition identity failed in hash"):
+            spectrum_by_hashing(ps)
+
+    @pytest.mark.parametrize("plane, mismatch", [
+        ({4: 10, 5: 2}, 5),
+        ({4: 15}, 4),
+        ({3: 1, 4: 10, 5: 1}, 3),
+        ({4: 10, 5: 1, 7: 2}, 7),
+        ({4: 10, 5: 1}, None),
+    ])
+    def test_first_mismatch_is_the_smallest_differing_count(self, ps, monkeypatch, plane,
+                                                             mismatch):
+        # the last case differs in its indeterminate count only
+        def plane_spectrum(lifted, threads=1):
+            return Spectrum(lifted.dimension, lifted.n, lifted.dimension, dict(plane),
+                            int(mismatch is None))
+
+        monkeypatch.setattr(counting, "ordinary_hyperplane_spectrum", plane_spectrum)
+        report = verify_correspondence(ps, threads=1)
+        assert report.sphere_spectrum.counts == {4: 10, 5: 1}
+        assert report.equal is False and report.first_mismatch == mismatch
 
 
 class TestParallelism:

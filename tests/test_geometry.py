@@ -635,6 +635,15 @@ class TestLiftProject:
         with pytest.raises(DomainError):
             project(boxes)
 
+    def test_point_with_square_norm_minus_one_has_no_image(self):
+        # (i, 0) has |x|^2 + 1 = i^2 + 1 = 0; real coordinates never do
+        ctx = get_context(4)
+        point = (ctx.zeta_power(1), ctx.zero())
+        with pytest.raises(DomainError, match="vanishes"):
+            lift(point)
+        with pytest.raises(DomainError, match="vanishes"):
+            lift_set(PointSet.build([point, (ctx.one(), ctx.zero())]))
+
     def test_lift_project_on_cyclotomic_backend(self):
         ctx = get_context(12)
         c, s = ctx.cos_sin(1, 12)
@@ -928,6 +937,14 @@ class TestPointSetValidation:
         ctx = get_context(12)
         with pytest.raises(DomainError):
             PointSet.build([as_point((1, 2)), (ctx.one(), ctx.zero())])
+
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_point_mixing_backends_rejected(self, alone):
+        ctx = get_context(12)
+        mixed = (Fraction(1), ctx.one())
+        points = [mixed] if alone else [as_point((1, 2)), mixed]
+        with pytest.raises(DomainError, match="mixes backends"):
+            PointSet.build(points)
 
     def test_overlapping_intervals_rejected(self):
         a = tuple(IntervalScalar.from_endpoints("0", "1", 64) for _ in range(2))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypersphere_lab.errors import ConductorError, DomainError, ResourceError
 from hypersphere_lab.scalars import (
+    _SAFE_INT64,
     INDETERMINATE,
     LANE_PRIME_CEILING,
     IntervalScalar,
@@ -21,6 +22,7 @@ from hypersphere_lab.scalars import (
     scalar_to_json,
     sign_of,
     trig_pair,
+    _mul_vectors,
 )
 
 fractions_st = st.fractions(
@@ -206,6 +208,58 @@ class TestCycloRingLaws:
     def test_conjugation_is_involutive(self, a):
         assert a.conjugate().conjugate() == a
         assert (a * a.conjugate()).is_real()
+
+
+def schoolbook_product(ctx, x, y):
+    """x * y as Python ints, reduced by long division by the monic
+    cyclotomic polynomial ``ctx.poly``."""
+    product = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            product[i + j] += a * b
+    deg = ctx.degree
+    for top in range(len(product) - 1, deg - 1, -1):
+        lead = product[top]
+        for i, c in enumerate(ctx.poly):
+            product[top - deg + i] -= lead * c
+    return tuple(product[:deg])
+
+
+class TestProductAtTheInt64Bound:
+    """Coefficient products take numpy's int64 convolution below a bound
+    and exact Python ints above it; both must give the exact product."""
+
+    @staticmethod
+    def operand(rng, deg, largest, signed):
+        values = [largest if not signed else rng.choice([-largest, largest])
+                  for _ in range(deg)]
+        values[rng.randrange(deg)] = rng.randint(-largest, largest) if signed else 0
+        return tuple(values)
+
+    @pytest.mark.parametrize("conductor", [4, 8, 12, 72, 156])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_just_under_and_just_over_the_bound(self, conductor, signed):
+        ctx = get_context(conductor)
+        deg, rng = ctx.degree, random.Random(conductor)
+        # a product takes int64 iff max|x| * max|y| * scale < _SAFE_INT64
+        scale = deg * ctx._table_max * deg
+        for xmax in (1, 2**7, 2**20 + 3):
+            under = (_SAFE_INT64 - 1) // (scale * xmax)
+            # in int64 the last two would overflow: the reduction at degree
+            # 48, the convolution at every degree
+            for ymax in (under, under + 1, under * ctx._table_max * deg, under * 2**20):
+                x = self.operand(rng, deg, xmax, signed)
+                y = self.operand(rng, deg, ymax, signed)
+                assert _mul_vectors(ctx, x, y) == schoolbook_product(ctx, x, y)
+                assert _mul_vectors(ctx, y, x) == schoolbook_product(ctx, x, y)
+
+    @pytest.mark.parametrize("conductor", [4, 8, 12, 72, 156])
+    def test_zero_times_a_coefficient_past_two_to_the_63(self, conductor):
+        ctx = get_context(conductor)
+        zero = (0,) * ctx.degree
+        big = (2**64 + 3,) + (-(2**70),) * (ctx.degree - 1)
+        assert _mul_vectors(ctx, zero, big) == zero == _mul_vectors(ctx, big, zero)
+        assert (ctx.zero() * ctx.element(big)).is_zero()
 
 
 class TestSplitPrimes:
