@@ -13,9 +13,11 @@ inputs, each invocation in a process of its own:
   violates general position: (8, 9, 10, 11) is its only degenerate 4-subset
   and the last of its C(12, 4) = 495, so at ``--threads 2`` the pool finds
   it in its second rank range;
-* two malformed runs, which exit 2: ``count`` on a d=2 interval file whose
-  second point has its first coordinate's endpoints swapped, and ``count
-  -o`` into a missing directory;
+* three runs that exit 2: ``count`` on a d=2 interval file whose second
+  point has its first coordinate's endpoints swapped, ``lift`` on a d=2
+  interval file whose first point has x = [-2, 2], so that the enclosure
+  [-3, 5] of |x|^2 + 1 is not certifiably nonzero, and ``count -o`` into a
+  missing directory;
 * ``selftest``.
 
 Each artifact is a directory of OUT_DIR holding the command's ``stdout``,
@@ -51,6 +53,9 @@ VIOLATION_POINTS = [[2, 1, 3], [-1, 4, 2], [3, -2, 1], [1, 2, -4], [-3, -1, 5], 
 SWAPPED_ENDPOINTS = [[("0", "0"), ("0", "0")], [("1.5", "0.5"), ("0", "0")],
                      [("0", "0"), ("1", "1")], [("2", "2"), ("3", "3")]]
 
+# (lo, hi) of each coordinate; |x|^2 + 1 of the first point encloses 0
+UNBOUNDED_LIFT = [[("-2", "2"), ("0", "0")], [("5", "5"), ("1", "1")]]
+
 
 def artifact(out_dir: str, name: str, args: list) -> int:
     """Run ``hypersphere-lab ARGS`` in ``out_dir`` and keep its streams and
@@ -80,6 +85,17 @@ def examine(out_dir: str, label: str, points: str):
     artifact(out_dir, f"validate-{label}", ["validate", points])
 
 
+def interval_file(out_dir: str, name: str, endpoints: list) -> str:
+    """Write the d=2 interval point set with coordinate ``endpoints`` (lo,
+    hi) to ``name``.json in ``out_dir`` and return its relative path."""
+    points = f"{name}.json"
+    with open(os.path.join(out_dir, points), "w") as fh:
+        json.dump({"dimension": 2, "backend": "interval",
+                   "points": [[{"lo": lo, "hi": hi, "bits": 128} for lo, hi in p]
+                              for p in endpoints]}, fh)
+    return points
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="new or empty directory for the artifacts")
@@ -97,12 +113,10 @@ def main(argv=None) -> int:
         json.dump({"dimension": 3, "backend": "rational",
                    "points": [[str(c) for c in p] for p in VIOLATION_POINTS]}, fh)
     examine(out_dir, "violation", points)
-    points = "swapped-endpoints.json"
-    with open(os.path.join(out_dir, points), "w") as fh:
-        json.dump({"dimension": 2, "backend": "interval",
-                   "points": [[{"lo": lo, "hi": hi, "bits": 128} for lo, hi in p]
-                              for p in SWAPPED_ENDPOINTS]}, fh)
+    points = interval_file(out_dir, "swapped-endpoints", SWAPPED_ENDPOINTS)
     artifact(out_dir, "count-swapped-endpoints", ["count", points, "--threads", "1"])
+    points = interval_file(out_dir, "unbounded-lift", UNBOUNDED_LIFT)
+    artifact(out_dir, "lift-unbounded", ["lift", points])
     artifact(out_dir, "count-missing-directory",
              ["count", "generate-trivial-n14-seed7/points.json", "--threads", "1",
               "-o", "missing/spectrum.json"])

@@ -270,16 +270,14 @@ def spectrum_by_hashing(ps: PointSet) -> Spectrum:
     keys, violation = _subset_histogram(ps, lifted_row, r, 1, _surface)
     if violation is not None:
         raise GeneralPositionError(violation)
+    incidence = {math.comb(m, r): m for m in range(r, ps.n + 1)}
     counts: Counter = Counter()
     for multiplicity in keys.values():
-        m = r
-        while m <= ps.n and math.comb(m, r) < multiplicity:
-            m += 1
-        if m > ps.n or math.comb(m, r) != multiplicity:
+        if multiplicity not in incidence:
             raise ConsistencyError(
                 f"key multiplicity {multiplicity} is not a binomial C(m,{r})"
             )
-        counts[m] += 1
+        counts[incidence[multiplicity]] += 1
     spec = Spectrum(ps.dimension, ps.n, r, dict(counts), 0)
     if not spec.partition_holds():
         raise ConsistencyError("partition identity failed in hash fast path")

@@ -196,20 +196,22 @@ def _expansion_plan(k: int, columns: int):
 
     Level r holds the minors of the first r+1 rows, one per (r+1)-column
     subset in ``combinations`` order.  For each row r >= 1 the plan holds
-    (col, prev, plus, minus): term t of minor i of level r is
-    row[col[i, t]] * previous[prev[i, t]] with sign (-1)^(r+t), so the
-    minor is the sum of its terms at ``plus`` less those at ``minus``.
+    (col, prev): term t of minor i of level r is row[col[i, t]] *
+    previous[prev[i, t]] with sign (-1)^(r+t), for a row followed by its
+    negated entries: a minus term's column is moved into the negated half
+    (``columns`` and above), so the minor is the sum of its terms.
     """
     plan = []
     previous = {(c,): c for c in range(columns)}
     for r in range(1, k):
         combos = list(combinations(range(columns), r + 1))
         col = np.array(combos, dtype=np.intp)
+        col[:, 1 - r % 2::2] += columns
         prev = np.array(
             [[previous[cols[:t] + cols[t + 1:]] for t in range(r + 1)] for cols in combos],
             dtype=np.intp,
         )
-        plan.append((col, prev, slice(r % 2, None, 2), slice(1 - r % 2, None, 2)))
+        plan.append((col, prev))
         previous = {cols: i for i, cols in enumerate(combos)}
     return plan
 
@@ -222,11 +224,12 @@ def _level_functions(k: int, columns: int, reduced: bool):
     r as a list: each minor is its plus terms summed left to right less its
     minus terms summed left to right, taken mod ``prime`` if ``reduced``."""
     functions = []
-    for col, prev, plus, minus in _expansion_plan(k, columns):
+    for col, prev in _expansion_plan(k, columns):
         minors = []
         for c, q in zip(col.tolist(), prev.tolist()):
-            plus_terms = " + ".join(f"row[{a}] * last[{b}]" for a, b in zip(c[plus], q[plus]))
-            minus_terms = " + ".join(f"row[{a}] * last[{b}]" for a, b in zip(c[minus], q[minus]))
+            plus_terms = " + ".join(f"row[{a}] * last[{b}]" for a, b in zip(c, q) if a < columns)
+            minus_terms = " + ".join(f"row[{a - columns}] * last[{b}]"
+                                     for a, b in zip(c, q) if a >= columns)
             minor = f"({plus_terms}) - ({minus_terms})"
             minors.append(f"({minor}) % prime" if reduced else minor)
         functions.append(_compiled("row, last, prime", f"[{', '.join(minors)}]"))
@@ -259,30 +262,17 @@ def _shared_levels(indices: tuple, walk) -> list:
     return cached[:shared]
 
 
-@functools.lru_cache(maxsize=None)
-def _signed_plan(k: int, columns: int):
-    """``_expansion_plan`` for rows followed by their negated entries: for
-    each row r >= 1, (col, prev) with the column of each minus term moved
-    into the negated half, so that every minor is the sum of its terms."""
-    plan = []
-    for col, prev, plus, minus in _expansion_plan(k, columns):
-        col = col.copy()
-        col[:, minus] += columns
-        plan.append((col, prev))
-    return plan
-
-
 def _lane_minors(signed, indices: tuple, basis, levels: list) -> list:
     """The expansion levels of the rows at ``indices`` of a lane set, in
     every lane class and reduced, from its ``signed`` tensor (n, 2 * width,
-    primes, classes), each row's entries followed by their negations:
-    ``levels``, those of a prefix of the indices (never written to),
-    extended by one level per further row.  Level r has shape (C(width,
-    r+1), primes, classes); the last one holds the minors of full row
-    count."""
+    primes, classes), each row's entries followed by their negations, the
+    form ``_expansion_plan``'s columns index: ``levels``, those of a prefix
+    of the indices (never written to), extended by one level per further
+    row, each the sum of its terms.  Level r has shape (C(width, r+1),
+    primes, classes); the last one holds the minors of full row count."""
     width = signed.shape[1] // 2
     levels = levels or [signed[indices[0], :width]]
-    plan = _signed_plan(len(indices), width)
+    plan = _expansion_plan(len(indices), width)
     for r in range(len(levels), len(indices)):
         col, prev = plan[r - 1]
         level = np.add.reduce(signed[indices[r]][col] * levels[-1][prev], axis=1)
@@ -567,7 +557,10 @@ def lift(point: Point) -> Point:
     sphere of R^(d+1); exact on exact backends, and none if |x|^2 = -1."""
     q = squared_norm(point)
     denom = q + 1
-    if is_zero(denom) is True:
+    z = is_zero(denom)
+    if z is INDETERMINATE:
+        raise DomainError("cannot certify that |x|^2 + 1 is nonzero")
+    if z:
         raise DomainError("|x|^2 + 1 vanishes: the point has no inverse stereographic image")
     return tuple([(c + c) / denom for c in point] + [(q - 1) / denom])
 
@@ -704,26 +697,23 @@ class Hypersphere:
 
 
 def _canonicalize(coeffs: list, backend: str) -> list:
-    """Scale to coprime integer data with the first nonzero entry positive."""
+    """One representative of the nonzero multiples of exact ``coeffs``: a
+    cyclotomic vector times its lead's ``conjugate_product`` (N(lead) /
+    lead, so the lead becomes rational), then its fractions scaled to
+    coprime integers with the first nonzero one positive, which is unique
+    up to a positive rational factor."""
     if backend == "cyclotomic":
-        # normalise by the first nonzero field element so that proportional
-        # coefficient vectors collapse to one representative
-        lead = next(c for c in coeffs if not c.is_zero())
-        inv = lead.inverse()
-        coeffs = [c * inv for c in coeffs]
+        rest = next(c for c in coeffs if not c.is_zero()).conjugate_product()
+        coeffs = [c * rest for c in coeffs]
         fractions = [f for c in coeffs for f in c.coefficients]
     else:
-        fractions = [Fraction(c) for c in coeffs]
-        coeffs = fractions
+        coeffs = fractions = [Fraction(c) for c in coeffs]
     denom_lcm = math.lcm(*(f.denominator for f in fractions))
     numer_gcd = math.gcd(*(f.numerator * (denom_lcm // f.denominator) for f in fractions))
-    scale = Fraction(denom_lcm, numer_gcd or 1)
-    coeffs = [c * scale for c in coeffs]
-    if backend == "rational":
-        lead = next(c for c in coeffs if c)
-        if lead < 0:
-            coeffs = [-c for c in coeffs]
-    return coeffs
+    scale = Fraction(denom_lcm, numer_gcd)
+    if next(f for f in fractions if f) < 0:
+        scale = -scale
+    return [c * scale for c in coeffs]
 
 
 def hypersphere_through(points) -> Hypersphere:

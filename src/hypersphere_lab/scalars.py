@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import finf, fninf, mpf_lt
+from mpmath.libmp import finf, fnan, fninf, mpf_lt
 
 from .errors import ConductorError, DomainError, ResourceError
 
@@ -516,17 +516,19 @@ class CycloElement:
 
     __rmul__ = __mul__
 
+    def conjugate_product(self) -> "CycloElement":
+        """The product of the distinct conjugates sigma_k(self), k a unit
+        mod N, other than self: self times it is the rational norm from
+        Q(self) (Washington, *Introduction to Cyclotomic Fields*, ch. 2)."""
+        conjugates = {self._galois(k) for k in self.ctx.units[1:]} - {self}
+        return math.prod(conjugates, start=self.ctx.one())
+
     def inverse(self) -> "CycloElement":
-        """Field inverse by the Galois norm: with rest the product of the
-        conjugates sigma_k(self), k != 1 a unit mod N, self * rest is the
-        rational norm, so self^-1 = rest / norm."""
+        """Field inverse: the ``conjugate_product`` over the rational norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        ctx = self.ctx
-        rest = ctx.one()
-        for k in ctx.units[1:]:
-            rest = rest * self._galois(k)
-        return CycloElement(ctx, *(rest / (self * rest).as_rational())._normalized())
+        rest = self.conjugate_product()
+        return CycloElement(self.ctx, *(rest / (self * rest).as_rational())._normalized())
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -593,10 +595,11 @@ def _cyclo_element(conductor: int, num: tuple[int, ...], den: int) -> CycloEleme
 
 
 def _raw_to_fraction(raw) -> Fraction:
-    """Exact value of a raw mpf tuple (sign, mantissa, exponent, bitcount)."""
+    """Exact value of a raw mpf tuple (sign, mantissa, exponent, bitcount);
+    an unbounded enclosure's infinite or NaN endpoint is a DomainError."""
+    if raw in (finf, fninf, fnan):
+        raise DomainError("an unbounded interval enclosure has no finite endpoint")
     sign, man, exp, _ = raw
-    if man == 0:
-        return Fraction(0)
     return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 

@@ -92,8 +92,9 @@ def _check_formulas() -> bool:
 
 
 def _check_determinism() -> bool:
-    ps = trivial_config(3, 7, seed=9)
-    return spectrum(ps, threads=1) == spectrum(ps, threads=2)
+    # C(7, 4) = 35 subsets run in one process; C(12, 4) = 495 start the pool
+    return all(spectrum(ps, threads=1) == spectrum(ps, threads=2)
+               for ps in (trivial_config(3, 7, seed=9), trivial_config(3, 12, seed=9)))
 
 
 CHECKS = [

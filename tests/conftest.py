@@ -1,4 +1,5 @@
 import contextlib
+import os
 import random
 from fractions import Fraction
 from unittest import mock
@@ -29,6 +30,27 @@ def flip_first_verdict(monkeypatch):
         return not answers[-1] if len(answers) == 1 else answers[-1]
 
     monkeypatch.setattr(counting, "is_zero", flipped)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """A list that gets one entry, the requested worker count, per process
+    pool the subset walk starts; the pools themselves are real."""
+    starts = []
+
+    class SpyExecutor(counting.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            starts.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyExecutor)
+    return starts
+
+
+def pool_started(starts) -> bool:
+    """Whether ``pool_starts`` saw a pool start, or the machine has fewer
+    than two cores, so that no thread count starts one."""
+    return bool(starts) or (os.cpu_count() or 1) < 2
 
 
 def random_fraction(rng, bound=10):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_general_position_set
+from conftest import pool_started, random_general_position_set
 
 from hypersphere_lab.constructions import (
     CosetSpec,
@@ -201,13 +201,20 @@ def test_criterion_8_inversion_invariance():
     print("ACCEPTANCE 8 spectra invariant under inversion (20 sets x 5 centers): PASS")
 
 
-def test_criterion_9_thread_count_determinism():
+def test_criterion_9_thread_count_determinism(pool_starts):
     corpus = [
         trivial_config(3, 8, seed=21),
         coset_config(CosetSpec(PARAMS, 8, 1), validate=False),
         random_general_position_set(3, 7, seed=4000),
     ]
-    for ps in corpus:
+    # C(12, 4) = 495 and C(12, 5) = 792 subsets: two threads start the pool
+    pooled = [
+        trivial_config(3, 12, seed=21),
+        coset_config(CosetSpec(PARAMS, 12, 3), validate=False),
+    ]
+    for i, ps in enumerate(corpus + pooled):
+        pool_starts.clear()
         results = [spectrum(ps, threads=k) for k in (1, 2, 8)]
         assert results[0] == results[1] == results[2]
+        assert i < len(corpus) or pool_started(pool_starts)
     print("ACCEPTANCE 9 spectra identical for 1, 2, 8 worker processes: PASS")

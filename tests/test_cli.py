@@ -155,6 +155,20 @@ class TestTransformCommands:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert not out_path.exists() and not out.getvalue()
 
+    def test_lift_with_an_undecided_denominator_is_usage_error(self, tmp_path):
+        # |x|^2 + 1 of the first point encloses [-3, 5]: its quotient would be
+        # unbounded, so nothing is written
+        points = [[("-2", "2"), ("0", "0")], [("5", "5"), ("1", "1")]]
+        path, out_path = tmp_path / "iv.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"points": [[{"lo": lo, "hi": hi, "bits": 128}
+                                                 for lo, hi in p] for p in points]}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["lift", str(path), "-o", str(out_path)])
+        assert code == EXIT_USAGE
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert not out_path.exists() and not out.getvalue()
+
     def test_unreadable_center_is_usage_error(self, trivial_file, capsys):
         assert run(["invert", "--center", "1,x,0", str(trivial_file)]) == EXIT_USAGE
         err = capsys.readouterr().err

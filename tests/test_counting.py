@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip_first_verdict, no_lifts, random_general_position_set
+from conftest import flip_first_verdict, no_lifts, pool_started, random_general_position_set
 from oracles import gaussian_rank, naive_plane_spectrum, naive_sphere_spectrum
 
-from hypersphere_lab import counting
+from hypersphere_lab import counting, selftest
 from hypersphere_lab.counting import (
     Spectrum,
     count_dplus2,
@@ -388,14 +388,20 @@ class TestIntegrityChecks:
 
 
 class TestParallelism:
-    def test_thread_counts_agree(self):
+    def test_thread_counts_agree(self, pool_starts):
         ps = random_general_position_set(3, 8, seed=400)
         s1 = spectrum(ps, threads=1)
         s2 = spectrum(ps, threads=2)
         s8 = spectrum(ps, threads=8)
         assert s1 == s2 == s8
+        ps = sphere_plus_point_config(3, 11, seed=3)  # C(12, 4) = 495 subsets
+        s1 = spectrum(ps, threads=1)
+        assert not pool_starts
+        s2 = spectrum(ps, threads=2)
+        assert pool_started(pool_starts)
+        assert s1 == s2 == spectrum(ps, threads=8)
 
-    def test_violation_is_deterministic_across_thread_counts(self):
+    def test_violation_is_deterministic_across_thread_counts(self, pool_starts):
         pts = [
             as_point(t)
             for t in [
@@ -414,6 +420,22 @@ class TestParallelism:
                 spectrum(ps, threads=threads)
             witnesses.append(err.value.witness)
         assert witnesses[0] == witnesses[1] == witnesses[2] == (0, 1, 2, 3)
+        # eight integer points, then four of the unit circle in z = 0: the
+        # only degenerate 4-subset is the last of C(12, 4) = 495, which at
+        # two threads the pool finds in its second rank range
+        pts = [(2, 1, 3), (-1, 4, 2), (3, -2, 1), (1, 2, -4), (-3, -1, 5), (4, 3, -2),
+               (-2, 5, -1), (5, -3, 4), (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+        ps = PointSet.build([as_point(t) for t in pts])
+        for threads in (1, 2, 8):
+            pool_starts.clear()
+            with pytest.raises(GeneralPositionError) as err:
+                spectrum(ps, threads=threads)
+            assert err.value.witness == (8, 9, 10, 11)
+            assert threads == 1 or pool_started(pool_starts)
+
+    def test_selftest_determinism_check_starts_the_pool(self, pool_starts):
+        assert selftest._check_determinism()
+        assert pool_started(pool_starts)
 
     @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, None)])
     def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, workers):

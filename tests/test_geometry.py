@@ -644,6 +644,13 @@ class TestLiftProject:
         with pytest.raises(DomainError, match="vanishes"):
             lift_set(PointSet.build([point, (ctx.one(), ctx.zero())]))
 
+    def test_undecided_square_norm_plus_one_has_no_image(self):
+        # |x|^2 + 1 of x = ([-2, 2], 0) encloses [-3, 5], which holds 0
+        point = (IntervalScalar.from_endpoints("-2", "2", 128),
+                 IntervalScalar.from_fraction(0, 128))
+        with pytest.raises(DomainError, match="cannot certify"):
+            lift(point)
+
     def test_lift_project_on_cyclotomic_backend(self):
         ctx = get_context(12)
         c, s = ctx.cos_sin(1, 12)
@@ -863,6 +870,90 @@ class TestHypersphereThrough:
         b = hypersphere_through(pts[2:])
         assert a == b and hash(a) == hash(b)
         assert a.coefficients() == b.coefficients()
+
+
+def all_conjugates_inverse(a):
+    """a^-1 as the product of sigma_k(a) over every unit k != 1 mod N, over
+    the rational norm: the field inverse with no conjugate left out."""
+    rest = a.ctx.one()
+    for k in a.ctx.units[1:]:
+        rest = rest * a._galois(k)
+    return rest / (a * rest).as_rational()
+
+
+def reference_canonical(coeffs):
+    """``coeffs`` over their lead, scaled to coprime integer fractions (the
+    lead becomes 1, so it is positive)."""
+    lead = next(c for c in coeffs if not c.is_zero())
+    inverse = all_conjugates_inverse(lead)
+    coeffs = [c * inverse for c in coeffs]
+    fractions = [f for c in coeffs for f in c.coefficients]
+    lcm = math.lcm(*(f.denominator for f in fractions))
+    gcd = math.gcd(*(f.numerator * (lcm // f.denominator) for f in fractions))
+    return tuple(c * Fraction(lcm, gcd) for c in coeffs)
+
+
+@st.composite
+def field_element(draw, ctx, kind):
+    """A nonzero rational element, a real one (fixed by complex conjugation,
+    so that its conjugates repeat and its norm may be negative) or a
+    generic one of the field of ``ctx``."""
+    if kind == "rational":
+        return ctx.from_rational(draw(small_fraction.filter(bool)))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=ctx.degree, max_size=ctx.degree)
+                  .filter(any))
+    x = ctx.element(coeffs)
+    x = x + x.conjugate() if kind == "real" else x
+    return x if not x.is_zero() else ctx.one()
+
+
+KINDS = st.sampled_from(["rational", "real", "generic"])
+
+
+@st.composite
+def surface_coefficients(draw, ctx):
+    """A coefficient vector over the field of ``ctx`` whose first nonzero
+    entry, after some zeros, is of a random kind, and a nonzero multiplier
+    in the same field."""
+    size = draw(st.integers(3, 5))
+    lead = draw(st.integers(0, size - 1))
+    coeffs = [ctx.zero()] * lead + [draw(field_element(ctx, draw(KINDS)))]
+    for _ in range(size - lead - 1):
+        coeffs.append(draw(st.one_of(st.just(ctx.zero()), field_element(ctx, draw(KINDS)))))
+    return coeffs, draw(field_element(ctx, draw(KINDS)))
+
+
+class TestCanonicalForm:
+    """Exact surfaces are normalized by one rule: a cyclotomic vector times
+    its lead's conjugate product, then coprime integer fractions with the
+    first nonzero one positive."""
+
+    @staticmethod
+    def surface(coeffs):
+        return Hypersphere.from_coefficients(coeffs[0], coeffs[1:-1], coeffs[-1])
+
+    @pytest.mark.parametrize("conductor", [8, 12, 20, 156])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_multiples_share_the_reference_form(self, conductor, data):
+        coeffs, scale = data.draw(surface_coefficients(get_context(conductor)))
+        sphere = self.surface(coeffs)
+        multiple = self.surface([c * scale for c in coeffs])
+        assert sphere == multiple and hash(sphere) == hash(multiple)
+        assert sphere.coefficients() == multiple.coefficients() == reference_canonical(coeffs)
+
+    def test_negative_norm_lead(self):
+        # sqrt(3) = z - z^5 at N = 12: its conjugate product is -sqrt(3), so
+        # the lead becomes -3 before the sign step
+        ctx = get_context(12)
+        sqrt3 = ctx.zeta_power(1) - ctx.zeta_power(5)
+        assert sqrt3.conjugate_product() == -sqrt3
+        sphere = self.surface([sqrt3, ctx.one(), ctx.zero()])
+        assert sphere.coefficients() == (3, sqrt3, 0)
+
+    def test_rational_form(self):
+        sphere = Hypersphere.from_coefficients(Fraction(-2, 3), (4, 0), Fraction(2, 5))
+        assert sphere.coefficients() == (5, -30, 0, -3)
 
 
 class TestIncident:

@@ -194,6 +194,19 @@ class TestCycloRingLaws:
         assert (a + b)._galois(k) == a._galois(k) + b._galois(k)
         assert (a * b)._galois(k) == a._galois(k) * b._galois(k)
 
+    @settings(max_examples=40, deadline=None)
+    @given(cyclo_elements(ctx), st.sampled_from(["real", "rational", "generic"]))
+    def test_conjugate_product_makes_the_norm(self, a, kind):
+        # a real element's conjugates repeat in pairs; a rational one has
+        # no conjugate other than itself, so its product is 1
+        a = {"real": a + a.conjugate(), "generic": a,
+             "rational": self.ctx.from_rational(a.coefficients[0] or 1)}[kind]
+        if not a.is_zero():
+            assert (a * a.conjugate_product()).is_rational()
+            assert a * a.inverse() == 1
+        if kind == "rational":
+            assert a.conjugate_product() == 1
+
     def test_inverse_of_dense_elements_at_degree_48(self):
         ctx = get_context(156)
         assert ctx.degree == 48
@@ -324,6 +337,14 @@ class TestIntervalContainment:
         from hypersphere_lab.scalars import _raw_to_fraction
 
         assert _raw_to_fraction(enc._mpi_[0]) <= q <= _raw_to_fraction(enc._mpi_[1])
+
+    def test_unbounded_quotient_has_no_endpoints(self):
+        # 1 / [-1, 1] encloses [-inf, +inf]: neither endpoint is a number
+        quotient = IntervalScalar.from_fraction(1, 128) / IntervalScalar.from_endpoints(
+            "-1", "1", 128)
+        for read in (lambda q: q.lo, lambda q: q.hi, scalar_to_json):
+            with pytest.raises(DomainError, match="unbounded"):
+                read(quotient)
 
     def test_division_containment(self):
         x = IntervalScalar.from_fraction(Fraction(1, 3), 128)
