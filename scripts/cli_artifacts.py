@@ -8,11 +8,14 @@ inputs, each invocation in a process of its own:
   n=14 seed 7, and that trivial set with ``--backend interval --bits 192``;
 * on each generated file: ``count --csv`` at ``--threads 1`` and ``2``,
   ``compare --csv`` (at ``--threads 2``), ``validate`` and ``lift``;
+* ``generate`` for coset d=4 n=16 l=0 and ``count --csv`` on it at
+  ``--threads 2``: with C(16, 5) = 4 368 subsets, at least
+  ``counting.POOL_MIN_SUBSETS``, it is the one input here that starts the
+  process pool;
 * the same ``count``, ``compare`` and ``validate`` runs on a literal
   rational d=3 n=12 file whose points 8-11 lie on one circle, which
   violates general position: (8, 9, 10, 11) is its only degenerate 4-subset
-  and the last of its C(12, 4) = 495, so at ``--threads 2`` the pool finds
-  it in its second rank range;
+  and the last of its C(12, 4) = 495;
 * three runs that exit 2: ``count`` on a d=2 interval file whose second
   point has its first coordinate's endpoints swapped, ``lift`` on a d=2
   interval file whose first point has x = [-2, 2], so that the enclosure
@@ -44,6 +47,9 @@ INPUTS = {
     "trivial-n14-seed7-interval": ["--d", "4", "--n", "14", "--kind", "trivial", "--seed", "7",
                                    "--backend", "interval", "--bits", "192"],
 }
+
+# the one input whose spectrum walk is split over the process pool
+POOLED = ("coset-n16-l0", ["--d", "4", "--n", "16", "--kind", "coset", "--l", "0"])
 
 # eight integer points, then four points of the unit circle in z = 0
 VIOLATION_POINTS = [[2, 1, 3], [-1, 4, 2], [3, -2, 1], [1, 2, -4], [-3, -1, 5], [4, 3, -2],
@@ -108,6 +114,11 @@ def main(argv=None) -> int:
         artifact(out_dir, f"generate-{label}", ["generate", *args, "-o", points])
         examine(out_dir, label, points)
         artifact(out_dir, f"lift-{label}", ["lift", points])
+    label, args = POOLED
+    points = f"generate-{label}/points.json"
+    artifact(out_dir, f"generate-{label}", ["generate", *args, "-o", points])
+    artifact(out_dir, f"count-t2-{label}", ["count", points, "--threads", "2",
+                                            "--csv", f"count-t2-{label}/spectrum.csv"])
     points = "violation-points.json"
     with open(os.path.join(out_dir, points), "w") as fh:
         json.dump({"dimension": 3, "backend": "rational",

@@ -147,11 +147,19 @@ def _histogram_range(rows, r: int, start: int, stop: int, key):
     return hist, None
 
 
+# The fewest subsets a walk splits over a process pool.  One-thread over
+# two-thread ``spectrum`` time on a 2-core VM is 0.7-1.0 for d=4 cosets up
+# to 3 003 subsets and 1.2-1.4 from 4 368, and 0.8-1.3 for trivial sets of
+# 1 001-2 002 subsets: below about this many, the pool's start-up and the
+# set's pickling cost about what the second core saves.
+POOL_MIN_SUBSETS = 4096
+
+
 def _subset_histogram(ps: PointSet, row, r: int, threads: int, key):
     rows = scaled_rows(ps.points, row)
     total = math.comb(ps.n, r)
     workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1 or total < 256:
+    if workers <= 1 or total < POOL_MIN_SUBSETS:
         return _histogram_range(rows, r, 0, total, key)
     # contiguous rank ranges; merged results are independent of the split
     chunk = -(-total // workers)

@@ -14,27 +14,27 @@ that constant, so every zero test is unchanged.  Rational rows become
 Python ints; cyclotomic rows become elements of denominator 1.
 
 Every minor and incidence value is expanded row by row over column
-subsets by one plan (``_expansion_plan``).  Rows with one number per entry
-expand in plain Python, by functions compiled from the plan once per
-shape, so that a level of minors costs one call and its products.  Each
-minor is its plus terms summed left to right less its minus terms summed
-left to right; interval enclosures depend on that order.  ``scaled_rows``
-returns one ``RowSet``; ``RowSet.take`` makes a view of some of its rows.
-Rational, interval and capped sets, and plain lists of rows (a set with no
-basis), expand over their own scalars.
+subsets by one plan (``_expansion_plan``).  ``scaled_rows`` returns one
+``RowSet``; ``RowSet.take`` makes a view of some of its rows.  Rational,
+interval and capped sets, and plain lists of rows (a set with no basis),
+expand in plain Python over their own scalars, by functions compiled from
+the plan once per shape, so that a level of minors costs one call and its
+products.  Each minor is its plus terms summed left to right less its
+minus terms summed left to right; interval enclosures depend on that
+order.
 
 A cyclotomic set of one conductor is a lane set: it keeps the residue
 lanes of its entries over one ``basis`` of split primes (see ``scalars``)
-as one ``grid``, and expands in its *filter lane*, each entry's residue in
-lane 0 of the basis's first prime, kept as Python ints.  The cofactors or
-the determinant of a view of a lane set are lane values known by their
-filter residues.  A nonzero residue proves a value nonzero.  A zero one is
-decided in every lane under the set's bound (below): the view expands all
-its values in every lane once, and lifts them by one ``from_lanes`` call
-only when one is read (equality, hashing, JSON, pickling or arithmetic).
-Incidence values det([x; S]) against a view of the same set (one of the
-same ``source``) are only decided: by a nonzero filter residue, or else by
-the all-lane determinant of the sorted indices of S and x, which the set
+as one ``grid``, and filters in its *filter lane*, each entry's residue in
+lane 0 of the basis's first prime.  The cofactors or the determinant of a
+view of a lane set are lane values known by their filter residues.  A
+nonzero residue proves a value nonzero.  A zero one is decided in every
+lane under the set's bound (below): the view expands all its values in
+every lane once, and lifts them by one ``from_lanes`` call only when one
+is read (equality, hashing, JSON, pickling or arithmetic).  Incidence
+values det([x; S]) against a view of the same set (one of the same
+``source``) are only decided: by a nonzero filter residue, or else by the
+all-lane determinant of the sorted indices of S and x, which the set
 records, so that each (d+2)-set is certified once.  Rows of two sets, or a
 cofactor tuple used as a row, expand over their elements.
 
@@ -50,16 +50,27 @@ classes once and the ``grid`` keeps one lane of each; ``classes`` maps
 every lane back to its class, and only the lift reads all lanes.
 
 Level j of the expansion holds the minors of rows 0..j and depends on
-those rows alone: for a view, on its first j+1 indices and the set's
-width.  Consecutive subsets of a lexicographic walk share all rows but the
-last few: at d=4 a subset that keeps its first four rows of the previous
-one costs the 30 products of the last level instead of all 180.  So a set
-keeps the indices and levels of the last of its views that was expanded
-in the filter lane, and the next view reuses the levels of the longest
-index prefix it shares with them.  The all-lane expansions, certificates
-above all, keep their own last indices and levels the same way:
-consecutive certificates of a walk mostly share three or four leading
-indices.  Cached levels are never written to.
+those rows alone.  A lane set finds the filter residues of a whole *block*
+of k-subsets at once, in numpy: the subsets that share a leading index,
+or a longer leading prefix where those are more than ``_BLOCK_SUBSETS``.
+Each level of a block is an int64 array mod the filter prime, one row per
+index prefix, built from the level before it by the plan's tables.  Its
+last level holds each subset's signed maximal cofactors followed by their
+incidence residues against every row of the set, or the determinant of a
+square subset.  A view reads the row of its sorted indices: a permuted
+view's residues are the sorted view's times the permutation's sign, and a
+view with a repeated index has zero residues.  The set keeps the table of
+the last block it read, and a lexicographic walk reads each block to its
+end before it moves to the next.
+
+A set with no basis keeps the indices and levels of its last expanded
+view, and the next view reuses the levels of the longest index prefix it
+shares with them: at d=4 a subset that keeps its first four rows of the
+previous one costs the 30 products of the last level instead of all 180.
+The all-lane expansions of a lane set, certificates above all, keep their
+own last indices and levels the same way: consecutive certificates of a
+walk mostly share three or four leading indices.  Cached levels are never
+written to.
 
 The lift needs a bound on the coefficients.  Read as polynomials in
 Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
@@ -217,12 +228,12 @@ def _expansion_plan(k: int, columns: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _level_functions(k: int, columns: int, reduced: bool):
+def _level_functions(k: int, columns: int):
     """``_expansion_plan`` compiled to plain Python, so that a level costs
     one call and its products and sums.  For each row r >= 1, a function
-    ``level(row, last, prime)`` of the row and level r-1 that returns level
-    r as a list: each minor is its plus terms summed left to right less its
-    minus terms summed left to right, taken mod ``prime`` if ``reduced``."""
+    ``level(row, last)`` of the row and level r-1 that returns level r as a
+    list: each minor is its plus terms summed left to right less its minus
+    terms summed left to right."""
     functions = []
     for col, prev in _expansion_plan(k, columns):
         minors = []
@@ -230,19 +241,17 @@ def _level_functions(k: int, columns: int, reduced: bool):
             plus_terms = " + ".join(f"row[{a}] * last[{b}]" for a, b in zip(c, q) if a < columns)
             minus_terms = " + ".join(f"row[{a - columns}] * last[{b}]"
                                      for a, b in zip(c, q) if a >= columns)
-            minor = f"({plus_terms}) - ({minus_terms})"
-            minors.append(f"({minor}) % prime" if reduced else minor)
-        functions.append(_compiled("row, last, prime", f"[{', '.join(minors)}]"))
+            minors.append(f"({plus_terms}) - ({minus_terms})")
+        functions.append(_compiled("row, last", f"[{', '.join(minors)}]"))
     return functions
 
 
 @functools.lru_cache(maxsize=None)
-def _dot_function(width: int, reduced: bool):
-    """A function ``dots(rows, cof, prime)`` that returns the list of
-    sum_j x[j] * cof[j], summed left to right, for each row x of ``rows``,
-    taken mod ``prime`` if ``reduced``."""
+def _dot_function(width: int):
+    """A function ``dots(rows, cof)`` that returns the list of sum_j x[j] *
+    cof[j], summed left to right, for each row x of ``rows``."""
     dot = " + ".join(f"x[{j}] * cof[{j}]" for j in range(width))
-    return _compiled("rows, cof, prime", f"[({dot}){' % prime' if reduced else ''} for x in rows]")
+    return _compiled("rows, cof", f"[{dot} for x in rows]")
 
 
 def _compiled(arguments: str, expression: str):
@@ -281,6 +290,78 @@ def _lane_minors(signed, indices: tuple, basis, levels: list) -> list:
     return levels
 
 
+# The most k-subsets one block of a lane set holds (see ``_block_prefix``).
+_BLOCK_SUBSETS = 4096
+
+
+def _block_prefix(n: int, indices: tuple) -> int:
+    """The length of the index prefix that keys the block of the sorted,
+    distinct ``indices`` among the k-subsets of range(n), k = len(indices):
+    the shortest prefix, of length 1 or more, that at most
+    ``_BLOCK_SUBSETS`` k-subsets share.  So a block of one leading index
+    that is too large splits on the next leading index."""
+    k, length = len(indices), 1
+    while math.comb(n - 1 - indices[length - 1], k - length) > _BLOCK_SUBSETS:
+        length += 1
+    return length
+
+
+def _block_rank(n: int, suffix: tuple, start: int) -> int:
+    """The lexicographic rank of the sorted ``suffix`` among the
+    len(suffix)-subsets of range(start, n): at each place, the number of
+    subsets that agree before it and hold a smaller index there."""
+    rank, left = 0, len(suffix)
+    for index in suffix:
+        rank += math.comb(n - start, left) - math.comb(n - index, left)
+        start, left = index + 1, left - 1
+    return rank
+
+
+def _block_table(rows: np.ndarray, prime: int, k: int, prefix: tuple) -> np.ndarray:
+    """The filter residues of the block of the k-subsets of a lane set that
+    begin with ``prefix``, one table row per subset in lexicographic order,
+    from the set's filter ``rows`` (n, 2 * width): each row's residues
+    followed by their negations mod ``prime``.
+
+    Level r holds the minors of rows 0..r of each (r+1)-index prefix of the
+    block's subsets, built from the level of the prefix without its last
+    index by ``_expansion_plan``'s (col, prev) tables, as int64 mod
+    ``prime``: a product of two residues stays below 2^52, and a sum of
+    ``width`` of them fits in int64.  A table row of square subsets is
+    their determinant; one of k = width - 1 rows is their signed maximal
+    cofactors followed by their incidence residues against every row of
+    the set, cof @ entries.T."""
+    n, width = rows.shape[0], rows.shape[1] // 2
+    level, last = rows[list(prefix[:1]), :width], np.array(prefix[:1])
+    for r, (col, prev) in enumerate(_expansion_plan(k, width), 1):
+        if r < len(prefix):
+            parent, index = np.zeros(1, np.intp), np.array(prefix[r:r + 1])
+        else:
+            # each prefix is followed, in order, by every index after its
+            # last one that leaves room for the k - 1 - r indices after it
+            counts = n - k + r - last
+            parent = np.repeat(np.arange(len(last)), counts)
+            offset = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+            index = last[parent] + 1 + offset
+        level = np.add.reduce(rows[index][:, col] * level[parent][:, prev], axis=2) % prime
+        last = index
+    if k == width:
+        return level
+    # in combinations order the minors leave out the last column first;
+    # c_j = (-1)^j * (the minor without column j)
+    cof = level[:, ::-1].copy()
+    cof[:, 1::2] = -cof[:, 1::2] % prime
+    return np.concatenate([cof, cof @ rows[:, :width].T % prime], axis=1)
+
+
+def _permutation_sign(indices: tuple) -> int:
+    """The sign of the permutation that sorts ``indices``; 0 if one
+    repeats."""
+    if len(set(indices)) < len(indices):
+        return 0
+    return -1 if sum(a > b for a, b in combinations(indices, 2)) % 2 else 1
+
+
 def _lane_classes(grid):
     """The lane classes of the lane tensor ``grid``, shape (n, width,
     primes, degree): per prime, the lanes equal in every entry.
@@ -306,32 +387,32 @@ class RowSet(tuple):
 
     A lane set (``basis`` not None) keeps its entries' residue lanes as one
     ``grid``, an (n, width, primes, classes) tensor over ``basis`` with one
-    lane of each lane class, ``classes`` mapping each prime's lanes to their
-    class columns, and as ``entries`` its filter lane: lane 0 of the basis's
-    first prime, ``prime`` (column 0 of ``grid``), as n lists of Python
-    ints.  Any other set's ``entries`` are its rows.  ``take`` makes a view
+    lane of each lane class, and ``classes`` mapping each prime's lanes to
+    their class columns; its filter lane is lane 0 of the basis's first
+    prime, ``prime`` (column 0 of ``grid``).  ``take`` makes a view
     (``source``, ``indices``); the source is the set's identity, and its
     bound covers the values of its views.  A view of a lane set owns its
     values in every lane class: ``lanes`` expands them once and ``lifted``
-    lifts them once.  A set keeps the indices and levels of its last view
-    expanded in the filter lane in ``walk``, those of its last all-lane
-    expansion (a view's ``lanes`` or a certificate) in ``lane_walk``, and
-    its zero certificates in ``certified``; a pickle drops all three.
+    lifts them once.  A lane set keeps the filter table of its last block
+    in ``block``, the indices and levels of its last all-lane expansion (a
+    view's ``lanes`` or a certificate) in ``lane_walk``, and its zero
+    certificates in ``certified``; any other set keeps the indices and
+    levels of its last expanded view in ``walk``.  A pickle drops all of
+    them.
     """
 
     walk = lane_walk = ((), ())
+    block = ((), None)
     _lanes = _lifted = None
 
     def __new__(cls, rows, grid=None, basis=None, classes=None):
         self = super().__new__(cls, rows)
         self.basis, self.source, self.indices = basis, self, tuple(range(len(self)))
         self.grid, self.classes, self.certified = grid, classes, {}
-        if basis is None:
-            self.entries, self.prime = self, None
-        else:
-            self.entries = grid[:, :, 0, 0].tolist()
+        if basis is not None:
             self.prime = basis.primes[0]
             self._signed = np.concatenate([grid, -grid % basis.moduli], axis=1)
+            self._filter = np.ascontiguousarray(self._signed[:, :, 0, 0])
         return self
 
     def __reduce__(self):
@@ -345,6 +426,26 @@ class RowSet(tuple):
         view = tuple.__new__(RowSet, map(source.__getitem__, indices))
         view.basis, view.source, view.indices = self.basis, source, indices
         return view
+
+    def filter_row(self, indices: tuple) -> np.ndarray:
+        """The filter residues of the values of this lane set's rows at
+        ``indices``: their determinant if they are square, else their
+        signed maximal cofactors followed by the cofactors' incidence
+        residues against every row of the set.  Read from the table of the
+        block of the sorted indices (built unless it is the set's last
+        block), times the sign of the permutation that sorts them; zero if
+        an index repeats."""
+        n, k, width = len(self), len(indices), self._filter.shape[1] // 2
+        ordered = tuple(sorted(indices))
+        sign = 1 if ordered == indices and len(set(indices)) == k else _permutation_sign(indices)
+        if not sign:
+            return np.zeros(1 if k == width else width + n, np.int64)
+        length = _block_prefix(n, ordered)
+        key = (k, ordered[:length])
+        if self.block[0] != key:
+            self.block = (key, _block_table(self._filter, self.prime, k, key[1]))
+        row = self.block[1][_block_rank(n, ordered[length:], ordered[length - 1] + 1)]
+        return row if sign > 0 else -row % self.prime
 
     def lanes(self) -> np.ndarray:
         """The values of these lane rows in every lane class, reduced, shape
@@ -409,31 +510,30 @@ class _LaneValue(CycloElement):
 
 class _Lanes(tuple):
     """The maximal cofactors of a view of a lane set: their values, the
-    ``view`` that owns their lanes, and their filter ``residues``."""
+    ``view`` that owns their lanes, and the filter residues of their
+    ``incidence`` values against every row of the view's set."""
 
-    def __new__(cls, view, residues):
+    def __new__(cls, view, residues, incidence):
         ctx = view[0][0].ctx
         self = super().__new__(cls, [_LaneValue(ctx, view, i, residue)
                                      for i, residue in enumerate(residues)])
-        self.view, self.residues = view, residues
+        self.view, self.incidence = view, incidence
         return self
 
 
 def _minors(rows: RowSet, columns: int) -> list:
-    """The minors of full row count of a len(rows) x ``columns`` matrix, one
-    per column subset in ``combinations`` order, expanded in plain Python
-    over the ``entries`` of the set (each level of a filter lane reduced mod
-    its prime).
+    """The minors of full row count of a len(rows) x ``columns`` matrix of
+    a set with no basis, one per column subset in ``combinations`` order,
+    expanded in plain Python over its scalars.
 
     A view takes the levels of the longest index prefix it shares with its
     source's ``walk`` and expands only the rows after it.
     """
     source, indices = rows.source, rows.indices
-    entries, prime = source.entries, source.prime
-    levels = _shared_levels(indices, source.walk) or [entries[indices[0]]]
-    functions = _level_functions(len(indices), columns, prime is not None)
+    levels = _shared_levels(indices, source.walk) or [source[indices[0]]]
+    functions = _level_functions(len(indices), columns)
     for r in range(len(levels), len(indices)):
-        levels.append(functions[r - 1](entries[indices[r]], levels[-1], prime))
+        levels.append(functions[r - 1](source[indices[r]], levels[-1]))
     source.walk = (indices, levels)
     return levels[-1]
 
@@ -444,10 +544,11 @@ def det(rows) -> object:
     if any(len(r) != k for r in rows):
         raise ValueError("det requires a square matrix")
     rows = rows if isinstance(rows, RowSet) else RowSet(rows)
+    if rows.basis is not None:
+        residue = int(rows.source.filter_row(rows.indices)[0])
+        return _LaneValue(rows[0][0].ctx, rows, 0, residue)
     [value] = _minors(rows, k)
-    if rows.basis is None:
-        return value
-    return _LaneValue(rows[0][0].ctx, rows, 0, value)
+    return value
 
 
 def maximal_cofactors(rows) -> tuple:
@@ -455,20 +556,22 @@ def maximal_cofactors(rows) -> tuple:
 
     Returns (c_0, ..., c_k) with c_j = (-1)^j * det(matrix without column j),
     so that for any extra row x: det([x; rows]) = sum_j x[j] * c_j.
-    Cofactors of a view of a lane set are its lane values.  A walk over the
-    views of one set reuses the levels each shares with the previous one
-    (see the module docstring).
+    Cofactors of a view of a lane set are its lane values, known by their
+    filter residues in the table of its block; a walk over the views of
+    any other set reuses the levels each shares with the previous one (see
+    the module docstring).
     """
     columns = len(rows) + 1
     if set(map(len, rows)) - {columns}:
         raise ValueError("expected a k x (k+1) matrix")
     rows = rows if isinstance(rows, RowSet) else RowSet(rows)
+    if rows.basis is not None:
+        row = rows.source.filter_row(rows.indices)
+        return _Lanes(rows, row[:columns].tolist(), row[columns:])
     # in combinations order the k-column subsets leave out column k first
     signed = _minors(rows, columns)[::-1]
     signed[1::2] = [-c for c in signed[1::2]]
-    if rows.basis is None:
-        return tuple(signed)
-    return _Lanes(rows, signed)
+    return tuple(signed)
 
 
 def incidence_values(cof, rows) -> list:
@@ -479,12 +582,10 @@ def incidence_values(cof, rows) -> list:
     0, whether the set's determinant of the sorted indices of S and x is
     certified nonzero."""
     if not (isinstance(cof, _Lanes) and cof.view.source is getattr(rows, "source", None)):
-        return _dot_function(len(cof), False)(rows, cof, None)
-    source, defining = rows.source, cof.view.indices
-    residues = _dot_function(len(cof), True)(map(source.entries.__getitem__, rows.indices),
-                                             cof.residues, source.prime)
-    return [residue or int(not source.certify_zero(tuple(sorted((*defining, i)))))
-            for residue, i in zip(residues, rows.indices)]
+        return _dot_function(len(cof))(rows, cof)
+    source, defining, residues = rows.source, cof.view.indices, cof.incidence.tolist()
+    return [residues[i] or int(not source.certify_zero(tuple(sorted((*defining, i)))))
+            for i in rows.indices]
 
 
 # ---------------------------------------------------------------------------

@@ -519,9 +519,13 @@ class CycloElement:
     def conjugate_product(self) -> "CycloElement":
         """The product of the distinct conjugates sigma_k(self), k a unit
         mod N, other than self: self times it is the rational norm from
-        Q(self) (Washington, *Introduction to Cyclotomic Fields*, ch. 2)."""
-        conjugates = {self._galois(k) for k in self.ctx.units[1:]} - {self}
-        return math.prod(conjugates, start=self.ctx.one())
+        Q(self) (Washington, *Introduction to Cyclotomic Fields*, ch. 2).
+        Conjugates are told apart by their normalized coefficients, which
+        are unique to each element."""
+        ctx = self.ctx
+        conjugates = {self._galois(k)._normalized() for k in ctx.units[1:]} - {self._normalized()}
+        return math.prod((CycloElement(ctx, num, den) for num, den in conjugates),
+                         start=ctx.one())
 
     def inverse(self) -> "CycloElement":
         """Field inverse: the ``conjugate_product`` over the rational norm."""

@@ -92,9 +92,10 @@ def _check_formulas() -> bool:
 
 
 def _check_determinism() -> bool:
-    # C(7, 4) = 35 subsets run in one process; C(12, 4) = 495 start the pool
+    # C(7, 4) = 35 subsets run in one process; C(20, 4) = 4 845, at least
+    # POOL_MIN_SUBSETS, start the pool
     return all(spectrum(ps, threads=1) == spectrum(ps, threads=2)
-               for ps in (trivial_config(3, 7, seed=9), trivial_config(3, 12, seed=9)))
+               for ps in (trivial_config(3, 7, seed=9), trivial_config(3, 20, seed=9)))
 
 
 CHECKS = [

@@ -28,7 +28,7 @@ from hypersphere_lab.constructions import (
     residue_oracle_scan,
     trivial_config,
 )
-from hypersphere_lab.counting import spectrum, verify_correspondence
+from hypersphere_lab.counting import POOL_MIN_SUBSETS, spectrum, verify_correspondence
 from hypersphere_lab.geometry import det, invert_set, scaled_rows
 from hypersphere_lab.scalars import is_zero
 
@@ -207,11 +207,12 @@ def test_criterion_9_thread_count_determinism(pool_starts):
         coset_config(CosetSpec(PARAMS, 8, 1), validate=False),
         random_general_position_set(3, 7, seed=4000),
     ]
-    # C(12, 4) = 495 and C(12, 5) = 792 subsets: two threads start the pool
+    # C(20, 4) = 4 845 and C(16, 5) = 4 368 subsets: two threads start the pool
     pooled = [
-        trivial_config(3, 12, seed=21),
-        coset_config(CosetSpec(PARAMS, 12, 3), validate=False),
+        trivial_config(3, 20, seed=21),
+        coset_config(CosetSpec(PARAMS, 16, 3), validate=False),
     ]
+    assert all(math.comb(ps.n, ps.dimension + 1) >= POOL_MIN_SUBSETS for ps in pooled)
     for i, ps in enumerate(corpus + pooled):
         pool_starts.clear()
         results = [spectrum(ps, threads=k) for k in (1, 2, 8)]

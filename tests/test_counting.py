@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -24,7 +25,13 @@ from hypersphere_lab.counting import (
     verify_correspondence,
 )
 from hypersphere_lab.errors import ConsistencyError, GeneralPositionError, SpanError
-from hypersphere_lab.geometry import PointSet, as_point, general_position_check, lift_set
+from hypersphere_lab.geometry import (
+    PointSet,
+    as_point,
+    general_position_check,
+    lift_set,
+    lifted_row,
+)
 from hypersphere_lab.scalars import IntervalScalar
 
 
@@ -42,6 +49,34 @@ def sphere_plus_point_config(d, n_sphere, seed, off=None):
             pts.append(p)
     pts.append(off or tuple([Fraction(1, 3), Fraction(1, 7)] + [Fraction(2)] * (d - 2)))
     return PointSet.build(pts)
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """A list of the stand-ins for process pools that the subset walk
+    starts: each records its requested size and task count, and maps in
+    this process."""
+    pools = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.tasks = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            tasks = list(zip(*iterables))
+            self.tasks = len(tasks)
+            return itertools.starmap(fn, tasks)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", InlineExecutor)
+    return pools
 
 
 class TestUnranking:
@@ -112,7 +147,8 @@ class TestTrivialPattern:
 
 class TestRationalPins:
     """Rational sets run on integer rows; these pin their results across the
-    in-process walk and the pool (both need at least 256 subsets)."""
+    in-process walk and the pool (two threads start one from
+    ``counting.POOL_MIN_SUBSETS`` subsets)."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_trivial_d4_n16_seed5_spectrum(self, threads):
@@ -122,15 +158,16 @@ class TestRationalPins:
         assert spectrum(ps, threads=threads).counts == {5: 1365, 15: 1}
 
     def test_degenerate_witness_is_lexicographic_first(self):
-        # five points of the circle z = 0 on the unit sphere among seven
-        # random sphere points: every 4 of the five are concyclic
+        # five points of the circle z = 0 on the unit sphere among fourteen
+        # random sphere points and one off it: every 4 of the five are
+        # concyclic
         circle = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0),
                   (Fraction(3, 5), Fraction(4, 5), 0)]
-        points = list(sphere_plus_point_config(3, 7, seed=11).points)
+        points = list(sphere_plus_point_config(3, 14, seed=11).points)
         for index, p in zip((1, 5, 9, 10, 11), circle):
             points.insert(index, as_point(p))
         ps = PointSet.build(points)
-        assert math.comb(ps.n, 4) >= 256
+        assert math.comb(ps.n, 4) >= counting.POOL_MIN_SUBSETS
         first = next(
             subset for subset in itertools.combinations(range(ps.n), 4)
             if gaussian_rank([[1, *ps.points[i], sum(c * c for c in ps.points[i])]
@@ -394,7 +431,8 @@ class TestParallelism:
         s2 = spectrum(ps, threads=2)
         s8 = spectrum(ps, threads=8)
         assert s1 == s2 == s8
-        ps = sphere_plus_point_config(3, 11, seed=3)  # C(12, 4) = 495 subsets
+        ps = sphere_plus_point_config(3, 19, seed=4)  # C(20, 4) = 4 845 subsets
+        assert math.comb(ps.n, 4) >= counting.POOL_MIN_SUBSETS
         s1 = spectrum(ps, threads=1)
         assert not pool_starts
         s2 = spectrum(ps, threads=2)
@@ -420,17 +458,23 @@ class TestParallelism:
                 spectrum(ps, threads=threads)
             witnesses.append(err.value.witness)
         assert witnesses[0] == witnesses[1] == witnesses[2] == (0, 1, 2, 3)
-        # eight integer points, then four of the unit circle in z = 0: the
-        # only degenerate 4-subset is the last of C(12, 4) = 495, which at
+        # sixteen integer points, then four of the unit circle in z = 0: the
+        # only degenerate 4-subset is the last of C(20, 4) = 4 845, which at
         # two threads the pool finds in its second rank range
         pts = [(2, 1, 3), (-1, 4, 2), (3, -2, 1), (1, 2, -4), (-3, -1, 5), (4, 3, -2),
-               (-2, 5, -1), (5, -3, 4), (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+               (-2, 5, -1), (5, -3, 4), (1, -4, 5), (5, 0, 6), (5, 6, -2), (2, -3, 4),
+               (5, 1, -1), (0, 2, 5), (3, -3, -2), (2, -5, 5),
+               (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+        assert math.comb(len(pts), 4) >= counting.POOL_MIN_SUBSETS
+        assert [subset for subset in itertools.combinations(range(len(pts)), 4)
+                if gaussian_rank([[1, *pts[i], sum(c * c for c in pts[i])]
+                                  for i in subset]) < 4] == [(16, 17, 18, 19)]
         ps = PointSet.build([as_point(t) for t in pts])
         for threads in (1, 2, 8):
             pool_starts.clear()
             with pytest.raises(GeneralPositionError) as err:
                 spectrum(ps, threads=threads)
-            assert err.value.witness == (8, 9, 10, 11)
+            assert err.value.witness == (16, 17, 18, 19)
             assert threads == 1 or pool_started(pool_starts)
 
     def test_selftest_determinism_check_starts_the_pool(self, pool_starts):
@@ -438,42 +482,34 @@ class TestParallelism:
         assert pool_started(pool_starts)
 
     @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, None)])
-    def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, workers):
-        pools = []
-
-        class InlineExecutor:
-            """Records the requested pool size and maps in this process."""
-
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                self.tasks = 0
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                tasks = list(zip(*iterables))
-                self.tasks = len(tasks)
-                return itertools.starmap(fn, tasks)
-
-        ps = sphere_plus_point_config(3, 11, seed=3)  # C(12, 4) = 495 subsets
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, inline_pools, cpus, workers):
+        ps = sphere_plus_point_config(3, 19, seed=4)  # C(20, 4) = 4 845 subsets
         reference = spectrum(ps, threads=1)
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert spectrum(ps, threads=5000) == reference
-        assert [(p.max_workers, p.tasks) for p in pools] == (
+        assert [(p.max_workers, p.tasks) for p in inline_pools] == (
             [(workers, workers)] if workers else []
         )
 
+    @pytest.mark.parametrize("fewer", [1, 0])
+    def test_pool_starts_at_the_threshold(self, monkeypatch, inline_pools, fewer):
+        """Two threads split a walk of ``POOL_MIN_SUBSETS`` subsets over a
+        pool and walk one subset fewer in this process.  The walk is
+        stubbed to count its ranks, here the one-subsets of a stand-in for
+        a set of that many points."""
+        total = counting.POOL_MIN_SUBSETS - fewer
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(counting, "_histogram_range",
+                            lambda rows, r, start, stop, key: (Counter({r: stop - start}), None))
+        stand_in = types.SimpleNamespace(n=total, points=[])
+        hist, violation = counting._subset_histogram(stand_in, lifted_row, 1, 2, None)
+        assert hist == Counter({1: total}) and violation is None
+        assert [(p.max_workers, p.tasks) for p in inline_pools] == ([] if fewer else [(2, 2)])
 
     def test_pool_results_do_not_depend_on_start_method(self, tmp_path):
         """``count`` in a process whose pool workers are spawned, not
         forked: each worker starts with empty per-process caches (split
-        primes, residue lanes).  n = 11 gives C(11, 5) = 462 subsets, enough
+        primes, residue lanes).  n = 16 gives C(16, 5) = 4 368 subsets, enough
         for the pool to start."""
         import json
         import subprocess
@@ -483,7 +519,8 @@ class TestParallelism:
         from hypersphere_lab.cli import run
 
         coset = tmp_path / "coset.json"
-        assert run(["generate", "--kind", "coset", "--d", "4", "--n", "11",
+        assert math.comb(16, 5) >= counting.POOL_MIN_SUBSETS
+        assert run(["generate", "--kind", "coset", "--d", "4", "--n", "16",
                     "-o", str(coset)]) == 0
         script = ("import multiprocessing, sys\n"
                   "multiprocessing.set_start_method('spawn')\n"

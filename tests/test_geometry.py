@@ -1,8 +1,11 @@
+import functools
 import itertools
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,23 +184,24 @@ class TestLaneKernel:
 
     def test_pickled_rows_stay_one_set(self):
         """Pool workers receive the set pickled: its rows, grid and basis,
-        without the levels of its last view or its zero certificates, so a
-        worker's cofactors still run in the set's lanes."""
+        without the filter table of its last block or its zero
+        certificates, so a worker's cofactors still run in the set's
+        lanes."""
         ctx = get_context(20)
         rows = scaled_rows(self.random_rows(ctx, random.Random(3), 5, 4, 8), row=tuple)
         cof = maximal_cofactors(rows.take(range(3)))
         [repeated] = incidence_values(cof, rows.take([1]))
         assert is_zero(repeated) is True
-        assert rows.walk[0] == (0, 1, 2) and rows.certified == {(0, 1, 1, 2): True}
+        assert rows.block[0] == (3, (0,)) and rows.certified == {(0, 1, 1, 2): True}
         again = pickle.loads(pickle.dumps(rows))
-        assert again.walk == ((), ()) and again.certified == {}
+        assert again.block == ((), None) and again.certified == {}
         assert again.source is again and again.indices == rows.indices
         assert again.basis is not None and again.basis.primes == rows.basis.primes
         assert again == rows and (again.grid == rows.grid).all()
-        assert again.entries == rows.entries and again.prime == rows.prime
+        assert (again._filter == rows._filter).all() and again.prime == rows.prime
         cof_again = maximal_cofactors(again.take(range(3)))
         assert cof_again.view.source is again
-        assert again.walk[0] == (0, 1, 2)
+        assert again.block[0] == (3, (0,)) and (again.block[1] == rows.block[1]).all()
         assert cof_again == cof
         assert incidence_values(cof_again, again.take([3, 4])) == incidence_values(
             cof, rows.take([3, 4]))
@@ -272,7 +276,7 @@ class TestFilterLane:
         basis = ctx.lane_basis(1)
         w = ctx.from_rational(int(ctx.to_lanes([z], basis)[0, 0, 0]))
         rows = scaled_rows([(z, w), (one, one)], row=tuple)
-        assert rows.prime == basis.primes[0] and rows.entries[0][0] == rows.entries[0][1]
+        assert rows.prime == basis.primes[0] and rows._filter[0, 0] == rows._filter[0, 1]
         with no_lifts():
             value = det(rows)
             cof = maximal_cofactors(rows.take([0]))
@@ -379,7 +383,7 @@ class TestLaneClasses:
         again = pickle.loads(pickle.dumps(rows))
         assert again.lane_walk == ((), ()) and again.certified == {}
         assert (again.classes == rows.classes).all() and (again.grid == rows.grid).all()
-        assert again.entries == rows.entries
+        assert (again._filter == rows._filter).all()
         assert [again.certify_zero(six) for six in sixes] == verdicts
 
 
@@ -519,6 +523,120 @@ class TestViewCache:
             last[other] = script[-1][1]
         for which, indices in script:
             self.check(kind, *sets[which], indices)
+
+
+class TestBlockTables:
+    """A lane set reads the filter residues of a view from the table of its
+    block: the k-subsets that share a leading index prefix.  Lexicographic
+    walks across block boundaries, permuted views, views with a repeated
+    index, determinants of square views with the same prefix as cofactor
+    views, and a second set's views in between: every residue and verdict
+    equals the per-scalar reference, for any block size."""
+
+    @staticmethod
+    def check(plain, rows, indices):
+        """Cofactors of a k-row view and their incidence values, or det of a
+        square view, against the reference."""
+        basis, n = rows.basis, len(plain)
+        exact = [plain[i] for i in indices]
+
+        def residue(value):
+            return int(value.ctx.to_lanes([value], basis)[0, 0, 0])
+
+        if len(indices) == len(plain[0]):
+            value, want = det(rows.take(indices)), laplace_det(exact)
+            assert value._residue == residue(want) and is_zero(value) is (want == 0)
+            return
+        cof, want = maximal_cofactors(rows.take(indices)), reference_cofactors(exact)
+        assert [c._residue for c in cof] == [residue(w) for w in want]
+        assert [is_zero(c) for c in cof] == [w == 0 for w in want]
+        others = (indices[0], (indices[-1] + 1) % n, n - 1)
+        assert_decides(incidence_values(cof, rows.take(others)),
+                       [laplace_det([plain[x], *exact]) for x in others], basis)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([8, 12, 20]),
+        st.integers(2, 4),
+        st.sampled_from([1, 3, 4096]),
+        st.integers(0, 2**32),
+        st.lists(st.tuples(st.booleans(), st.sampled_from(["walk", "det", "permuted", "repeated"]),
+                           st.integers(0, 10**6), st.integers(1, 3)),
+                 max_size=6),
+    )
+    def test_residues_match_the_reference(self, conductor, k, block, seed, steps):
+        from hypersphere_lab import geometry
+
+        ctx = get_context(conductor)
+        rng = random.Random(seed)  # full-size coefficients, not shrunk ones
+        width, n = k + 1, k + 4
+        sets = []
+        for _ in range(2):
+            plain = [tuple(ctx.element([rng.randint(-9, 9) for _ in range(ctx.degree)])
+                           for _ in range(width)) for _ in range(n - 1)]
+            plain.insert(2, tuple(a + b for a, b in zip(plain[0], plain[1])))  # a zero
+            sets.append((plain, scaled_rows(plain, row=tuple)))
+        cofactor_views = list(itertools.combinations(range(n), k))
+        square_views = list(itertools.combinations(range(n), width))
+        # across the end of the first leading index's subsets, in both sets,
+        # then a square view and a cofactor view that share a prefix
+        first = math.comb(n - 1, k - 1)
+        script = [(0, "walk", first - 2, 3), (1, "walk", first - 2, 3), (0, "walk", first + 1, 1),
+                  (0, "det", 0, 1), (0, "walk", 0, 1), (0, "permuted", 0, 1),
+                  (0, "repeated", 0, 1), *steps]
+        with mock.patch.object(geometry, "_BLOCK_SUBSETS", block):
+            for which, kind, start, count in script:
+                plain, rows = sets[which]
+                views = square_views if kind == "det" else cofactor_views
+                start %= len(views)
+                picked = views[start:start + count]
+                if kind == "permuted":  # the first two swapped, then rotated
+                    picked = [(view[1], view[0], *view[2:]) for view in picked]
+                    picked = [view[start % k:] + view[:start % k] for view in picked]
+                elif kind == "repeated":
+                    picked = [view[:-1] + (view[start % (k - 1)],) for view in picked]
+                for indices in picked:
+                    self.check(plain, rows, indices)
+
+
+class TestBlockPlan:
+    """A lane set's k-subsets fall into blocks: the subsets that share the
+    shortest index prefix that at most ``_BLOCK_SUBSETS`` of them share.
+    Pure index arithmetic: no table is built."""
+
+    @pytest.mark.parametrize("block", [1, 5, 40])
+    def test_prefix_is_the_shortest_that_fits(self, block):
+        from hypersphere_lab import geometry
+
+        for n in range(2, 11):
+            for k in range(1, min(n, 5) + 1):
+                subsets = list(itertools.combinations(range(n), k))
+                sharing = Counter(s[:length] for s in subsets for length in range(1, k + 1))
+                with mock.patch.object(geometry, "_BLOCK_SUBSETS", block):
+                    for s in subsets:
+                        want = next(length for length in range(1, k + 1)
+                                    if sharing[s[:length]] <= block)
+                        assert geometry._block_prefix(n, s) == want
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_no_block_exceeds_the_constant(self, k):
+        """Blocks partition the k-subsets for n <= 60.  How many subsets
+        share a prefix depends on its length and last index alone, so one
+        prefix of each stands for all."""
+        from hypersphere_lab.geometry import _BLOCK_SUBSETS, _block_prefix
+
+        for n in range(k, 61):
+            @functools.lru_cache(maxsize=None)
+            def covered(last, length):
+                prefix = (*range(length - 1), last)
+                size = math.comb(n - 1 - last, k - length)
+                if _block_prefix(n, prefix + tuple(range(last + 1, last + 1 + k - length))) == length:
+                    assert size <= _BLOCK_SUBSETS
+                    return size
+                assert size > _BLOCK_SUBSETS
+                return sum(covered(j, length + 1) for j in range(last + 1, n - k + length + 1))
+
+            assert sum(covered(i, 1) for i in range(n - k + 1)) == math.comb(n, k)
 
 
 class TestIntegerRows:
