@@ -16,6 +16,10 @@ inputs, each invocation in a process of its own:
   rational d=3 n=12 file whose points 8-11 lie on one circle, which
   violates general position: (8, 9, 10, 11) is its only degenerate 4-subset
   and the last of its C(12, 4) = 495;
+* ``count --threads 1`` on a d=2 cyclotomic file with coefficients near
+  10^70, whose rows need more than ``LANE_PRIME_CAP`` lane primes, so that
+  the engine expands the elements themselves; points 0-3 lie on the
+  circle of radius 10^70 about the origin;
 * three runs that exit 2: ``count`` on a d=2 interval file whose second
   point has its first coordinate's endpoints swapped, ``lift`` on a d=2
   interval file whose first point has x = [-2, 2], so that the enclosure
@@ -62,6 +66,12 @@ SWAPPED_ENDPOINTS = [[("0", "0"), ("0", "0")], [("1.5", "0.5"), ("0", "0")],
 # (lo, hi) of each coordinate; |x|^2 + 1 of the first point encloses 0
 UNBOUNDED_LIFT = [[("-2", "2"), ("0", "0")], [("5", "5"), ("1", "1")]]
 
+# conductor-12 coefficients of each coordinate: a circle of radius 10^70
+# about the origin through the first four points, and three points off it
+CAPPED_COEFFICIENTS = [[["1e70"], ["0"]], [["0"], ["1e70"]], [["-1e70"], ["0"]],
+                       [["0"], ["-1e70"]], [["1e70", "1"], ["2"]],
+                       [["3", "1e70"], ["0", "0", "1"]], [["1", "2", "3", "7e69"], ["7e69", "5"]]]
+
 
 def artifact(out_dir: str, name: str, args: list) -> int:
     """Run ``hypersphere-lab ARGS`` in ``out_dir`` and keep its streams and
@@ -91,15 +101,21 @@ def examine(out_dir: str, label: str, points: str):
     artifact(out_dir, f"validate-{label}", ["validate", points])
 
 
+def plane_file(out_dir: str, name: str, backend: str, points: list) -> str:
+    """Write the d=2 point set of ``backend`` with JSON coordinates
+    ``points`` to ``name``.json in ``out_dir`` and return its relative
+    path."""
+    path = f"{name}.json"
+    with open(os.path.join(out_dir, path), "w") as fh:
+        json.dump({"dimension": 2, "backend": backend, "points": points}, fh)
+    return path
+
+
 def interval_file(out_dir: str, name: str, endpoints: list) -> str:
-    """Write the d=2 interval point set with coordinate ``endpoints`` (lo,
-    hi) to ``name``.json in ``out_dir`` and return its relative path."""
-    points = f"{name}.json"
-    with open(os.path.join(out_dir, points), "w") as fh:
-        json.dump({"dimension": 2, "backend": "interval",
-                   "points": [[{"lo": lo, "hi": hi, "bits": 128} for lo, hi in p]
-                              for p in endpoints]}, fh)
-    return points
+    """``plane_file`` of the interval points with coordinate ``endpoints``
+    (lo, hi)."""
+    return plane_file(out_dir, name, "interval", [[{"lo": lo, "hi": hi, "bits": 128}
+                                                   for lo, hi in p] for p in endpoints])
 
 
 def main(argv=None) -> int:
@@ -124,6 +140,9 @@ def main(argv=None) -> int:
         json.dump({"dimension": 3, "backend": "rational",
                    "points": [[str(c) for c in p] for p in VIOLATION_POINTS]}, fh)
     examine(out_dir, "violation", points)
+    points = plane_file(out_dir, "capped-cyclotomic", "cyclotomic",
+                        [[{"conductor": 12, "coeffs": c} for c in p] for p in CAPPED_COEFFICIENTS])
+    artifact(out_dir, "count-capped-cyclotomic", ["count", points, "--threads", "1"])
     points = interval_file(out_dir, "swapped-endpoints", SWAPPED_ENDPOINTS)
     artifact(out_dir, "count-swapped-endpoints", ["count", points, "--threads", "1"])
     points = interval_file(out_dir, "unbounded-lift", UNBOUNDED_LIFT)

@@ -53,24 +53,27 @@ Level j of the expansion holds the minors of rows 0..j and depends on
 those rows alone.  A lane set finds the filter residues of a whole *block*
 of k-subsets at once, in numpy: the subsets that share a leading index,
 or a longer leading prefix where those are more than ``_BLOCK_SUBSETS``.
-Each level of a block is an int64 array mod the filter prime, one row per
-index prefix, built from the level before it by the plan's tables.  Its
-last level holds each subset's signed maximal cofactors followed by their
-incidence residues against every row of the set, or the determinant of a
-square subset.  A view reads the row of its sorted indices: a permuted
-view's residues are the sorted view's times the permutation's sign, and a
-view with a repeated index has zero residues.  The set keeps the table of
-the last block it read, and a lexicographic walk reads each block to its
-end before it moves to the next.
+Each level of a block is an int64 array mod the filter prime, one column
+per index prefix, built from the level before it by the plan's tables in
+the same numpy step as a lane set's all-lane levels (below).  A subset's
+row of the block's table holds its signed maximal cofactors followed by
+their incidence residues against every row of the set, or the
+determinant of a square subset.  A view reads the row of its sorted
+indices: a permuted view's residues are the sorted view's times the
+permutation's sign, and a view with a repeated index has zero residues.
+The set keeps the table of the last block it read, and a lexicographic
+walk reads each block to its end before it moves to the next.
 
-A set with no basis keeps the indices and levels of its last expanded
-view, and the next view reuses the levels of the longest index prefix it
-shares with them: at d=4 a subset that keeps its first four rows of the
-previous one costs the 30 products of the last level instead of all 180.
-The all-lane expansions of a lane set, certificates above all, keep their
-own last indices and levels the same way: consecutive certificates of a
-walk mostly share three or four leading indices.  Cached levels are never
-written to.
+Each set keeps the indices and levels of its last expansion in one
+``walk``, and the next expansion reuses the levels of the longest index
+prefix it shares with them: at d=4 a subset that keeps its first four rows
+of the previous one costs the 30 products of the last level instead of all
+180.  A set with no basis walks the scalars of its views.  A lane set
+walks its all-lane expansions, certificates above all, and consecutive
+certificates of a walk mostly share three or four leading indices.  The
+trailing axes of such a level are a view's lane classes, as those of a
+block's level are the block's subsets.  Cached levels are never written
+to.
 
 The lift needs a bound on the coefficients.  Read as polynomials in
 Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
@@ -261,33 +264,25 @@ def _compiled(arguments: str, expression: str):
     return namespace["function"]
 
 
-def _shared_levels(indices: tuple, walk) -> list:
-    """The levels of ``walk``, an index tuple and its expansion levels, for
-    the longest index prefix they share with ``indices``, as a new list."""
-    walked, cached = walk
-    shared = len(indices)
-    while indices[:shared] != walked[:shared]:
-        shared -= 1
-    return cached[:shared]
+def _level(row: np.ndarray, last: np.ndarray, col, prev, modulus) -> np.ndarray:
+    """Level r of the numpy expansion, reduced mod ``modulus``, from level
+    r-1 ``last`` and ``row``, row r's entries followed by their negations,
+    by ``_expansion_plan``'s (col, prev) tables of row r: each minor is the
+    sum of its terms.  Both carry the same trailing axes, a view's lane
+    classes (primes, classes) or a block's subsets, so level r has shape
+    (C(width, r+1), *trailing)."""
+    return np.add.reduce(row[col] * last[prev], axis=1) % modulus
 
 
-def _lane_minors(signed, indices: tuple, basis, levels: list) -> list:
-    """The expansion levels of the rows at ``indices`` of a lane set, in
-    every lane class and reduced, from its ``signed`` tensor (n, 2 * width,
-    primes, classes), each row's entries followed by their negations, the
-    form ``_expansion_plan``'s columns index: ``levels``, those of a prefix
-    of the indices (never written to), extended by one level per further
-    row, each the sum of its terms.  Level r has shape (C(width, r+1),
-    primes, classes); the last one holds the minors of full row count."""
-    width = signed.shape[1] // 2
-    levels = levels or [signed[indices[0], :width]]
-    plan = _expansion_plan(len(indices), width)
-    for r in range(len(levels), len(indices)):
-        col, prev = plan[r - 1]
-        level = np.add.reduce(signed[indices[r]][col] * levels[-1][prev], axis=1)
-        level %= basis.moduli
-        levels.append(level)
-    return levels
+def _signed_cofactors(minors: np.ndarray, modulus) -> np.ndarray:
+    """The signed maximal cofactors c_j = (-1)^j * (the minor without
+    column j) of the reduced ``minors`` of full row count, along their
+    first axis, as a new array mod ``modulus``: in combinations order the
+    minors leave out the last column first.  One minor, a determinant, is
+    kept as it is."""
+    signed = minors[::-1].copy()
+    signed[1::2] = -signed[1::2] % modulus
+    return signed
 
 
 # The most k-subsets one block of a lane set holds (see ``_block_prefix``).
@@ -324,15 +319,16 @@ def _block_table(rows: np.ndarray, prime: int, k: int, prefix: tuple) -> np.ndar
     followed by their negations mod ``prime``.
 
     Level r holds the minors of rows 0..r of each (r+1)-index prefix of the
-    block's subsets, built from the level of the prefix without its last
-    index by ``_expansion_plan``'s (col, prev) tables, as int64 mod
-    ``prime``: a product of two residues stays below 2^52, and a sum of
-    ``width`` of them fits in int64.  A table row of square subsets is
-    their determinant; one of k = width - 1 rows is their signed maximal
+    block's subsets, one column per prefix, built by ``_level`` from the
+    level of the prefix without its last index, as int64 mod ``prime``: a
+    product of two residues stays below 2^52, and a sum of ``width`` of
+    them fits in int64.  A table row of square subsets is their
+    determinant; one of k = width - 1 rows is their signed maximal
     cofactors followed by their incidence residues against every row of
-    the set, cof @ entries.T."""
+    the set, entries @ cof."""
     n, width = rows.shape[0], rows.shape[1] // 2
-    level, last = rows[list(prefix[:1]), :width], np.array(prefix[:1])
+    entries = rows.T
+    level, last = entries[:width, list(prefix[:1])], np.array(prefix[:1])
     for r, (col, prev) in enumerate(_expansion_plan(k, width), 1):
         if r < len(prefix):
             parent, index = np.zeros(1, np.intp), np.array(prefix[r:r + 1])
@@ -343,15 +339,12 @@ def _block_table(rows: np.ndarray, prime: int, k: int, prefix: tuple) -> np.ndar
             parent = np.repeat(np.arange(len(last)), counts)
             offset = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
             index = last[parent] + 1 + offset
-        level = np.add.reduce(rows[index][:, col] * level[parent][:, prev], axis=2) % prime
+        level = _level(entries[:, index], level[:, parent], col, prev, prime)
         last = index
     if k == width:
-        return level
-    # in combinations order the minors leave out the last column first;
-    # c_j = (-1)^j * (the minor without column j)
-    cof = level[:, ::-1].copy()
-    cof[:, 1::2] = -cof[:, 1::2] % prime
-    return np.concatenate([cof, cof @ rows[:, :width].T % prime], axis=1)
+        return level.T
+    cof = _signed_cofactors(level, prime)
+    return np.ascontiguousarray(np.concatenate([cof, rows[:, :width] @ cof % prime]).T)
 
 
 def _permutation_sign(indices: tuple) -> int:
@@ -393,15 +386,14 @@ class RowSet(tuple):
     (``source``, ``indices``); the source is the set's identity, and its
     bound covers the values of its views.  A view of a lane set owns its
     values in every lane class: ``lanes`` expands them once and ``lifted``
-    lifts them once.  A lane set keeps the filter table of its last block
-    in ``block``, the indices and levels of its last all-lane expansion (a
-    view's ``lanes`` or a certificate) in ``lane_walk``, and its zero
-    certificates in ``certified``; any other set keeps the indices and
-    levels of its last expanded view in ``walk``.  A pickle drops all of
-    them.
+    lifts them once.  A set keeps the indices and levels of its last
+    expansion in ``walk``: of a view, or for a lane set of a view's
+    ``lanes`` or a certificate.  A lane set keeps the filter table of its
+    last block in ``block`` and its zero certificates in ``certified``.  A
+    pickle drops all of them.
     """
 
-    walk = lane_walk = ((), ())
+    walk = ((), ())
     block = ((), None)
     _lanes = _lifted = None
 
@@ -452,12 +444,8 @@ class RowSet(tuple):
         (count, primes, classes): the determinant if the rows are square,
         else their signed maximal cofactors.  Expanded on the first call."""
         if self._lanes is None:
-            # in combinations order the minors leave out the last column
-            # first; c_j = (-1)^j * (the minor without column j), and a
-            # square view has one minor, its determinant
-            lanes = self.source._all_lanes(self.indices)[::-1].copy()
-            lanes[1::2] *= -1
-            self._lanes = lanes % self.basis.moduli
+            minors = _minors(self.source, self.indices, len(self[0]))
+            self._lanes = _signed_cofactors(minors, self.basis.moduli)
         return self._lanes
 
     def lifted(self) -> list:
@@ -474,17 +462,8 @@ class RowSet(tuple):
         bound once per index tuple."""
         verdict = self.certified.get(indices)
         if verdict is None:
-            verdict = self.certified[indices] = not self._all_lanes(indices).any()
+            verdict = self.certified[indices] = not _minors(self, indices, len(self[0])).any()
         return verdict
-
-    def _all_lanes(self, indices: tuple) -> np.ndarray:
-        """The minors of full row count of this lane set's rows at
-        ``indices`` in every lane class, expanded from the levels of the
-        index prefix they share with ``lane_walk``."""
-        levels = _lane_minors(self._signed, indices, self.basis,
-                              _shared_levels(indices, self.lane_walk))
-        self.lane_walk = (indices, levels)
-        return levels[-1]
 
 
 class _LaneValue(CycloElement):
@@ -521,19 +500,34 @@ class _Lanes(tuple):
         return self
 
 
-def _minors(rows: RowSet, columns: int) -> list:
-    """The minors of full row count of a len(rows) x ``columns`` matrix of
-    a set with no basis, one per column subset in ``combinations`` order,
-    expanded in plain Python over its scalars.
+def _minors(source: RowSet, indices: tuple, columns: int):
+    """The minors of full row count of the len(indices) x ``columns``
+    matrix of the rows of ``source`` at ``indices``, one per column subset
+    in ``combinations`` order.
 
-    A view takes the levels of the longest index prefix it shares with its
-    source's ``walk`` and expands only the rows after it.
+    Takes the levels of the longest index prefix that ``indices`` shares
+    with the set's ``walk`` and expands only the rows after it.  A set with
+    no basis expands in plain Python over its scalars and returns a list.
+    A lane set expands by ``_level`` in every lane class, from its tensor
+    (n, 2 * width, primes, classes) of each row's entries followed by their
+    negations, and returns an array (C(columns, k), primes, classes).
     """
-    source, indices = rows.source, rows.indices
-    levels = _shared_levels(indices, source.walk) or [source[indices[0]]]
-    functions = _level_functions(len(indices), columns)
-    for r in range(len(levels), len(indices)):
-        levels.append(functions[r - 1](source[indices[r]], levels[-1]))
+    walked, levels = source.walk
+    shared = len(indices)
+    while indices[:shared] != walked[:shared]:
+        shared -= 1
+    levels = levels[:shared]
+    if source.basis is None:
+        levels = levels or [source[indices[0]]]
+        functions = _level_functions(len(indices), columns)
+        for r in range(len(levels), len(indices)):
+            levels.append(functions[r - 1](source[indices[r]], levels[-1]))
+    else:
+        signed, moduli = source._signed, source.basis.moduli
+        levels = levels or [signed[indices[0], :columns]]
+        plan = _expansion_plan(len(indices), columns)
+        for r in range(len(levels), len(indices)):
+            levels.append(_level(signed[indices[r]], levels[-1], *plan[r - 1], moduli))
     source.walk = (indices, levels)
     return levels[-1]
 
@@ -547,7 +541,7 @@ def det(rows) -> object:
     if rows.basis is not None:
         residue = int(rows.source.filter_row(rows.indices)[0])
         return _LaneValue(rows[0][0].ctx, rows, 0, residue)
-    [value] = _minors(rows, k)
+    [value] = _minors(rows.source, rows.indices, k)
     return value
 
 
@@ -569,7 +563,7 @@ def maximal_cofactors(rows) -> tuple:
         row = rows.source.filter_row(rows.indices)
         return _Lanes(rows, row[:columns].tolist(), row[columns:])
     # in combinations order the k-column subsets leave out column k first
-    signed = _minors(rows, columns)[::-1]
+    signed = _minors(rows.source, rows.indices, columns)[::-1]
     signed[1::2] = [-c for c in signed[1::2]]
     return tuple(signed)
 
