@@ -10,8 +10,13 @@ inputs, each invocation in a process of its own:
   ``compare --csv`` (at ``--threads 2``), ``validate`` and ``lift``;
 * ``generate`` for coset d=4 n=16 l=0 and ``count --csv`` on it at
   ``--threads 2``: with C(16, 5) = 4 368 subsets, at least
-  ``counting.POOL_MIN_SUBSETS``, it is the one input here that starts the
-  process pool;
+  ``counting.POOL_MIN_SUBSETS``, it is the smallest input here that starts
+  the process pool;
+* ``generate`` for coset d=4 n=26 l=0 and ``count --csv`` on it at
+  ``--threads 1`` and ``2``: its lane set's blocks are keyed by two-index
+  prefixes (C(25, 4) = 12 650 of its 5-subsets begin with index 0, more
+  than ``geometry._BLOCK_SUBSETS``), and the second pool worker's rank
+  range starts in the middle of a block;
 * the same ``count``, ``compare`` and ``validate`` runs on a literal
   rational d=3 n=12 file whose points 8-11 lie on one circle, which
   violates general position: (8, 9, 10, 11) is its only degenerate 4-subset
@@ -52,8 +57,12 @@ INPUTS = {
                                    "--backend", "interval", "--bits", "192"],
 }
 
-# the one input whose spectrum walk is split over the process pool
-POOLED = ("coset-n16-l0", ["--d", "4", "--n", "16", "--kind", "coset", "--l", "0"])
+# inputs whose spectrum walk is split over the process pool, and the
+# thread counts each is counted at
+POOLED = {
+    "coset-n16-l0": (["--d", "4", "--n", "16", "--kind", "coset", "--l", "0"], [2]),
+    "coset-n26-l0": (["--d", "4", "--n", "26", "--kind", "coset", "--l", "0"], [1, 2]),
+}
 
 # eight integer points, then four points of the unit circle in z = 0
 VIOLATION_POINTS = [[2, 1, 3], [-1, 4, 2], [3, -2, 1], [1, 2, -4], [-3, -1, 5], [4, 3, -2],
@@ -130,11 +139,13 @@ def main(argv=None) -> int:
         artifact(out_dir, f"generate-{label}", ["generate", *args, "-o", points])
         examine(out_dir, label, points)
         artifact(out_dir, f"lift-{label}", ["lift", points])
-    label, args = POOLED
-    points = f"generate-{label}/points.json"
-    artifact(out_dir, f"generate-{label}", ["generate", *args, "-o", points])
-    artifact(out_dir, f"count-t2-{label}", ["count", points, "--threads", "2",
-                                            "--csv", f"count-t2-{label}/spectrum.csv"])
+    for label, (args, thread_counts) in POOLED.items():
+        points = f"generate-{label}/points.json"
+        artifact(out_dir, f"generate-{label}", ["generate", *args, "-o", points])
+        for threads in thread_counts:
+            name = f"count-t{threads}-{label}"
+            artifact(out_dir, name, ["count", points, "--threads", str(threads),
+                                     "--csv", f"{name}/spectrum.csv"])
     points = "violation-points.json"
     with open(os.path.join(out_dir, points), "w") as fh:
         json.dump({"dimension": 3, "backend": "rational",

@@ -31,12 +31,14 @@ view of a lane set are lane values known by their filter residues.  A
 nonzero residue proves a value nonzero.  A zero one is decided in every
 lane under the set's bound (below): the view expands all its values in
 every lane once, and lifts them by one ``from_lanes`` call only when one
-is read (equality, hashing, JSON, pickling or arithmetic).  Incidence
-values det([x; S]) against a view of the same set (one of the same
-``source``) are only decided: by a nonzero filter residue, or else by the
-all-lane determinant of the sorted indices of S and x, which the set
-records, so that each (d+2)-set is certified once.  Rows of two sets, or a
-cofactor tuple used as a row, expand over their elements.
+is read (equality, hashing, JSON, pickling or arithmetic).  A view's
+cofactors keep their filter residues and build their values only when one
+is read, so a nonzero residue answers ``degenerate`` with no value built.
+Incidence values det([x; S]) against a view of the same set (one of the
+same ``source``) are only decided: by a nonzero filter residue, or else by
+the all-lane determinant of the sorted indices of S and x, which the set
+certifies once per (d+2)-set (below).  Rows of two sets, or a cofactor
+tuple used as a row, expand over their elements.
 
 "Every lane" means one lane of each *lane class*.  Lane arithmetic is
 element-wise, so two lanes of a prime that are equal in every entry of a
@@ -53,27 +55,44 @@ Level j of the expansion holds the minors of rows 0..j and depends on
 those rows alone.  A lane set finds the filter residues of a whole *block*
 of k-subsets at once, in numpy: the subsets that share a leading index,
 or a longer leading prefix where those are more than ``_BLOCK_SUBSETS``.
-Each level of a block is an int64 array mod the filter prime, one column
-per index prefix, built from the level before it by the plan's tables in
-the same numpy step as a lane set's all-lane levels (below).  A subset's
+One expansion, ``_prefix_minors``, serves a block and a batch of
+certificates (below): level r holds the minors of rows 0..r of each
+distinct (r+1)-index prefix of the sorted index tuples, one column per
+prefix, built from the level of the prefix without its last index by the
+plan's tables in the same numpy step as a lane set's all-lane levels.  A
+block's levels are int64 arrays mod the filter prime.  A subset's
 row of the block's table holds its signed maximal cofactors followed by
 their incidence residues against every row of the set, or the
-determinant of a square subset.  A view reads the row of its sorted
-indices: a permuted view's residues are the sorted view's times the
-permutation's sign, and a view with a repeated index has zero residues.
-The set keeps the table of the last block it read, and a lexicographic
-walk reads each block to its end before it moves to the next.
+determinant of a square subset.  The set keeps the table of the last
+block it read, with a dict from each subset of the block to its row, so
+that a view of sorted indices in that block costs one lookup; any other
+view finds its block from its sorted indices.  A permuted view's residues
+are the sorted view's times the permutation's sign, and a view with a
+repeated index has zero residues.  A lexicographic walk reads each block
+to its end before it moves to the next.
 
-Each set keeps the indices and levels of its last expansion in one
-``walk``, and the next expansion reuses the levels of the longest index
+The zero candidates of a block are the pairs (S, i) with i > max(S) whose
+incidence residue is 0, so that S + (i,) is sorted and each (d+2)-set is
+a candidate of one subset only: a zero residue of det([x; S]) asks for
+the certificate of the sorted indices T of S and x, the candidate of the
+block of T without its last index.  A block's candidates are certified
+together, at most ``_BATCH_TUPLES`` at a time, the first time one of them
+is asked for (``_certify``), by the prefix expansion of a block with the
+lane classes on the trailing axes.  In a
+lexicographic walk that block is the set's last one or one already
+certified; a pool worker whose rank range starts in the middle of the
+walk builds the table of an earlier block for its batch.  A tuple that is
+no candidate (a permuted or repeated one, or one with a nonzero residue)
+is certified as a batch of one.
+
+Each set keeps the indices and levels of its last expansion of one view
+in ``walk``, and the next expansion reuses the levels of the longest index
 prefix it shares with them: at d=4 a subset that keeps its first four rows
 of the previous one costs the 30 products of the last level instead of all
-180.  A set with no basis walks the scalars of its views.  A lane set
-walks its all-lane expansions, certificates above all, and consecutive
-certificates of a walk mostly share three or four leading indices.  The
-trailing axes of such a level are a view's lane classes, as those of a
-block's level are the block's subsets.  Cached levels are never written
-to.
+180.  A set with no basis walks the scalars of its views, and a lane set
+the all-lane values of its views.  The trailing axes of such a level are
+a view's lane classes, as those of a block's level are the block's
+subsets.  Cached levels are never written to.
 
 The lift needs a bound on the coefficients.  Read as polynomials in
 Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
@@ -102,7 +121,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, PoleError
+from .errors import ConductorError, DegeneracyError, DomainError, PoleError
 from .scalars import (
     INDETERMINATE,
     CycloElement,
@@ -118,17 +137,6 @@ Point = tuple  # d scalars of one backend
 
 def as_point(coords) -> Point:
     return tuple(Fraction(c) if isinstance(c, (int, str)) else c for c in coords)
-
-
-def _points_distinct(p: Point, q: Point, backend: str):
-    """True if certified distinct, False if exactly equal, INDETERMINATE if
-    the interval boxes overlap without witnessing separation."""
-    if backend == "interval":
-        for a, b in zip(p, q):
-            if a.hi < b.lo or b.hi < a.lo:
-                return True
-        return INDETERMINATE
-    return any(not is_zero(a - b) for a, b in zip(p, q))
 
 
 @dataclass(frozen=True)
@@ -155,15 +163,25 @@ class PointSet:
         if len(backends) != 1:
             raise DomainError(f"point set mixes backends: {sorted(backends)}")
         backend = backends.pop()
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                verdict = _points_distinct(pts[i], pts[j], backend)
-                if verdict is INDETERMINATE:
+        if backend == "interval":
+            # two boxes are certified distinct by one coordinate's disjoint intervals
+            for i, j in combinations(range(len(pts)), 2):
+                if not any(a.hi < b.lo or b.hi < a.lo for a, b in zip(pts[i], pts[j])):
                     raise DomainError(
                         f"points {i} and {j} are not certifiably distinct at this precision"
                     )
-                if not verdict:
-                    raise DomainError(f"points {i} and {j} coincide")
+        else:
+            if backend == "cyclotomic" and len({c.ctx.conductor for p in pts for c in p}) > 1:
+                raise ConductorError("mixed cyclotomic conductors")
+            # equal exact scalars hash equal (a cyclotomic element hashes its
+            # conductor and normalized coefficients), so one dict finds each
+            # point's first equal point, and the lexicographically first
+            # coinciding pair is the least (first, later) pair
+            first = {}
+            pairs = [(first.setdefault(p, j), j) for j, p in enumerate(pts)]
+            coinciding = min(((i, j) for i, j in pairs if i != j), default=None)
+            if coinciding is not None:
+                raise DomainError("points {} and {} coincide".format(*coinciding))
         return cls(d, pts, backend, dict(metadata or {}))
 
     @property
@@ -199,7 +217,10 @@ class PointSet:
 
 def degenerate(values) -> bool:
     """Whether every value is certified zero, as a subset's cofactors or a
-    surface's coefficients may be; an interval never is."""
+    surface's coefficients may be; an interval never is.  The cofactors of
+    a view of a lane set are decided without building their values."""
+    if isinstance(values, _Lanes):
+        return values.degenerate()
     return all(is_zero(value) is True for value in values)
 
 
@@ -269,8 +290,8 @@ def _level(row: np.ndarray, last: np.ndarray, col, prev, modulus) -> np.ndarray:
     r-1 ``last`` and ``row``, row r's entries followed by their negations,
     by ``_expansion_plan``'s (col, prev) tables of row r: each minor is the
     sum of its terms.  Both carry the same trailing axes, a view's lane
-    classes (primes, classes) or a block's subsets, so level r has shape
-    (C(width, r+1), *trailing)."""
+    classes (primes, classes), a block's subsets or a batch's tuples and
+    lane classes, so level r has shape (C(width, r+1), *trailing)."""
     return np.add.reduce(row[col] * last[prev], axis=1) % modulus
 
 
@@ -301,50 +322,78 @@ def _block_prefix(n: int, indices: tuple) -> int:
     return length
 
 
-def _block_rank(n: int, suffix: tuple, start: int) -> int:
-    """The lexicographic rank of the sorted ``suffix`` among the
-    len(suffix)-subsets of range(start, n): at each place, the number of
-    subsets that agree before it and hold a smaller index there."""
-    rank, left = 0, len(suffix)
-    for index in suffix:
-        rank += math.comb(n - start, left) - math.comb(n - index, left)
-        start, left = index + 1, left - 1
-    return rank
+def _prefix_minors(entries: np.ndarray, tuples: np.ndarray, width: int, modulus) -> np.ndarray:
+    """The minors of full row count of the rows at each index tuple, a row
+    of ``tuples`` (m, k), from ``entries`` (2 * width, n, *trailing), each
+    row's entries followed by their negations, reduced mod ``modulus``:
+    shape (C(width, k), m, *trailing).
 
-
-def _block_table(rows: np.ndarray, prime: int, k: int, prefix: tuple) -> np.ndarray:
-    """The filter residues of the block of the k-subsets of a lane set that
-    begin with ``prefix``, one table row per subset in lexicographic order,
-    from the set's filter ``rows`` (n, 2 * width): each row's residues
-    followed by their negations mod ``prime``.
-
-    Level r holds the minors of rows 0..r of each (r+1)-index prefix of the
-    block's subsets, one column per prefix, built by ``_level`` from the
-    level of the prefix without its last index, as int64 mod ``prime``: a
-    product of two residues stays below 2^52, and a sum of ``width`` of
-    them fits in int64.  A table row of square subsets is their
-    determinant; one of k = width - 1 rows is their signed maximal
-    cofactors followed by their incidence residues against every row of
-    the set, entries @ cof."""
-    n, width = rows.shape[0], rows.shape[1] // 2
-    entries = rows.T
-    level, last = entries[:width, list(prefix[:1])], np.array(prefix[:1])
-    for r, (col, prev) in enumerate(_expansion_plan(k, width), 1):
-        if r < len(prefix):
-            parent, index = np.zeros(1, np.intp), np.array(prefix[r:r + 1])
+    Level r holds the minors of rows 0..r of each distinct (r+1)-index
+    prefix of the tuples, one column per prefix, built by ``_level`` from
+    the level of the prefix without its last index.  A tuple whose prefix
+    equals the previous tuple's shares its column, so tuples in
+    lexicographic order expand each shared prefix once."""
+    plan = _expansion_plan(tuples.shape[1], width)
+    fresh = np.arange(len(tuples)) == 0  # where a tuple's (r+1)-prefix starts a column
+    for r, index in enumerate(tuples.T):
+        fresh[1:] |= index[1:] != index[:-1]
+        if r == 0:
+            level = entries[:width, index[fresh]]
         else:
-            # each prefix is followed, in order, by every index after its
-            # last one that leaves room for the k - 1 - r indices after it
-            counts = n - k + r - last
-            parent = np.repeat(np.arange(len(last)), counts)
-            offset = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
-            index = last[parent] + 1 + offset
-        level = _level(entries[:, index], level[:, parent], col, prev, prime)
-        last = index
-    if k == width:
-        return level.T
-    cof = _signed_cofactors(level, prime)
+            level = _level(entries[:, index[fresh]], level[:, column[fresh]], *plan[r - 1],
+                           modulus)
+        column = np.cumsum(fresh) - 1  # each tuple's column of level r
+    return level[:, column]
+
+
+def _block_table(rows: np.ndarray, prime: int, subsets: np.ndarray) -> np.ndarray:
+    """The filter residues of a block of k-subsets of a lane set, the rows
+    of the sorted ``subsets`` (m, k), one table row per subset, from the
+    set's filter ``rows`` (n, 2 * width): each row's residues followed by
+    their negations mod ``prime``.
+
+    The minors are int64 mod ``prime`` (``_prefix_minors``): a product of
+    two residues stays below 2^52, and a sum of ``width`` of them fits in
+    int64.  A table row of square subsets is their determinant; one of k =
+    width - 1 rows is their signed maximal cofactors followed by their
+    incidence residues against every row of the set, entries @ cof."""
+    width = rows.shape[1] // 2
+    minors = _prefix_minors(rows.T, subsets, width, prime)
+    if subsets.shape[1] == width:
+        return minors.T
+    cof = _signed_cofactors(minors, prime)
     return np.ascontiguousarray(np.concatenate([cof, rows[:, :width] @ cof % prime]).T)
+
+
+# The most zero candidates one ``_certify`` call expands.  A batch's widest
+# level gathers every term of C(width, 3) minors of up to this many tuples
+# in every lane class at once.  On perfbench's coset-cyclo workload (2-core
+# VM), caps of 32, 16, 8 and 4 raised peak RSS over certifying each tuple on
+# its own by about 3.5%, 1.8%, 0.9% and 0.9%; 8 kept work_per_s within
+# about 5% of 32.
+_BATCH_TUPLES = 8
+
+
+def _candidates(block: tuple, n: int) -> np.ndarray:
+    """The zero candidates of a ``block`` of cofactors of a lane set of n
+    rows: each subset S of the block followed by each index i > max(S)
+    whose incidence residue against S is 0, in lexicographic order, as an
+    array (candidates, k + 1)."""
+    (k, _), table, rows = block
+    subsets = np.array(list(rows), np.intp)  # the dict's keys, in table order
+    zero = (table[:, k + 1:] == 0) & (np.arange(n) > subsets[:, -1:])
+    at, index = np.nonzero(zero)
+    return np.column_stack([subsets[at], index])
+
+
+def _certify(source: "RowSet", tuples: np.ndarray) -> np.ndarray:
+    """Whether the determinant of the rows of the lane set ``source`` at
+    each index tuple, a row of ``tuples`` (m, width), vanishes in
+    every lane class, decided under the set's bound: ``_prefix_minors``
+    with the lane classes on the trailing axes (primes, classes)."""
+    [minors] = _prefix_minors(source._signed.transpose(1, 0, 2, 3), tuples, tuples.shape[1],
+                              source.basis.moduli)
+    return ~minors.any(axis=(1, 2))
 
 
 def _permutation_sign(indices: tuple) -> int:
@@ -387,20 +436,21 @@ class RowSet(tuple):
     bound covers the values of its views.  A view of a lane set owns its
     values in every lane class: ``lanes`` expands them once and ``lifted``
     lifts them once.  A set keeps the indices and levels of its last
-    expansion in ``walk``: of a view, or for a lane set of a view's
-    ``lanes`` or a certificate.  A lane set keeps the filter table of its
-    last block in ``block`` and its zero certificates in ``certified``.  A
-    pickle drops all of them.
+    expansion of a view in ``walk``.  A lane set keeps its last block in
+    ``block``: the key (k, prefix), the filter table and the dict from each
+    subset of the block to its table row; the keys of the blocks whose zero
+    candidates it certified in ``batched``; and its zero certificates in
+    ``certified``.  A pickle drops all of them.
     """
 
     walk = ((), ())
-    block = ((), None)
+    block = ((), None, {})
     _lanes = _lifted = None
 
     def __new__(cls, rows, grid=None, basis=None, classes=None):
         self = super().__new__(cls, rows)
         self.basis, self.source, self.indices = basis, self, tuple(range(len(self)))
-        self.grid, self.classes, self.certified = grid, classes, {}
+        self.grid, self.classes, self.certified, self.batched = grid, classes, {}, set()
         if basis is not None:
             self.prime = basis.primes[0]
             self._signed = np.concatenate([grid, -grid % basis.moduli], axis=1)
@@ -419,25 +469,38 @@ class RowSet(tuple):
         view.basis, view.source, view.indices = self.basis, source, indices
         return view
 
-    def filter_row(self, indices: tuple) -> np.ndarray:
+    def filter_row(self, indices: tuple) -> list:
         """The filter residues of the values of this lane set's rows at
-        ``indices``: their determinant if they are square, else their
-        signed maximal cofactors followed by the cofactors' incidence
+        ``indices``, as a list: their determinant if they are square, else
+        their signed maximal cofactors followed by the cofactors' incidence
         residues against every row of the set.  Read from the table of the
         block of the sorted indices (built unless it is the set's last
         block), times the sign of the permutation that sorts them; zero if
-        an index repeats."""
+        an index repeats.  Sorted indices of the last block are one dict
+        lookup."""
+        row = self.block[2].get(indices)
+        if row is not None:
+            return self.block[1][row].tolist()
         n, k, width = len(self), len(indices), self._filter.shape[1] // 2
-        ordered = tuple(sorted(indices))
-        sign = 1 if ordered == indices and len(set(indices)) == k else _permutation_sign(indices)
+        sign = _permutation_sign(indices)
         if not sign:
-            return np.zeros(1 if k == width else width + n, np.int64)
-        length = _block_prefix(n, ordered)
-        key = (k, ordered[:length])
-        if self.block[0] != key:
-            self.block = (key, _block_table(self._filter, self.prime, k, key[1]))
-        row = self.block[1][_block_rank(n, ordered[length:], ordered[length - 1] + 1)]
-        return row if sign > 0 else -row % self.prime
+            return [0] * (1 if k == width else width + n)
+        ordered = tuple(sorted(indices))
+        if ordered not in self.block[2]:
+            self.block = self._block(ordered)
+        row = self.block[1][self.block[2][ordered]]
+        return (row if sign > 0 else -row % self.prime).tolist()
+
+    def _block(self, ordered: tuple) -> tuple:
+        """The block of the sorted, distinct indices ``ordered``: its key
+        (k, prefix), its filter table and the dict from each of its subsets
+        to its table row."""
+        n, k = len(self), len(ordered)
+        prefix = ordered[:_block_prefix(n, ordered)]
+        subsets = [prefix + rest
+                   for rest in combinations(range(prefix[-1] + 1, n), k - len(prefix))]
+        return ((k, prefix), _block_table(self._filter, self.prime, np.array(subsets, np.intp)),
+                dict(zip(subsets, range(len(subsets)))))
 
     def lanes(self) -> np.ndarray:
         """The values of these lane rows in every lane class, reduced, shape
@@ -459,10 +522,27 @@ class RowSet(tuple):
     def certify_zero(self, indices: tuple) -> bool:
         """Whether the determinant of the rows of this lane set at
         ``indices`` vanishes, decided in every lane class under the set's
-        bound once per index tuple."""
+        bound once per index tuple.  Sorted, distinct ``indices`` whose
+        filter residue is 0 are a zero candidate of the block of all their
+        indices but the last, certified with all of that block's candidates
+        the first time one of them is asked for; any other tuple is
+        certified as a batch of one."""
         verdict = self.certified.get(indices)
+        if verdict is None and list(indices) == sorted(set(indices)):
+            subset = indices[:-1]
+            key = (len(subset), subset[:_block_prefix(len(self), subset)])
+            if key not in self.batched:
+                self.batched.add(key)
+                block = self.block if self.block[0] == key else self._block(subset)
+                candidates = _candidates(block, len(self))
+                for start in range(0, len(candidates), _BATCH_TUPLES):
+                    batch = candidates[start:start + _BATCH_TUPLES]
+                    self.certified.update(zip(map(tuple, batch.tolist()),
+                                              _certify(self, batch).tolist()))
+                verdict = self.certified.get(indices)
         if verdict is None:
-            verdict = self.certified[indices] = not _minors(self, indices, len(self[0])).any()
+            [verdict] = _certify(self, np.array([indices])).tolist()
+            self.certified[indices] = verdict
         return verdict
 
 
@@ -487,17 +567,38 @@ class _LaneValue(CycloElement):
         return not self._residue and not self._view.lanes()[self._index].any()
 
 
-class _Lanes(tuple):
-    """The maximal cofactors of a view of a lane set: their values, the
-    ``view`` that owns their lanes, and the filter residues of their
-    ``incidence`` values against every row of the view's set."""
+class _Lanes:
+    """The maximal cofactors of a view of a lane set, a sequence of lane
+    values: the ``view`` that owns their lanes, their filter ``residues``,
+    and the filter residues of their ``incidence`` values against every row
+    of the view's set.  The values are built on the first read."""
 
-    def __new__(cls, view, residues, incidence):
-        ctx = view[0][0].ctx
-        self = super().__new__(cls, [_LaneValue(ctx, view, i, residue)
-                                     for i, residue in enumerate(residues)])
-        self.view, self.incidence = view, incidence
-        return self
+    __slots__ = ("view", "residues", "incidence", "_values")
+
+    def __init__(self, view, residues, incidence):
+        self.view, self.residues, self.incidence, self._values = view, residues, incidence, None
+
+    def values(self) -> tuple:
+        if self._values is None:
+            ctx = self.view[0][0].ctx
+            self._values = tuple(_LaneValue(ctx, self.view, i, residue)
+                                 for i, residue in enumerate(self.residues))
+        return self._values
+
+    def degenerate(self) -> bool:
+        return not any(self.residues) and not self.view.lanes().any()
+
+    def __len__(self):
+        return len(self.residues)
+
+    def __getitem__(self, index):
+        return self.values()[index]
+
+    def __iter__(self):
+        return iter(self.values())
+
+    def __eq__(self, other):
+        return self.values() == (other.values() if isinstance(other, _Lanes) else other)
 
 
 def _minors(source: RowSet, indices: tuple, columns: int):
@@ -539,7 +640,7 @@ def det(rows) -> object:
         raise ValueError("det requires a square matrix")
     rows = rows if isinstance(rows, RowSet) else RowSet(rows)
     if rows.basis is not None:
-        residue = int(rows.source.filter_row(rows.indices)[0])
+        [residue] = rows.source.filter_row(rows.indices)
         return _LaneValue(rows[0][0].ctx, rows, 0, residue)
     [value] = _minors(rows.source, rows.indices, k)
     return value
@@ -555,13 +656,14 @@ def maximal_cofactors(rows) -> tuple:
     any other set reuses the levels each shares with the previous one (see
     the module docstring).
     """
+    rows = rows if isinstance(rows, RowSet) else RowSet(rows)
     columns = len(rows) + 1
+    if rows.basis is not None and rows.source.grid.shape[1] == columns:
+        # every row of a lane set has its grid's width
+        row = rows.source.filter_row(rows.indices)
+        return _Lanes(rows, row[:columns], row[columns:])
     if set(map(len, rows)) - {columns}:
         raise ValueError("expected a k x (k+1) matrix")
-    rows = rows if isinstance(rows, RowSet) else RowSet(rows)
-    if rows.basis is not None:
-        row = rows.source.filter_row(rows.indices)
-        return _Lanes(rows, row[:columns].tolist(), row[columns:])
     # in combinations order the k-column subsets leave out column k first
     signed = _minors(rows.source, rows.indices, columns)[::-1]
     signed[1::2] = [-c for c in signed[1::2]]
@@ -577,7 +679,7 @@ def incidence_values(cof, rows) -> list:
     certified nonzero."""
     if not (isinstance(cof, _Lanes) and cof.view.source is getattr(rows, "source", None)):
         return _dot_function(len(cof))(rows, cof)
-    source, defining, residues = rows.source, cof.view.indices, cof.incidence.tolist()
+    source, defining, residues = rows.source, cof.view.indices, cof.incidence
     return [residues[i] or int(not source.certify_zero(tuple(sorted((*defining, i)))))
             for i in rows.indices]
 

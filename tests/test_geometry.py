@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import no_lifts
 from oracles import gaussian_rank, laplace_det, reference_cofactors
 
-from hypersphere_lab.errors import DegeneracyError, DomainError, PoleError
+from hypersphere_lab.errors import ConductorError, DegeneracyError, DomainError, PoleError
 from hypersphere_lab.geometry import (
     Hypersphere,
     PointSet,
@@ -37,6 +37,7 @@ from hypersphere_lab.geometry import (
 )
 from hypersphere_lab.scalars import (
     INDETERMINATE,
+    CycloElement,
     IntervalScalar,
     get_context,
     is_zero,
@@ -184,17 +185,20 @@ class TestLaneKernel:
 
     def test_pickled_rows_stay_one_set(self):
         """Pool workers receive the set pickled: its rows, grid and basis,
-        without the filter table of its last block or its zero
-        certificates, so a worker's cofactors still run in the set's
-        lanes."""
+        without its last block (key, filter table and row dict), the keys of
+        its certified blocks or its zero certificates, so a worker's
+        cofactors still run in the set's lanes."""
         ctx = get_context(20)
         rows = scaled_rows(self.random_rows(ctx, random.Random(3), 5, 4, 8), row=tuple)
         cof = maximal_cofactors(rows.take(range(3)))
         [repeated] = incidence_values(cof, rows.take([1]))
         assert is_zero(repeated) is True
-        assert rows.block[0] == (3, (0,)) and rows.certified == {(0, 1, 1, 2): True}
+        assert rows.certify_zero((0, 1, 2, 3)) is False
+        assert rows.block[0] == (3, (0,)) and len(rows.block[2]) == 6
+        assert rows.batched == {(3, (0,))}
+        assert rows.certified == {(0, 1, 1, 2): True, (0, 1, 2, 3): False}
         again = pickle.loads(pickle.dumps(rows))
-        assert again.block == ((), None) and again.certified == {}
+        assert again.block == ((), None, {}) and again.batched == set() and again.certified == {}
         assert again.source is again and again.indices == rows.indices
         assert again.basis is not None and again.basis.primes == rows.basis.primes
         assert again == rows and (again.grid == rows.grid).all()
@@ -202,6 +206,7 @@ class TestLaneKernel:
         cof_again = maximal_cofactors(again.take(range(3)))
         assert cof_again.view.source is again
         assert again.block[0] == (3, (0,)) and (again.block[1] == rows.block[1]).all()
+        assert again.block[2] == rows.block[2]
         assert cof_again == cof
         assert incidence_values(cof_again, again.take([3, 4])) == incidence_values(
             cof, rows.take([3, 4]))
@@ -286,26 +291,34 @@ class TestFilterLane:
 
     @pytest.mark.parametrize("n, l, spheres", [(12, 3, 80), (13, 0, 132)])
     def test_one_certificate_per_sphere(self, monkeypatch, n, l, spheres):
-        """Coset sets have no false filter candidates, so every all-lane
-        expansion of a spectrum certifies one (d+2)-point sphere."""
+        """Coset sets have no false filter candidates, so the batches of a
+        spectrum certify each (d+2)-point sphere once and nothing else, and
+        no view expands its own lanes."""
         from hypersphere_lab import geometry
         from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
         from hypersphere_lab.counting import spectrum
 
         ps = coset_config(CosetSpec(CurveParams.default(4), n, l), validate=False)
-        expansions = []
-        minors = geometry._minors
+        certified, expansions = [], []
+        certify, minors = geometry._certify, geometry._minors
 
-        def counted(source, indices, columns):
+        def counted_certify(source, tuples):
+            verdicts = certify(source, tuples)
+            certified.extend(zip(map(tuple, tuples.tolist()), verdicts.tolist()))
+            return verdicts
+
+        def counted_minors(source, indices, columns):
             if source.basis is not None:
-                expansions.append(len(indices))
+                expansions.append(indices)
             return minors(source, indices, columns)
 
-        monkeypatch.setattr(geometry, "_minors", counted)
+        monkeypatch.setattr(geometry, "_certify", counted_certify)
+        monkeypatch.setattr(geometry, "_minors", counted_minors)
         with no_lifts():
             spec = spectrum(ps, threads=1)
         assert spec.next_class == spheres and max(spec.counts) == 6
-        assert expansions == [6] * spheres
+        assert len(certified) == len(dict(certified)) == spheres and expansions == []
+        assert all(len(six) == 6 and verdict is True for six, verdict in certified)
 
 
 class TestLaneClasses:
@@ -389,10 +402,13 @@ class TestLaneClasses:
 
 
 class TestCertificatePrefix:
-    """All-lane expansions reuse the levels of the index prefix they share
-    with the set's last one.  Index tuples with shared, reordered and fresh
-    prefixes, cofactor views and another set's certificates in between:
-    every verdict equals the exact determinant's."""
+    """A tuple is certified in the batch of its block's zero candidates or
+    as a batch of one, and cofactor views reuse the all-lane levels of the
+    index prefix they share with the set's last view.  Index tuples with
+    shared, reordered and fresh prefixes, cofactor views and another set's
+    certificates in between: every verdict equals the exact determinant's,
+    each tuple is expanded once, and a view keeps the cached levels of the
+    prefix it shares with the last one."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -404,6 +420,8 @@ class TestCertificatePrefix:
                  max_size=12),
     )
     def test_verdicts_match_the_exact_determinant(self, conductor, k, seed, steps):
+        from hypersphere_lab import geometry
+
         ctx = get_context(conductor)
         rng = random.Random(seed)  # full-size coefficients, not shrunk ones
         width, n = k + 1, k + 5
@@ -432,16 +450,99 @@ class TestCertificatePrefix:
             indices = (prefix[::-1] if reorder else prefix) + tuple(i % n for i in picks)
             script.append((int(other), indices[:k if cofactors else width]))
             last[other] = script[-1][1]
-        for which, indices in script:
-            plain, rows = sets[which]
-            exact = [plain[i] for i in indices]
-            if len(indices) == k:
-                assert rows.take(indices).lifted() == reference_cofactors(exact)
-                continue
-            fresh = indices not in rows.certified
-            assert rows.certify_zero(indices) is (laplace_det(exact) == 0)
-            if fresh:
-                assert rows.walk[0] == indices
+        batches = []
+        certify = geometry._certify
+
+        def recorded(source, tuples):
+            batches.append(tuple(map(tuple, tuples.tolist())))
+            return certify(source, tuples)
+
+        with mock.patch.object(geometry, "_certify", recorded):
+            for which, indices in script:
+                plain, rows = sets[which]
+                exact = [plain[i] for i in indices]
+                if len(indices) == k:
+                    walked, levels = rows.walk
+                    shared = next(s for s in range(k, -1, -1) if indices[:s] == walked[:s])
+                    assert rows.take(indices).lifted() == reference_cofactors(exact)
+                    assert rows.walk[0] == indices
+                    assert all(a is b for a, b in zip(rows.walk[1][:shared], levels[:shared]))
+                    continue
+                fresh = indices not in rows.certified
+                batches.clear()
+                assert rows.certify_zero(indices) is (laplace_det(exact) == 0)
+                if fresh:
+                    assert [batch.count(indices) for batch in batches if indices in batch] == [1]
+                else:
+                    assert batches == []
+
+
+class TestBatchedCertificates:
+    """A block's zero candidates, the pairs (S, i) with i > max(S) whose
+    incidence residue is 0, are certified in batches of at most
+    ``_BATCH_TUPLES`` tuples that share their prefixes.  Sets with planted
+    dependent rows and rows that are dependent in the filter lane only,
+    walked subset by subset as a spectrum walks them, with small blocks
+    (keyed by prefixes of two or more indices) and small batches: every
+    batch tuple is sorted, none is certified twice, and every verdict
+    equals the exact determinant's."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([8, 12, 20]),
+        st.integers(2, 4),
+        st.sampled_from([1, 3, 4096]),
+        st.sampled_from([1, 2, 5, 256]),
+        st.integers(0, 2**32),
+    )
+    def test_batch_verdicts_match_the_exact_determinant(self, conductor, k, block, batch, seed):
+        from hypersphere_lab import geometry
+
+        ctx = get_context(conductor)
+        rng = random.Random(seed)  # full-size coefficients, not shrunk ones
+        width, n = k + 1, k + 5
+        plain = [tuple(ctx.element([rng.randint(-9, 9) for _ in range(ctx.degree)])
+                       for _ in range(width)) for _ in range(n - 2)]
+        # every (k+1)-set holding rows 0, 1 and 2 is zero
+        plain.insert(2, tuple(a + b for a, b in zip(plain[0], plain[1])))
+        # every one holding rows 3, 4 and n-1 is zero in the filter lane only:
+        # z - w with w the root that z maps to there (see TestFilterLane)
+        z = ctx.zeta_power(1)
+        basis = ctx.lane_basis(1)
+        w = ctx.from_rational(int(ctx.to_lanes([z], basis)[0, 0, 0]))
+        plain.append((plain[3][0] + plain[4][0] + z - w,
+                      *(a + b for a, b in zip(plain[3][1:], plain[4][1:]))))
+        rows = scaled_rows(plain, row=tuple)
+        assert rows.prime == basis.primes[0]
+
+        certified, prefixes = [], set()
+        certify = geometry._certify
+
+        def recorded(source, tuples):
+            assert source is rows and len(tuples) <= batch
+            verdicts = certify(source, tuples)
+            certified.extend(zip(map(tuple, tuples.tolist()), verdicts.tolist()))
+            return verdicts
+
+        with mock.patch.object(geometry, "_BLOCK_SUBSETS", block), \
+                mock.patch.object(geometry, "_BATCH_TUPLES", batch), \
+                mock.patch.object(geometry, "_certify", recorded):
+            for subset in itertools.combinations(range(n), k):
+                cof = maximal_cofactors(rows.take(subset))
+                prefixes.add(rows.block[0][1])
+                others = [i for i in range(n) if i not in subset]
+                for i, value in zip(others, incidence_values(cof, rows.take(others))):
+                    if not value:
+                        assert rows.certified[tuple(sorted((*subset, i)))] is True
+        if block == 1:
+            assert max(map(len, prefixes)) >= 2
+        zeros = 0
+        for indices, verdict in certified:
+            assert list(indices) == sorted(set(indices))
+            assert verdict is (laplace_det([plain[i] for i in indices]) == 0)
+            zeros += verdict
+        assert len(dict(certified)) == len(certified)
+        assert zeros == math.comb(n - 3, k - 2) and len(certified) >= 2 * zeros
 
 
 class TestViewCache:
@@ -1141,6 +1242,31 @@ class TestPointSetValidation:
     def test_duplicate_points_rejected(self):
         with pytest.raises(DomainError):
             PointSet.build([as_point((1, 2)), as_point((1, 2))])
+
+    def test_first_coinciding_pair_is_named(self):
+        """Points 1 and 2 coincide, and so do points 0 and 4: the error
+        names the lexicographically first pair, not the first one found
+        scanning j."""
+        a, b, c = as_point((1, 2)), as_point((Fraction(3, 2), 0)), as_point((0, 5))
+        with pytest.raises(DomainError, match=r"^points 0 and 4 coincide$"):
+            PointSet.build([a, b, b, c, a])
+        with pytest.raises(DomainError, match=r"^points 1 and 2 coincide$"):
+            PointSet.build([a, b, (Fraction(3, 2), Fraction(0))])
+
+    def test_equal_cyclotomic_values_of_other_denominators_coincide(self):
+        ctx = get_context(12)
+        z, one = ctx.zeta_power(1), ctx.one()
+        third = CycloElement(ctx, z.num, 3)
+        also_third = CycloElement(ctx, tuple(2 * c for c in z.num), 6)
+        assert third.den != also_third.den
+        with pytest.raises(DomainError, match=r"^points 0 and 2 coincide$"):
+            PointSet.build([(third, one), (z, one), (also_third, one)])
+        assert PointSet.build([(third, one), (z, one), (also_third, z)]).n == 3
+
+    def test_mixed_conductors_rejected(self):
+        twelve, twenty = get_context(12), get_context(20)
+        with pytest.raises(ConductorError):
+            PointSet.build([(twelve.one(), twelve.zero()), (twenty.one(), twenty.zero())])
 
     def test_mixed_dimension_rejected(self):
         with pytest.raises(DomainError):
