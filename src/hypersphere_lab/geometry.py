@@ -55,21 +55,22 @@ Level j of the expansion holds the minors of rows 0..j and depends on
 those rows alone.  A lane set finds the filter residues of a whole *block*
 of k-subsets at once, in numpy: the subsets that share a leading index,
 or a longer leading prefix where those are more than ``_BLOCK_SUBSETS``.
-One expansion, ``_prefix_minors``, serves a block and a batch of
-certificates (below): level r holds the minors of rows 0..r of each
-distinct (r+1)-index prefix of the sorted index tuples, one column per
-prefix, built from the level of the prefix without its last index by the
-plan's tables in the same numpy step as a lane set's all-lane levels.  A
-block's levels are int64 arrays mod the filter prime.  A subset's
-row of the block's table holds its signed maximal cofactors followed by
-their incidence residues against every row of the set, or the
+One expansion, ``_prefix_minors``, is every numpy expansion of a lane
+set: of a block, of a batch of certificates (below) and of a view's values
+in every lane class (``RowSet.lanes``, on the view's one index tuple).
+Level r holds the minors of rows 0..r of each distinct (r+1)-index prefix
+of the index tuples, one column per prefix, built from the level of the
+prefix without its last index by one step of the plan's tables
+(``_level``).  A block's levels are int64 arrays mod the filter prime.  A
+subset's row of the block's table holds its signed maximal cofactors
+followed by their incidence residues against every row of the set, or the
 determinant of a square subset.  The set keeps the table of the last
 block it read, with a dict from each subset of the block to its row, so
-that a view of sorted indices in that block costs one lookup; any other
-view finds its block from its sorted indices.  A permuted view's residues
-are the sorted view's times the permutation's sign, and a view with a
-repeated index has zero residues.  A lexicographic walk reads each block
-to its end before it moves to the next.
+that a view of sorted indices in that block costs one lookup; a view of
+other sorted, distinct indices builds their block.  A view whose indices
+are not sorted and distinct is a table of its one tuple, in its own order.
+A lexicographic walk reads each block to its end before it moves to the
+next.
 
 The zero candidates of a block are the pairs (S, i) with i > max(S) whose
 incidence residue is 0, so that S + (i,) is sorted and each (d+2)-set is
@@ -85,14 +86,14 @@ walk builds the table of an earlier block for its batch.  A tuple that is
 no candidate (a permuted or repeated one, or one with a nonzero residue)
 is certified as a batch of one.
 
-Each set keeps the indices and levels of its last expansion of one view
-in ``walk``, and the next expansion reuses the levels of the longest index
-prefix it shares with them: at d=4 a subset that keeps its first four rows
-of the previous one costs the 30 products of the last level instead of all
-180.  A set with no basis walks the scalars of its views, and a lane set
-the all-lane values of its views.  The trailing axes of such a level are
-a view's lane classes, as those of a block's level are the block's
-subsets.  Cached levels are never written to.
+Only a set with no basis walks: it keeps the indices and scalar levels
+of its last expansion of one view in ``walk``, and the next expansion
+reuses the levels of the longest index prefix it shares with them: at d=4
+a subset that keeps its first four rows of the previous one costs the 30
+products of the last level instead of all 180.  Cached levels are never
+written to.  A lane set never walks: it expands each index tuple by
+``_prefix_minors``, where the tuples of a block or a batch share their
+prefixes.
 
 The lift needs a bound on the coefficients.  Read as polynomials in
 Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
@@ -289,9 +290,9 @@ def _level(row: np.ndarray, last: np.ndarray, col, prev, modulus) -> np.ndarray:
     """Level r of the numpy expansion, reduced mod ``modulus``, from level
     r-1 ``last`` and ``row``, row r's entries followed by their negations,
     by ``_expansion_plan``'s (col, prev) tables of row r: each minor is the
-    sum of its terms.  Both carry the same trailing axes, a view's lane
-    classes (primes, classes), a block's subsets or a batch's tuples and
-    lane classes, so level r has shape (C(width, r+1), *trailing)."""
+    sum of its terms.  Both carry the same trailing axes, a block's subsets
+    or a batch's tuples and lane classes (tuples, primes, classes), so
+    level r has shape (C(width, r+1), *trailing)."""
     return np.add.reduce(row[col] * last[prev], axis=1) % modulus
 
 
@@ -348,9 +349,9 @@ def _prefix_minors(entries: np.ndarray, tuples: np.ndarray, width: int, modulus)
 
 def _block_table(rows: np.ndarray, prime: int, subsets: np.ndarray) -> np.ndarray:
     """The filter residues of a block of k-subsets of a lane set, the rows
-    of the sorted ``subsets`` (m, k), one table row per subset, from the
-    set's filter ``rows`` (n, 2 * width): each row's residues followed by
-    their negations mod ``prime``.
+    of the sorted ``subsets`` (m, k), or of one index tuple in any order,
+    one table row per tuple, from the set's filter ``rows`` (n, 2 *
+    width): each row's residues followed by their negations mod ``prime``.
 
     The minors are int64 mod ``prime`` (``_prefix_minors``): a product of
     two residues stays below 2^52, and a sum of ``width`` of them fits in
@@ -391,17 +392,8 @@ def _certify(source: "RowSet", tuples: np.ndarray) -> np.ndarray:
     each index tuple, a row of ``tuples`` (m, width), vanishes in
     every lane class, decided under the set's bound: ``_prefix_minors``
     with the lane classes on the trailing axes (primes, classes)."""
-    [minors] = _prefix_minors(source._signed.transpose(1, 0, 2, 3), tuples, tuples.shape[1],
-                              source.basis.moduli)
+    [minors] = _prefix_minors(source._signed, tuples, tuples.shape[1], source.basis.moduli)
     return ~minors.any(axis=(1, 2))
-
-
-def _permutation_sign(indices: tuple) -> int:
-    """The sign of the permutation that sorts ``indices``; 0 if one
-    repeats."""
-    if len(set(indices)) < len(indices):
-        return 0
-    return -1 if sum(a > b for a, b in combinations(indices, 2)) % 2 else 1
 
 
 def _lane_classes(grid):
@@ -435,12 +427,13 @@ class RowSet(tuple):
     (``source``, ``indices``); the source is the set's identity, and its
     bound covers the values of its views.  A view of a lane set owns its
     values in every lane class: ``lanes`` expands them once and ``lifted``
-    lifts them once.  A set keeps the indices and levels of its last
-    expansion of a view in ``walk``.  A lane set keeps its last block in
-    ``block``: the key (k, prefix), the filter table and the dict from each
-    subset of the block to its table row; the keys of the blocks whose zero
-    candidates it certified in ``batched``; and its zero certificates in
-    ``certified``.  A pickle drops all of them.
+    lifts them once.  A set with no basis keeps the indices and levels of
+    its last expansion of a view in ``walk``; a lane set never walks.  A
+    lane set keeps its last block in ``block``: the key (k, prefix), the
+    filter table and the dict from each subset of the block to its table
+    row; the keys of the blocks whose zero candidates it certified in
+    ``batched``; and its zero certificates in ``certified``.  A pickle
+    drops all of them.
     """
 
     walk = ((), ())
@@ -453,8 +446,9 @@ class RowSet(tuple):
         self.grid, self.classes, self.certified, self.batched = grid, classes, {}, set()
         if basis is not None:
             self.prime = basis.primes[0]
-            self._signed = np.concatenate([grid, -grid % basis.moduli], axis=1)
-            self._filter = np.ascontiguousarray(self._signed[:, :, 0, 0])
+            signed = np.concatenate([grid, -grid % basis.moduli], axis=1)
+            self._signed = signed.transpose(1, 0, 2, 3)  # (2 * width, n, primes, classes)
+            self._filter = np.ascontiguousarray(signed[:, :, 0, 0])
         return self
 
     def __reduce__(self):
@@ -473,23 +467,17 @@ class RowSet(tuple):
         """The filter residues of the values of this lane set's rows at
         ``indices``, as a list: their determinant if they are square, else
         their signed maximal cofactors followed by the cofactors' incidence
-        residues against every row of the set.  Read from the table of the
-        block of the sorted indices (built unless it is the set's last
-        block), times the sign of the permutation that sorts them; zero if
-        an index repeats.  Sorted indices of the last block are one dict
-        lookup."""
+        residues against every row of the set.  Sorted, distinct indices
+        read the table of their block, built unless it is the set's last
+        block, so that those of the last block are one dict lookup; any
+        other indices are a table of one tuple in their own order."""
         row = self.block[2].get(indices)
-        if row is not None:
-            return self.block[1][row].tolist()
-        n, k, width = len(self), len(indices), self._filter.shape[1] // 2
-        sign = _permutation_sign(indices)
-        if not sign:
-            return [0] * (1 if k == width else width + n)
-        ordered = tuple(sorted(indices))
-        if ordered not in self.block[2]:
-            self.block = self._block(ordered)
-        row = self.block[1][self.block[2][ordered]]
-        return (row if sign > 0 else -row % self.prime).tolist()
+        if row is None and list(indices) == sorted(set(indices)):
+            self.block = self._block(indices)
+            row = self.block[2][indices]
+        if row is None:
+            return _block_table(self._filter, self.prime, np.array([indices]))[0].tolist()
+        return self.block[1][row].tolist()
 
     def _block(self, ordered: tuple) -> tuple:
         """The block of the sorted, distinct indices ``ordered``: its key
@@ -505,10 +493,13 @@ class RowSet(tuple):
     def lanes(self) -> np.ndarray:
         """The values of these lane rows in every lane class, reduced, shape
         (count, primes, classes): the determinant if the rows are square,
-        else their signed maximal cofactors.  Expanded on the first call."""
+        else their signed maximal cofactors.  Expanded on the first call,
+        by ``_prefix_minors`` on the one tuple of the view's indices."""
         if self._lanes is None:
-            minors = _minors(self.source, self.indices, len(self[0]))
-            self._lanes = _signed_cofactors(minors, self.basis.moduli)
+            moduli = self.basis.moduli
+            minors = _prefix_minors(self.source._signed, np.array([self.indices]), len(self[0]),
+                                    moduli)[:, 0]
+            self._lanes = _signed_cofactors(minors, moduli)
         return self._lanes
 
     def lifted(self) -> list:
@@ -603,32 +594,21 @@ class _Lanes:
 
 def _minors(source: RowSet, indices: tuple, columns: int):
     """The minors of full row count of the len(indices) x ``columns``
-    matrix of the rows of ``source`` at ``indices``, one per column subset
-    in ``combinations`` order.
+    matrix of the rows of ``source``, a set with no basis, at ``indices``,
+    one per column subset in ``combinations`` order, as a list.
 
     Takes the levels of the longest index prefix that ``indices`` shares
-    with the set's ``walk`` and expands only the rows after it.  A set with
-    no basis expands in plain Python over its scalars and returns a list.
-    A lane set expands by ``_level`` in every lane class, from its tensor
-    (n, 2 * width, primes, classes) of each row's entries followed by their
-    negations, and returns an array (C(columns, k), primes, classes).
+    with the set's ``walk`` and expands only the rows after it, in plain
+    Python over its scalars.
     """
     walked, levels = source.walk
     shared = len(indices)
     while indices[:shared] != walked[:shared]:
         shared -= 1
-    levels = levels[:shared]
-    if source.basis is None:
-        levels = levels or [source[indices[0]]]
-        functions = _level_functions(len(indices), columns)
-        for r in range(len(levels), len(indices)):
-            levels.append(functions[r - 1](source[indices[r]], levels[-1]))
-    else:
-        signed, moduli = source._signed, source.basis.moduli
-        levels = levels or [signed[indices[0], :columns]]
-        plan = _expansion_plan(len(indices), columns)
-        for r in range(len(levels), len(indices)):
-            levels.append(_level(signed[indices[r]], levels[-1], *plan[r - 1], moduli))
+    levels = levels[:shared] or [source[indices[0]]]
+    functions = _level_functions(len(indices), columns)
+    for r in range(len(levels), len(indices)):
+        levels.append(functions[r - 1](source[indices[r]], levels[-1]))
     source.walk = (indices, levels)
     return levels[-1]
 

@@ -300,20 +300,19 @@ class TestFilterLane:
 
         ps = coset_config(CosetSpec(CurveParams.default(4), n, l), validate=False)
         certified, expansions = [], []
-        certify, minors = geometry._certify, geometry._minors
+        certify, lanes = geometry._certify, geometry.RowSet.lanes
 
         def counted_certify(source, tuples):
             verdicts = certify(source, tuples)
             certified.extend(zip(map(tuple, tuples.tolist()), verdicts.tolist()))
             return verdicts
 
-        def counted_minors(source, indices, columns):
-            if source.basis is not None:
-                expansions.append(indices)
-            return minors(source, indices, columns)
+        def counted_lanes(view):
+            expansions.append(view.indices)
+            return lanes(view)
 
         monkeypatch.setattr(geometry, "_certify", counted_certify)
-        monkeypatch.setattr(geometry, "_minors", counted_minors)
+        monkeypatch.setattr(geometry.RowSet, "lanes", counted_lanes)
         with no_lifts():
             spec = spectrum(ps, threads=1)
         assert spec.next_class == spheres and max(spec.counts) == 6
@@ -403,12 +402,11 @@ class TestLaneClasses:
 
 class TestCertificatePrefix:
     """A tuple is certified in the batch of its block's zero candidates or
-    as a batch of one, and cofactor views reuse the all-lane levels of the
-    index prefix they share with the set's last view.  Index tuples with
-    shared, reordered and fresh prefixes, cofactor views and another set's
-    certificates in between: every verdict equals the exact determinant's,
-    each tuple is expanded once, and a view keeps the cached levels of the
-    prefix it shares with the last one."""
+    as a batch of one, and a cofactor view expands its own lanes once,
+    without a walk.  Index tuples with shared, reordered and fresh
+    prefixes, cofactor views and another set's certificates in between:
+    every verdict and cofactor equals the exact one, each tuple is expanded
+    once, and the set's ``walk`` stays empty."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -450,23 +448,28 @@ class TestCertificatePrefix:
             indices = (prefix[::-1] if reorder else prefix) + tuple(i % n for i in picks)
             script.append((int(other), indices[:k if cofactors else width]))
             last[other] = script[-1][1]
-        batches = []
-        certify = geometry._certify
+        batches, expansions = [], []
+        certify, prefix_minors = geometry._certify, geometry._prefix_minors
 
         def recorded(source, tuples):
             batches.append(tuple(map(tuple, tuples.tolist())))
             return certify(source, tuples)
 
-        with mock.patch.object(geometry, "_certify", recorded):
+        def expanded(entries, tuples, width, modulus):
+            expansions.append(tuple(map(tuple, tuples.tolist())))
+            return prefix_minors(entries, tuples, width, modulus)
+
+        with mock.patch.object(geometry, "_certify", recorded), \
+                mock.patch.object(geometry, "_prefix_minors", expanded):
             for which, indices in script:
                 plain, rows = sets[which]
                 exact = [plain[i] for i in indices]
                 if len(indices) == k:
-                    walked, levels = rows.walk
-                    shared = next(s for s in range(k, -1, -1) if indices[:s] == walked[:s])
-                    assert rows.take(indices).lifted() == reference_cofactors(exact)
-                    assert rows.walk[0] == indices
-                    assert all(a is b for a, b in zip(rows.walk[1][:shared], levels[:shared]))
+                    view = rows.take(indices)
+                    expansions.clear()
+                    assert view.lifted() == reference_cofactors(exact)
+                    assert view.lanes() is view.lanes()
+                    assert expansions == [(indices,)] and rows.walk == ((), ())
                     continue
                 fresh = indices not in rows.certified
                 batches.clear()
@@ -546,12 +549,13 @@ class TestBatchedCertificates:
 
 
 class TestViewCache:
-    """A view reuses the levels of the longest index prefix it shares with
-    the last expanded view of its set.  Index tuples with shared, reordered
-    and fresh prefixes, views of a second set in between, and det of square
-    views: every result equals a fresh set's result and the per-scalar
-    reference.  Capped sets, cyclotomic rows whose bound needs more than
-    LANE_PRIME_CAP primes, have no basis and expand their elements."""
+    """A view of a set with no basis reuses the levels of the longest index
+    prefix it shares with the last expanded view of its set; a lane set
+    never walks.  Index tuples with shared, reordered and fresh prefixes,
+    views of a second set in between, and det of square views: every
+    result equals a fresh set's result and the per-scalar reference.
+    Capped sets, cyclotomic rows whose bound needs more than LANE_PRIME_CAP
+    primes, have no basis and expand their elements."""
 
     @staticmethod
     def rows(kind, ctx, rng, n, width):
@@ -572,8 +576,12 @@ class TestViewCache:
 
     @staticmethod
     def check(kind, given, exact, rowset, indices):
-        """Cofactors of a k-row view, or det of a square one."""
+        """Cofactors of a k-row view, or det of a square one.  A set with no
+        basis walks: it keeps the cached levels of the prefix the view
+        shares with the last one.  A lane set never walks."""
         rows = [exact[i] for i in indices]
+        walked, levels = rowset.walk
+        shared = next(s for s in range(len(indices), -1, -1) if indices[:s] == walked[:s])
         fresh = scaled_rows(given, row=tuple).take(indices)
         if len(indices) == len(exact[0]):
             got, again = [det(rowset.take(indices))], [det(fresh)]
@@ -587,6 +595,11 @@ class TestViewCache:
         else:
             assert got == again == want
             assert [is_zero(c) for c in got] == [w == 0 for w in want]
+        if kind == "cyclo":
+            assert rowset.walk == ((), ())
+        else:
+            assert rowset.walk[0] == indices
+            assert all(a is b for a, b in zip(rowset.walk[1][:shared], levels[:shared]))
 
     @settings(max_examples=54, deadline=None)  # 40 examples over three kinds, scaled to four
     @given(
