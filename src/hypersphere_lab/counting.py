@@ -29,8 +29,8 @@ from .geometry import (
     Hypersphere,
     PointSet,
     affine_row,
+    complement_values,
     degenerate,
-    incidence_values,
     lift_set,
     lifted_row,
     maximal_cofactors,
@@ -114,8 +114,7 @@ def _incidence_count(rows, subset, cof):
     """The number of rows of ``rows`` on the surface of ``subset``, or
     INDETERMINATE once one incidence test is."""
     m = len(subset)
-    others = rows.take([i for i in range(len(rows)) if i not in subset])
-    for value in incidence_values(cof, others):
+    for value in complement_values(cof, rows, subset):
         verdict = is_zero(value)
         if verdict is INDETERMINATE:
             return INDETERMINATE
@@ -134,9 +133,10 @@ def _histogram_range(rows, r: int, start: int, stop: int, key):
     cofactors of the subset's rows.
 
     Returns (Counter key -> #subsets, first degenerate subset in this range
-    or None).  Each subset and its complement are views of the set, and
-    consecutive subsets share a prefix of indices, whose expansion levels
-    the set keeps (see ``geometry``).
+    or None).  Each subset is a view of the set.  A lane set reads each
+    subset's cofactors and decided incidence values from the block of
+    subsets it belongs to; any other set keeps the expansion levels of the
+    index prefix consecutive subsets share (see ``geometry``).
     """
     hist: Counter = Counter()
     for subset in itertools.islice(itertools.combinations(range(len(rows)), r), start, stop):

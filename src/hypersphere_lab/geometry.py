@@ -53,24 +53,34 @@ every lane back to its class, and only the lift reads all lanes.
 
 Level j of the expansion holds the minors of rows 0..j and depends on
 those rows alone.  A lane set finds the filter residues of a whole *block*
-of k-subsets at once, in numpy: the subsets that share a leading index,
-or a longer leading prefix where those are more than ``_BLOCK_SUBSETS``.
-One expansion, ``_prefix_minors``, is every numpy expansion of a lane
-set: of a block, of a batch of certificates (below) and of a view's values
-in every lane class (``RowSet.lanes``, on the view's one index tuple).
-Level r holds the minors of rows 0..r of each distinct (r+1)-index prefix
-of the index tuples, one column per prefix, built from the level of the
-prefix without its last index by one step of the plan's tables
-(``_level``).  A block's levels are int64 arrays mod the filter prime.  A
-subset's row of the block's table holds its signed maximal cofactors
-followed by their incidence residues against every row of the set, or the
-determinant of a square subset.  The set keeps the table of the last
-block it read, with a dict from each subset of the block to its row, so
-that a view of sorted indices in that block costs one lookup; a view of
-other sorted, distinct indices builds their block.  A view whose indices
-are not sorted and distinct is a table of its one tuple, in its own order.
-A lexicographic walk reads each block to its end before it moves to the
-next.
+of k-subsets at once, in numpy: the subsets that share the shortest
+leading index prefix that at most ``_BLOCK_SUBSETS`` of them share.  So a
+walk of at most that many subsets is one block, of the empty prefix, and
+a larger one splits on its leading indices.  One expansion,
+``_prefix_minors``, is every numpy expansion of a lane set: of a block, of
+a batch of certificates (below) and of a view's values in every lane class
+(``RowSet.lanes``, on the view's one index tuple).  Level r holds the
+minors of rows 0..r of each distinct (r+1)-index prefix of the index
+tuples, one column per prefix, built from the level of the prefix without
+its last index by one step of the plan's tables (``_level``), which adds
+the terms of every minor one term at a time.  A block's levels are int64
+arrays mod the filter prime.  A subset's row of the block's table holds
+its signed maximal cofactors followed by their incidence residues against
+every row of the set, or the determinant of a square subset.  The set
+keeps its last block (``_Block``), with a dict from each subset of the
+block to its row, so that a view of sorted indices in that block costs
+one lookup; a view of other sorted, distinct indices builds their block.
+A view whose indices are not sorted and distinct is a table of its one
+tuple, in its own order.  A lexicographic walk reads each block to its end
+before it moves to the next.
+
+A block also *decides* its subsets' incidence values against the rows
+outside them, the first time a walk asks for one (``complement_values``,
+``RowSet._decide``): one int64 array, a row per subset of
+its values in index order, each the filter residue or, where that is 0,
+1 or 0 by the certificate of the sorted (d+2)-set.  The walk reads a
+subset's row as one list, with no view of the other rows.  A block built
+only to certify (below) decides nothing.
 
 The zero candidates of a block are the pairs (S, i) with i > max(S) whose
 incidence residue is 0, so that S + (i,) is sorted and each (d+2)-set is
@@ -79,10 +89,10 @@ the certificate of the sorted indices T of S and x, the candidate of the
 block of T without its last index.  A block's candidates are certified
 together, at most ``_BATCH_TUPLES`` at a time, the first time one of them
 is asked for (``_certify``), by the prefix expansion of a block with the
-lane classes on the trailing axes.  In a
-lexicographic walk that block is the set's last one or one already
-certified; a pool worker whose rank range starts in the middle of the
-walk builds the table of an earlier block for its batch.  A tuple that is
+lane classes on the trailing axes.  In a lexicographic walk that block is
+the one being decided or one decided before it; a pool worker whose rank
+range starts in the middle of the walk builds the table of an earlier
+block for its batch, and decides no value of that block.  A tuple that is
 no candidate (a permuted or repeated one, or one with a nonzero residue)
 is certified as a batch of one.
 
@@ -290,10 +300,15 @@ def _level(row: np.ndarray, last: np.ndarray, col, prev, modulus) -> np.ndarray:
     """Level r of the numpy expansion, reduced mod ``modulus``, from level
     r-1 ``last`` and ``row``, row r's entries followed by their negations,
     by ``_expansion_plan``'s (col, prev) tables of row r: each minor is the
-    sum of its terms.  Both carry the same trailing axes, a block's subsets
-    or a batch's tuples and lane classes (tuples, primes, classes), so
-    level r has shape (C(width, r+1), *trailing)."""
-    return np.add.reduce(row[col] * last[prev], axis=1) % modulus
+    sum of its terms, accumulated term by term, so that no temporary holds
+    more than one term of every minor.  Both carry the same trailing axes,
+    a block's subsets or a batch's tuples and lane classes (tuples, primes,
+    classes), so level r has shape (C(width, r+1), *trailing)."""
+    level = row[col[:, 0]] * last[prev[:, 0]]
+    for t in range(1, col.shape[1]):
+        level += row[col[:, t]] * last[prev[:, t]]
+    level %= modulus
+    return level
 
 
 def _signed_cofactors(minors: np.ndarray, modulus) -> np.ndarray:
@@ -314,11 +329,12 @@ _BLOCK_SUBSETS = 4096
 def _block_prefix(n: int, indices: tuple) -> int:
     """The length of the index prefix that keys the block of the sorted,
     distinct ``indices`` among the k-subsets of range(n), k = len(indices):
-    the shortest prefix, of length 1 or more, that at most
-    ``_BLOCK_SUBSETS`` k-subsets share.  So a block of one leading index
-    that is too large splits on the next leading index."""
-    k, length = len(indices), 1
-    while math.comb(n - 1 - indices[length - 1], k - length) > _BLOCK_SUBSETS:
+    the shortest prefix that at most ``_BLOCK_SUBSETS`` k-subsets share.
+    So a walk of at most that many k-subsets is one block, keyed by the
+    empty prefix, and a block that is too large splits on the next leading
+    index."""
+    k, length, lasts = len(indices), 0, (-1, *indices)
+    while math.comb(n - 1 - lasts[length], k - length) > _BLOCK_SUBSETS:
         length += 1
     return length
 
@@ -367,22 +383,36 @@ def _block_table(rows: np.ndarray, prime: int, subsets: np.ndarray) -> np.ndarra
 
 
 # The most zero candidates one ``_certify`` call expands.  A batch's widest
-# level gathers every term of C(width, 3) minors of up to this many tuples
-# in every lane class at once.  On perfbench's coset-cyclo workload (2-core
-# VM), caps of 32, 16, 8 and 4 raised peak RSS over certifying each tuple on
-# its own by about 3.5%, 1.8%, 0.9% and 0.9%; 8 kept work_per_s within
-# about 5% of 32.
-_BATCH_TUPLES = 8
+# level holds C(width, 3) minors of up to this many tuples in every lane
+# class, and ``_level`` adds one term of them at a time.  On perfbench's
+# coset-cyclo workload (2-core VM, three rounds), caps of 64, 32, 16 and 8
+# raised peak RSS over certifying each tuple on its own by about 2.3%,
+# 0.9%, 0.3% and 0.1%, at 2.15, 2.13, 2.06 and 1.90 times its work_per_s.
+_BATCH_TUPLES = 32
 
 
-def _candidates(block: tuple, n: int) -> np.ndarray:
+class _Block:
+    """The k-subsets of a lane set that share the index prefix of ``key``
+    = (k, prefix): the sorted ``subsets`` (m, k) in lexicographic order,
+    their filter ``table`` (``_block_table``), the dict ``rows`` from each
+    subset to its table row, and ``decided``, set by ``complement_values``:
+    each subset's decided incidence values against every row outside it,
+    (m, n - k), in index order."""
+
+    __slots__ = ("key", "subsets", "table", "rows", "decided")
+
+    def __init__(self, key, subsets, table, rows):
+        self.key, self.subsets, self.table, self.rows = key, subsets, table, rows
+        self.decided = None
+
+
+def _candidates(block: _Block, n: int) -> np.ndarray:
     """The zero candidates of a ``block`` of cofactors of a lane set of n
     rows: each subset S of the block followed by each index i > max(S)
     whose incidence residue against S is 0, in lexicographic order, as an
     array (candidates, k + 1)."""
-    (k, _), table, rows = block
-    subsets = np.array(list(rows), np.intp)  # the dict's keys, in table order
-    zero = (table[:, k + 1:] == 0) & (np.arange(n) > subsets[:, -1:])
+    subsets = block.subsets
+    zero = (block.table[:, block.key[0] + 1:] == 0) & (np.arange(n) > subsets[:, -1:])
     at, index = np.nonzero(zero)
     return np.column_stack([subsets[at], index])
 
@@ -416,6 +446,16 @@ def _lane_classes(grid):
     return np.ascontiguousarray(np.take_along_axis(grid, kept, axis=3)), np.array(classes)
 
 
+class _Itself:
+    """The ``source`` of a set that is no view: the set itself, returned by
+    its class rather than held by the set, so that a set is no reference
+    cycle and is freed as soon as it is unused.  A view holds its own
+    ``source``, which takes precedence over this one."""
+
+    def __get__(self, rowset, owner=None):
+        return rowset
+
+
 class RowSet(tuple):
     """The rows of one ``scaled_rows`` call.
 
@@ -425,24 +465,24 @@ class RowSet(tuple):
     their class columns; its filter lane is lane 0 of the basis's first
     prime, ``prime`` (column 0 of ``grid``).  ``take`` makes a view
     (``source``, ``indices``); the source is the set's identity, and its
-    bound covers the values of its views.  A view of a lane set owns its
-    values in every lane class: ``lanes`` expands them once and ``lifted``
-    lifts them once.  A set with no basis keeps the indices and levels of
-    its last expansion of a view in ``walk``; a lane set never walks.  A
-    lane set keeps its last block in ``block``: the key (k, prefix), the
-    filter table and the dict from each subset of the block to its table
-    row; the keys of the blocks whose zero candidates it certified in
-    ``batched``; and its zero certificates in ``certified``.  A pickle
-    drops all of them.
+    bound covers the values of its views; a set is its own source
+    (``_Itself``).  A view of a lane set owns its values in every lane
+    class: ``lanes`` expands them once and ``lifted`` lifts them once.  A
+    set with no basis keeps the indices and levels of its last expansion
+    of a view in ``walk``; a lane set never walks.  A lane set keeps its
+    last ``_Block`` in ``block``, the keys of the blocks whose zero
+    candidates it certified in ``batched``, and its zero certificates in
+    ``certified``.  A pickle drops all of them.
     """
 
     walk = ((), ())
-    block = ((), None, {})
+    block = _Block((), None, None, {})
+    source = _Itself()
     _lanes = _lifted = None
 
     def __new__(cls, rows, grid=None, basis=None, classes=None):
         self = super().__new__(cls, rows)
-        self.basis, self.source, self.indices = basis, self, tuple(range(len(self)))
+        self.basis, self.indices = basis, tuple(range(len(self)))
         self.grid, self.classes, self.certified, self.batched = grid, classes, {}, set()
         if basis is not None:
             self.prime = basis.primes[0]
@@ -463,32 +503,53 @@ class RowSet(tuple):
         view.basis, view.source, view.indices = self.basis, source, indices
         return view
 
-    def filter_row(self, indices: tuple) -> list:
+    def filter_row(self, indices: tuple) -> np.ndarray:
         """The filter residues of the values of this lane set's rows at
-        ``indices``, as a list: their determinant if they are square, else
-        their signed maximal cofactors followed by the cofactors' incidence
+        ``indices``: their determinant if they are square, else their
+        signed maximal cofactors followed by the cofactors' incidence
         residues against every row of the set.  Sorted, distinct indices
         read the table of their block, built unless it is the set's last
         block, so that those of the last block are one dict lookup; any
         other indices are a table of one tuple in their own order."""
-        row = self.block[2].get(indices)
+        row = self.block.rows.get(indices)
         if row is None and list(indices) == sorted(set(indices)):
+            self.block = RowSet.block  # frees the last block before the next one is built
             self.block = self._block(indices)
-            row = self.block[2][indices]
+            row = self.block.rows[indices]
         if row is None:
-            return _block_table(self._filter, self.prime, np.array([indices]))[0].tolist()
-        return self.block[1][row].tolist()
+            return _block_table(self._filter, self.prime, np.array([indices]))[0]
+        return self.block.table[row]
 
-    def _block(self, ordered: tuple) -> tuple:
-        """The block of the sorted, distinct indices ``ordered``: its key
-        (k, prefix), its filter table and the dict from each of its subsets
-        to its table row."""
+    def _block(self, ordered: tuple) -> _Block:
+        """The block of the sorted, distinct indices ``ordered``, with its
+        filter table."""
         n, k = len(self), len(ordered)
         prefix = ordered[:_block_prefix(n, ordered)]
-        subsets = [prefix + rest
-                   for rest in combinations(range(prefix[-1] + 1, n), k - len(prefix))]
-        return ((k, prefix), _block_table(self._filter, self.prime, np.array(subsets, np.intp)),
-                dict(zip(subsets, range(len(subsets)))))
+        rests = combinations(range(prefix[-1] + 1 if prefix else 0, n), k - len(prefix))
+        subsets = [prefix + rest for rest in rests]
+        array = np.array(subsets, np.intp)
+        return _Block((k, prefix), array, _block_table(self._filter, self.prime, array),
+                      dict(zip(subsets, range(len(subsets)))))
+
+    def _decide(self, block: _Block) -> np.ndarray:
+        """The decided incidence values of each subset of a ``block`` of
+        cofactors against every row outside it, (subsets, n - k): the
+        filter residue, or where that is 0, whether the determinant of the
+        sorted indices of the subset and the row is certified nonzero
+        (``certify_zero``, which certifies the block's own candidates in
+        batches)."""
+        subsets = block.subsets
+        m, k = subsets.shape
+        residues = block.table[:, k + 1:]
+        outside = np.ones(residues.shape, bool)
+        outside[np.arange(m)[:, None], subsets] = False
+        at, index = np.nonzero(outside & (residues == 0))
+        tuples = np.sort(np.column_stack([subsets[at], index]), axis=1)
+        verdicts = [not self.certify_zero(t) for t in map(tuple, tuples.tolist())]
+        values = residues[outside].reshape(m, len(self) - k)
+        # the column of row i among the rows outside S is i less the rows of S below it
+        values[at, index - (subsets[at] < index[:, None]).sum(axis=1)] = verdicts
+        return values
 
     def lanes(self) -> np.ndarray:
         """The values of these lane rows in every lane class, reduced, shape
@@ -524,7 +585,7 @@ class RowSet(tuple):
             key = (len(subset), subset[:_block_prefix(len(self), subset)])
             if key not in self.batched:
                 self.batched.add(key)
-                block = self.block if self.block[0] == key else self._block(subset)
+                block = self.block if self.block.key == key else self._block(subset)
                 candidates = _candidates(block, len(self))
                 for start in range(0, len(candidates), _BATCH_TUPLES):
                     batch = candidates[start:start + _BATCH_TUPLES]
@@ -560,14 +621,13 @@ class _LaneValue(CycloElement):
 
 class _Lanes:
     """The maximal cofactors of a view of a lane set, a sequence of lane
-    values: the ``view`` that owns their lanes, their filter ``residues``,
-    and the filter residues of their ``incidence`` values against every row
-    of the view's set.  The values are built on the first read."""
+    values: the ``view`` that owns their lanes and their filter
+    ``residues``.  The values are built on the first read."""
 
-    __slots__ = ("view", "residues", "incidence", "_values")
+    __slots__ = ("view", "residues", "_values")
 
-    def __init__(self, view, residues, incidence):
-        self.view, self.residues, self.incidence, self._values = view, residues, incidence, None
+    def __init__(self, view, residues):
+        self.view, self.residues, self._values = view, residues, None
 
     def values(self) -> tuple:
         if self._values is None:
@@ -620,7 +680,7 @@ def det(rows) -> object:
         raise ValueError("det requires a square matrix")
     rows = rows if isinstance(rows, RowSet) else RowSet(rows)
     if rows.basis is not None:
-        [residue] = rows.source.filter_row(rows.indices)
+        [residue] = rows.source.filter_row(rows.indices).tolist()
         return _LaneValue(rows[0][0].ctx, rows, 0, residue)
     [value] = _minors(rows.source, rows.indices, k)
     return value
@@ -640,8 +700,7 @@ def maximal_cofactors(rows) -> tuple:
     columns = len(rows) + 1
     if rows.basis is not None and rows.source.grid.shape[1] == columns:
         # every row of a lane set has its grid's width
-        row = rows.source.filter_row(rows.indices)
-        return _Lanes(rows, row[:columns], row[columns:])
+        return _Lanes(rows, rows.source.filter_row(rows.indices)[:columns].tolist())
     if set(map(len, rows)) - {columns}:
         raise ValueError("expected a k x (k+1) matrix")
     # in combinations order the k-column subsets leave out column k first
@@ -659,9 +718,27 @@ def incidence_values(cof, rows) -> list:
     certified nonzero."""
     if not (isinstance(cof, _Lanes) and cof.view.source is getattr(rows, "source", None)):
         return _dot_function(len(cof))(rows, cof)
-    source, defining, residues = rows.source, cof.view.indices, cof.incidence
+    source, defining = rows.source, cof.view.indices
+    residues = source.filter_row(defining)[len(cof):].tolist()
     return [residues[i] or int(not source.certify_zero(tuple(sorted((*defining, i)))))
             for i in rows.indices]
+
+
+def complement_values(cof, rows: RowSet, subset: tuple) -> list:
+    """``incidence_values`` of ``cof``, the maximal cofactors of the rows
+    of the set ``rows`` at the sorted ``subset``, against every row of
+    ``rows`` outside ``subset``, in index order.  Lane values are read
+    from the set's last block, which holds ``subset`` once
+    ``maximal_cofactors`` of its view has run and decides the values of
+    all its subsets the first time one of them is asked for
+    (``RowSet._decide``); any other cofactors are expanded against the
+    other rows."""
+    if not isinstance(cof, _Lanes):
+        return _dot_function(len(cof))([x for i, x in enumerate(rows) if i not in subset], cof)
+    block = rows.block
+    if block.decided is None:
+        block.decided = rows._decide(block)
+    return block.decided[block.rows[subset]].tolist()
 
 
 # ---------------------------------------------------------------------------

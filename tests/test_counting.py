@@ -585,6 +585,72 @@ class TestSplitInvariance:
             assert indeterminate == 0 and max(hist) > r
 
 
+class TestMidWalkWorker:
+    """A pool worker's rank range may start in the middle of a block.  The
+    values of its first block read certificates of earlier blocks, which
+    the worker builds only to certify: on coset d=4 n=16 with blocks of at
+    most 64 subsets, the second half of the walk decides the values of no
+    block before its start block, and merges with the first half to the
+    whole walk."""
+
+    def test_earlier_blocks_are_built_only_to_certify(self, monkeypatch):
+        from hypersphere_lab import geometry
+        from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+
+        ps = coset_config(CosetSpec(CurveParams.default(4), 16, 0), validate=False)
+        monkeypatch.setattr(geometry, "_BLOCK_SUBSETS", 64)
+        total, key = math.comb(16, 5), counting._incidence_count
+        start = total // 2 + 3  # a block starts at total // 2
+        built, decided = [], []
+        build, decide = geometry.RowSet._block, geometry.RowSet._decide
+
+        def spied_build(rows, ordered):
+            block = build(rows, ordered)
+            built.append(tuple(block.subsets[0].tolist()))
+            return block
+
+        def spied_decide(rows, block):
+            decided.append(tuple(block.subsets[0].tolist()))
+            return decide(rows, block)
+
+        monkeypatch.setattr(geometry.RowSet, "_block", spied_build)
+        monkeypatch.setattr(geometry.RowSet, "_decide", spied_decide)
+        rows = geometry.scaled_rows(ps.points)
+        second = counting._histogram_range(rows, 5, start, total, key)
+        subsets = itertools.combinations(range(16), 5)
+        start_block = next(itertools.islice(subsets, total // 2, None))
+        first_subset = next(itertools.islice(subsets, start - total // 2 - 1, None))
+        # the first block decided is the start block, which begins before the range
+        assert decided[0] == start_block < first_subset and decided == sorted(decided)
+        assert any(first < decided[0] for first in built)
+        first = counting._histogram_range(geometry.scaled_rows(ps.points), 5, 0, start, key)
+        whole = counting._histogram_range(geometry.scaled_rows(ps.points), 5, 0, total, key)
+        assert second[1] is first[1] is whole[1] is None
+        assert first[0] + second[0] == whole[0]
+
+
+class TestRowSetLifetime:
+    def test_no_row_set_outlives_the_spectrum(self):
+        """A row set is its own source without a reference to itself, so
+        reference counting frees it, its block and its certificates when
+        the spectrum returns, with the cycle collector off."""
+        import gc
+
+        from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+        from hypersphere_lab.geometry import RowSet
+
+        ps = coset_config(CosetSpec(CurveParams.default(4), 13, 0), validate=False)
+        gc.collect()
+        gc.disable()
+        try:
+            before = sum(type(o) is RowSet for o in gc.get_objects())
+            spec = spectrum(ps)
+            after = sum(type(o) is RowSet for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert after == before and spec.counts == {5: 495, 6: 132}
+
+
 class TestLaneCap:
     def test_huge_coordinate_stays_within_the_prime_cap(self):
         """A 1000-digit coefficient would need hundreds of split primes,

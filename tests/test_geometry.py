@@ -20,6 +20,7 @@ from hypersphere_lab.geometry import (
     Hypersphere,
     PointSet,
     as_point,
+    complement_values,
     cospherical,
     det,
     general_position_check,
@@ -185,28 +186,36 @@ class TestLaneKernel:
 
     def test_pickled_rows_stay_one_set(self):
         """Pool workers receive the set pickled: its rows, grid and basis,
-        without its last block (key, filter table and row dict), the keys of
-        its certified blocks or its zero certificates, so a worker's
-        cofactors still run in the set's lanes."""
+        without its last block (key, subsets, filter table, row dict and
+        decided values), the keys of its certified blocks or its zero
+        certificates, so a worker's cofactors still run in the set's lanes.
+        Its C(5, 3) = 10 cofactor views are one block, of the empty
+        prefix."""
         ctx = get_context(20)
         rows = scaled_rows(self.random_rows(ctx, random.Random(3), 5, 4, 8), row=tuple)
         cof = maximal_cofactors(rows.take(range(3)))
         [repeated] = incidence_values(cof, rows.take([1]))
         assert is_zero(repeated) is True
         assert rows.certify_zero((0, 1, 2, 3)) is False
-        assert rows.block[0] == (3, (0,)) and len(rows.block[2]) == 6
-        assert rows.batched == {(3, (0,))}
+        assert rows.block.key == (3, ()) and len(rows.block.rows) == 10
+        assert rows.batched == {(3, ())}
         assert rows.certified == {(0, 1, 1, 2): True, (0, 1, 2, 3): False}
+        assert complement_values(cof, rows, (0, 1, 2)) == incidence_values(
+            cof, rows.take([3, 4]))
+        assert rows.block.decided is not None
         again = pickle.loads(pickle.dumps(rows))
-        assert again.block == ((), None, {}) and again.batched == set() and again.certified == {}
+        assert (again.block.key, again.block.table, again.block.rows) == ((), None, {})
+        assert again.block.decided is None
+        assert again.batched == set() and again.certified == {}
         assert again.source is again and again.indices == rows.indices
         assert again.basis is not None and again.basis.primes == rows.basis.primes
         assert again == rows and (again.grid == rows.grid).all()
         assert (again._filter == rows._filter).all() and again.prime == rows.prime
         cof_again = maximal_cofactors(again.take(range(3)))
         assert cof_again.view.source is again
-        assert again.block[0] == (3, (0,)) and (again.block[1] == rows.block[1]).all()
-        assert again.block[2] == rows.block[2]
+        assert again.block.key == (3, ()) and (again.block.table == rows.block.table).all()
+        assert again.block.rows == rows.block.rows
+        assert (again.block.subsets == rows.block.subsets).all()
         assert cof_again == cof
         assert incidence_values(cof_again, again.take([3, 4])) == incidence_values(
             cof, rows.take([3, 4]))
@@ -486,9 +495,30 @@ class TestBatchedCertificates:
     ``_BATCH_TUPLES`` tuples that share their prefixes.  Sets with planted
     dependent rows and rows that are dependent in the filter lane only,
     walked subset by subset as a spectrum walks them, with small blocks
-    (keyed by prefixes of two or more indices) and small batches: every
-    batch tuple is sorted, none is certified twice, and every verdict
-    equals the exact determinant's."""
+    (keyed by prefixes of two or more indices) or one block of the whole
+    walk, and small batches: every batch tuple is sorted, none is
+    certified twice, and every verdict equals the exact determinant's."""
+
+    @staticmethod
+    def planted(conductor, k, seed):
+        """k + 5 random rows of width k + 1 with planted zeros, and their
+        lane set: every (k+1)-set holding rows 0, 1 and 2 is zero, and every
+        one holding rows 3, 4 and n-1 is zero in the filter lane only."""
+        ctx = get_context(conductor)
+        rng = random.Random(seed)  # full-size coefficients, not shrunk ones
+        width, n = k + 1, k + 5
+        plain = [tuple(ctx.element([rng.randint(-9, 9) for _ in range(ctx.degree)])
+                       for _ in range(width)) for _ in range(n - 2)]
+        plain.insert(2, tuple(a + b for a, b in zip(plain[0], plain[1])))
+        # z - w with w the root that z maps to in the filter lane (see TestFilterLane)
+        z = ctx.zeta_power(1)
+        basis = ctx.lane_basis(1)
+        w = ctx.from_rational(int(ctx.to_lanes([z], basis)[0, 0, 0]))
+        plain.append((plain[3][0] + plain[4][0] + z - w,
+                      *(a + b for a, b in zip(plain[3][1:], plain[4][1:]))))
+        rows = scaled_rows(plain, row=tuple)
+        assert rows.prime == basis.primes[0]
+        return plain, rows
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -501,23 +531,8 @@ class TestBatchedCertificates:
     def test_batch_verdicts_match_the_exact_determinant(self, conductor, k, block, batch, seed):
         from hypersphere_lab import geometry
 
-        ctx = get_context(conductor)
-        rng = random.Random(seed)  # full-size coefficients, not shrunk ones
-        width, n = k + 1, k + 5
-        plain = [tuple(ctx.element([rng.randint(-9, 9) for _ in range(ctx.degree)])
-                       for _ in range(width)) for _ in range(n - 2)]
-        # every (k+1)-set holding rows 0, 1 and 2 is zero
-        plain.insert(2, tuple(a + b for a, b in zip(plain[0], plain[1])))
-        # every one holding rows 3, 4 and n-1 is zero in the filter lane only:
-        # z - w with w the root that z maps to there (see TestFilterLane)
-        z = ctx.zeta_power(1)
-        basis = ctx.lane_basis(1)
-        w = ctx.from_rational(int(ctx.to_lanes([z], basis)[0, 0, 0]))
-        plain.append((plain[3][0] + plain[4][0] + z - w,
-                      *(a + b for a, b in zip(plain[3][1:], plain[4][1:]))))
-        rows = scaled_rows(plain, row=tuple)
-        assert rows.prime == basis.primes[0]
-
+        plain, rows = self.planted(conductor, k, seed)
+        n = len(plain)
         certified, prefixes = [], set()
         certify = geometry._certify
 
@@ -532,7 +547,7 @@ class TestBatchedCertificates:
                 mock.patch.object(geometry, "_certify", recorded):
             for subset in itertools.combinations(range(n), k):
                 cof = maximal_cofactors(rows.take(subset))
-                prefixes.add(rows.block[0][1])
+                prefixes.add(rows.block.key[1])
                 others = [i for i in range(n) if i not in subset]
                 for i, value in zip(others, incidence_values(cof, rows.take(others))):
                     if not value:
@@ -546,6 +561,55 @@ class TestBatchedCertificates:
             zeros += verdict
         assert len(dict(certified)) == len(certified)
         assert zeros == math.comb(n - 3, k - 2) and len(certified) >= 2 * zeros
+
+
+class TestDecidedComplements:
+    """A lane set's block decides the incidence values of each of its
+    subsets against every row outside it, the first time a walk asks for
+    them: the filter residue, or where that is 0, whether the sorted
+    (k+1)-set is certified nonzero.  The planted sets of
+    ``TestBatchedCertificates``, walked subset by subset as a spectrum
+    walks them, with blocks of one subset, of three, or of the whole walk,
+    and batches of any size: each subset's values are read from its block,
+    equal ``incidence_values`` against a view of the rows outside it on a
+    second copy of the set, and are zero exactly where the exact
+    determinant is."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([8, 12, 20]),
+        st.integers(2, 4),
+        st.sampled_from([1, 3, 4096]),
+        st.sampled_from([1, 2, 5, 256]),
+        st.integers(0, 2**32),
+    )
+    def test_decided_values_match_the_reference(self, conductor, k, block, batch, seed):
+        from hypersphere_lab import geometry
+
+        plain, rows = TestBatchedCertificates.planted(conductor, k, seed)
+        reference = scaled_rows(plain, row=tuple)
+        n, zeros, keys = len(plain), 0, set()
+
+        @functools.lru_cache(maxsize=None)
+        def exact_zero(indices):
+            return laplace_det([plain[i] for i in indices]) == 0
+
+        with mock.patch.object(geometry, "_BLOCK_SUBSETS", block), \
+                mock.patch.object(geometry, "_BATCH_TUPLES", batch):
+            for subset in itertools.combinations(range(n), k):
+                cof = maximal_cofactors(rows.take(subset))
+                got = complement_values(cof, rows, subset)
+                assert subset in rows.block.rows and rows.block.decided is not None
+                keys.add(rows.block.key)
+                others = [i for i in range(n) if i not in subset]
+                assert got == incidence_values(maximal_cofactors(reference.take(subset)),
+                                               reference.take(others))
+                exact = [exact_zero(tuple(sorted((*subset, i)))) for i in others]
+                assert [value == 0 for value in got] == exact
+                zeros += got.count(0)
+        assert len(keys) == 1 if block == 4096 else len(keys) > 1
+        # each zero (k+1)-set holds rows 0, 1 and 2, and is seen from its k+1 subsets
+        assert zeros == (k + 1) * math.comb(n - 3, k - 2)
 
 
 class TestViewCache:
@@ -719,8 +783,9 @@ class TestBlockTables:
 
 class TestBlockPlan:
     """A lane set's k-subsets fall into blocks: the subsets that share the
-    shortest index prefix that at most ``_BLOCK_SUBSETS`` of them share.
-    Pure index arithmetic: no table is built."""
+    shortest index prefix, the empty one included, that at most
+    ``_BLOCK_SUBSETS`` of them share.  Pure index arithmetic: no table is
+    built."""
 
     @pytest.mark.parametrize("block", [1, 5, 40])
     def test_prefix_is_the_shortest_that_fits(self, block):
@@ -729,24 +794,24 @@ class TestBlockPlan:
         for n in range(2, 11):
             for k in range(1, min(n, 5) + 1):
                 subsets = list(itertools.combinations(range(n), k))
-                sharing = Counter(s[:length] for s in subsets for length in range(1, k + 1))
+                sharing = Counter(s[:length] for s in subsets for length in range(k + 1))
                 with mock.patch.object(geometry, "_BLOCK_SUBSETS", block):
                     for s in subsets:
-                        want = next(length for length in range(1, k + 1)
+                        want = next(length for length in range(k + 1)
                                     if sharing[s[:length]] <= block)
                         assert geometry._block_prefix(n, s) == want
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_no_block_exceeds_the_constant(self, k):
         """Blocks partition the k-subsets for n <= 60.  How many subsets
-        share a prefix depends on its length and last index alone, so one
-        prefix of each stands for all."""
+        share a prefix depends on its length and last index alone (-1 for
+        the empty prefix), so one prefix of each stands for all."""
         from hypersphere_lab.geometry import _BLOCK_SUBSETS, _block_prefix
 
         for n in range(k, 61):
             @functools.lru_cache(maxsize=None)
             def covered(last, length):
-                prefix = (*range(length - 1), last)
+                prefix = (*range(length - 1), last)[:length]
                 size = math.comb(n - 1 - last, k - length)
                 if _block_prefix(n, prefix + tuple(range(last + 1, last + 1 + k - length))) == length:
                     assert size <= _BLOCK_SUBSETS
@@ -754,7 +819,7 @@ class TestBlockPlan:
                 assert size > _BLOCK_SUBSETS
                 return sum(covered(j, length + 1) for j in range(last + 1, n - k + length + 1))
 
-            assert sum(covered(i, 1) for i in range(n - k + 1)) == math.comb(n, k)
+            assert covered(-1, 0) == math.comb(n, k)
 
 
 class TestIntegerRows:
@@ -1045,6 +1110,20 @@ class TestGeneralPosition:
         ps = PointSet.build(boxes)
         with pytest.raises(DomainError):
             general_position_check(ps)
+
+    def test_coset_check_certifies_nothing(self):
+        """On a coset set in general position every subset has a nonzero
+        cofactor residue, so the check reads block tables only: it decides
+        no incidence values and certifies nothing, and ``generate`` does no
+        more work than before the walk's blocks decided them."""
+        from hypersphere_lab import geometry
+        from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+
+        ps = coset_config(CosetSpec(CurveParams.default(4), 13, 0), validate=False)
+        refuse = AssertionError("general position ran a certificate")
+        with mock.patch.object(geometry, "_certify", side_effect=refuse), \
+                mock.patch.object(geometry.RowSet, "_decide", side_effect=refuse):
+            assert general_position_check(ps) is None
 
 
 class TestHypersphereThrough:
