@@ -34,11 +34,10 @@ every lane once, and lifts them by one ``from_lanes`` call only when one
 is read (equality, hashing, JSON, pickling or arithmetic).  A view's
 cofactors keep their filter residues and build their values only when one
 is read, so a nonzero residue answers ``degenerate`` with no value built.
-Incidence values det([x; S]) against a view of the same set (one of the
-same ``source``) are only decided: by a nonzero filter residue, or else by
-the all-lane determinant of the sorted indices of S and x, which the set
-certifies once per (d+2)-set (below).  Rows of two sets, or a cofactor
-tuple used as a row, expand over their elements.
+The incidence values det([x; S]) of a subset S of a lane set against the
+rows outside it are only decided, by the block of S (below).
+``incidence_values`` expands lane values over their elements, as it
+does rows of two sets or a cofactor tuple used as a row.
 
 "Every lane" means one lane of each *lane class*.  Lane arithmetic is
 element-wise, so two lanes of a prime that are equal in every entry of a
@@ -76,25 +75,22 @@ before it moves to the next.
 
 A block also *decides* its subsets' incidence values against the rows
 outside them, the first time a walk asks for one (``complement_values``,
-``RowSet._decide``): one int64 array, a row per subset of
-its values in index order, each the filter residue or, where that is 0,
-1 or 0 by the certificate of the sorted (d+2)-set.  The walk reads a
-subset's row as one list, with no view of the other rows.  A block built
-only to certify (below) decides nothing.
+``RowSet._decide``): one int32 array, a row per subset of its values in
+index order, each the filter residue or, where that is 0, 1 or 0 by the
+certificate of the sorted (d+2)-set.  The walk reads a subset's row as
+one list, with no view of the other rows.
 
-The zero candidates of a block are the pairs (S, i) with i > max(S) whose
-incidence residue is 0, so that S + (i,) is sorted and each (d+2)-set is
-a candidate of one subset only: a zero residue of det([x; S]) asks for
-the certificate of the sorted indices T of S and x, the candidate of the
-block of T without its last index.  A block's candidates are certified
-together, at most ``_BATCH_TUPLES`` at a time, the first time one of them
-is asked for (``_certify``), by the prefix expansion of a block with the
-lane classes on the trailing axes.  In a lexicographic walk that block is
-the one being decided or one decided before it; a pool worker whose rank
-range starts in the middle of the walk builds the table of an earlier
-block for its batch, and decides no value of that block.  A tuple that is
-no candidate (a permuted or repeated one, or one with a nonzero residue)
-is certified as a batch of one.
+A zero residue of det([x; S]) asks for the certificate of the sorted
+indices T of S and x.  A block certifies the distinct T behind its zero
+residues that the set has not certified yet, in lexicographic order, at
+most ``_BATCH_TUPLES`` at a time (``_certify``), by the prefix expansion
+of the tuples with the lane classes on the trailing axes, and the set
+keeps every verdict in ``certified``.  T without its last index is the
+least subset of T of its size, so the first block of a lexicographic
+walk that meets T is that subset's block, and T is certified there once.
+A pool worker whose rank range starts in the middle of the walk
+certifies the tuples of earlier blocks that its first block reads, and
+builds no table of an earlier block.
 
 Only a set with no basis walks: it keeps the indices and scalar levels
 of its last expansion of one view in ``walk``, and the next expansion
@@ -373,16 +369,17 @@ def _block_table(rows: np.ndarray, prime: int, subsets: np.ndarray) -> np.ndarra
     two residues stays below 2^52, and a sum of ``width`` of them fits in
     int64.  A table row of square subsets is their determinant; one of k =
     width - 1 rows is their signed maximal cofactors followed by their
-    incidence residues against every row of the set, entries @ cof."""
+    incidence residues against every row of the set, entries @ cof, as
+    int32: every residue is below the filter prime < 2^26."""
     width = rows.shape[1] // 2
     minors = _prefix_minors(rows.T, subsets, width, prime)
     if subsets.shape[1] == width:
         return minors.T
     cof = _signed_cofactors(minors, prime)
-    return np.ascontiguousarray(np.concatenate([cof, rows[:, :width] @ cof % prime]).T)
+    return np.concatenate([cof, rows[:, :width] @ cof % prime]).T.astype(np.int32, order="C")
 
 
-# The most zero candidates one ``_certify`` call expands.  A batch's widest
+# The most index tuples one ``_certify`` call expands.  A batch's widest
 # level holds C(width, 3) minors of up to this many tuples in every lane
 # class, and ``_level`` adds one term of them at a time.  On perfbench's
 # coset-cyclo workload (2-core VM, three rounds), caps of 64, 32, 16 and 8
@@ -395,26 +392,15 @@ class _Block:
     """The k-subsets of a lane set that share the index prefix of ``key``
     = (k, prefix): the sorted ``subsets`` (m, k) in lexicographic order,
     their filter ``table`` (``_block_table``), the dict ``rows`` from each
-    subset to its table row, and ``decided``, set by ``complement_values``:
-    each subset's decided incidence values against every row outside it,
-    (m, n - k), in index order."""
+    subset to its table row, and ``decided``, set by ``complement_values``
+    (``RowSet._decide``): each subset's decided incidence values against
+    every row outside it, (m, n - k) int32, in index order."""
 
     __slots__ = ("key", "subsets", "table", "rows", "decided")
 
     def __init__(self, key, subsets, table, rows):
         self.key, self.subsets, self.table, self.rows = key, subsets, table, rows
         self.decided = None
-
-
-def _candidates(block: _Block, n: int) -> np.ndarray:
-    """The zero candidates of a ``block`` of cofactors of a lane set of n
-    rows: each subset S of the block followed by each index i > max(S)
-    whose incidence residue against S is 0, in lexicographic order, as an
-    array (candidates, k + 1)."""
-    subsets = block.subsets
-    zero = (block.table[:, block.key[0] + 1:] == 0) & (np.arange(n) > subsets[:, -1:])
-    at, index = np.nonzero(zero)
-    return np.column_stack([subsets[at], index])
 
 
 def _certify(source: "RowSet", tuples: np.ndarray) -> np.ndarray:
@@ -470,9 +456,10 @@ class RowSet(tuple):
     class: ``lanes`` expands them once and ``lifted`` lifts them once.  A
     set with no basis keeps the indices and levels of its last expansion
     of a view in ``walk``; a lane set never walks.  A lane set keeps its
-    last ``_Block`` in ``block``, the keys of the blocks whose zero
-    candidates it certified in ``batched``, and its zero certificates in
-    ``certified``.  A pickle drops all of them.
+    last ``_Block`` in ``block`` and, across blocks, its zero certificates
+    in ``certified``, a dict from each sorted index tuple its blocks have
+    certified to whether its determinant vanishes.  A pickle drops all of
+    them.
     """
 
     walk = ((), ())
@@ -483,7 +470,7 @@ class RowSet(tuple):
     def __new__(cls, rows, grid=None, basis=None, classes=None):
         self = super().__new__(cls, rows)
         self.basis, self.indices = basis, tuple(range(len(self)))
-        self.grid, self.classes, self.certified, self.batched = grid, classes, {}, set()
+        self.grid, self.classes, self.certified = grid, classes, {}
         if basis is not None:
             self.prime = basis.primes[0]
             signed = np.concatenate([grid, -grid % basis.moduli], axis=1)
@@ -533,22 +520,28 @@ class RowSet(tuple):
 
     def _decide(self, block: _Block) -> np.ndarray:
         """The decided incidence values of each subset of a ``block`` of
-        cofactors against every row outside it, (subsets, n - k): the
-        filter residue, or where that is 0, whether the determinant of the
-        sorted indices of the subset and the row is certified nonzero
-        (``certify_zero``, which certifies the block's own candidates in
-        batches)."""
+        cofactors against every row outside it, (subsets, n - k), int32 as
+        the block's table is: the filter residue, or where that is 0,
+        whether the determinant of the sorted indices T of the subset and
+        the row is certified nonzero.  Each distinct T that ``certified``
+        does not hold yet is certified here, in lexicographic order,
+        ``_BATCH_TUPLES`` at a time, and every verdict is read from
+        ``certified``."""
         subsets = block.subsets
         m, k = subsets.shape
         residues = block.table[:, k + 1:]
         outside = np.ones(residues.shape, bool)
         outside[np.arange(m)[:, None], subsets] = False
         at, index = np.nonzero(outside & (residues == 0))
-        tuples = np.sort(np.column_stack([subsets[at], index]), axis=1)
-        verdicts = [not self.certify_zero(t) for t in map(tuple, tuples.tolist())]
+        tuples = list(map(tuple, np.sort(np.column_stack([subsets[at], index]), axis=1).tolist()))
+        fresh = sorted({t for t in tuples if t not in self.certified})
+        for start in range(0, len(fresh), _BATCH_TUPLES):
+            batch = fresh[start:start + _BATCH_TUPLES]
+            self.certified.update(zip(batch, _certify(self, np.array(batch)).tolist()))
         values = residues[outside].reshape(m, len(self) - k)
         # the column of row i among the rows outside S is i less the rows of S below it
-        values[at, index - (subsets[at] < index[:, None]).sum(axis=1)] = verdicts
+        values[at, index - (subsets[at] < index[:, None]).sum(axis=1)] = [
+            not self.certified[t] for t in tuples]
         return values
 
     def lanes(self) -> np.ndarray:
@@ -570,32 +563,6 @@ class RowSet(tuple):
             lanes = np.take_along_axis(self.lanes(), self.source.classes[None], axis=2)
             self._lifted = self[0][0].ctx.from_lanes(lanes, self.basis)
         return self._lifted
-
-    def certify_zero(self, indices: tuple) -> bool:
-        """Whether the determinant of the rows of this lane set at
-        ``indices`` vanishes, decided in every lane class under the set's
-        bound once per index tuple.  Sorted, distinct ``indices`` whose
-        filter residue is 0 are a zero candidate of the block of all their
-        indices but the last, certified with all of that block's candidates
-        the first time one of them is asked for; any other tuple is
-        certified as a batch of one."""
-        verdict = self.certified.get(indices)
-        if verdict is None and list(indices) == sorted(set(indices)):
-            subset = indices[:-1]
-            key = (len(subset), subset[:_block_prefix(len(self), subset)])
-            if key not in self.batched:
-                self.batched.add(key)
-                block = self.block if self.block.key == key else self._block(subset)
-                candidates = _candidates(block, len(self))
-                for start in range(0, len(candidates), _BATCH_TUPLES):
-                    batch = candidates[start:start + _BATCH_TUPLES]
-                    self.certified.update(zip(map(tuple, batch.tolist()),
-                                              _certify(self, batch).tolist()))
-                verdict = self.certified.get(indices)
-        if verdict is None:
-            [verdict] = _certify(self, np.array([indices])).tolist()
-            self.certified[indices] = verdict
-        return verdict
 
 
 class _LaneValue(CycloElement):
@@ -710,31 +677,24 @@ def maximal_cofactors(rows) -> tuple:
 
 
 def incidence_values(cof, rows) -> list:
-    """det([x; S]) = sum_j x[j] * cof[j] for each row x of ``rows``, where
-    ``cof`` are the maximal cofactors of S.  If ``cof`` are lane values of
-    the set ``rows`` is a view of, each value is only decided, as a Python
-    int that is zero iff the value is: its filter residue, or where that is
-    0, whether the set's determinant of the sorted indices of S and x is
-    certified nonzero."""
-    if not (isinstance(cof, _Lanes) and cof.view.source is getattr(rows, "source", None)):
-        return _dot_function(len(cof))(rows, cof)
-    source, defining = rows.source, cof.view.indices
-    residues = source.filter_row(defining)[len(cof):].tolist()
-    return [residues[i] or int(not source.certify_zero(tuple(sorted((*defining, i)))))
-            for i in rows.indices]
+    """det([x; S]) = sum_j x[j] * cof[j], summed left to right, for each row
+    x of ``rows``, where ``cof`` are the maximal cofactors of S.  Lane
+    values are expanded over their elements, as rows of any set are."""
+    return _dot_function(len(cof))(rows, cof)
 
 
 def complement_values(cof, rows: RowSet, subset: tuple) -> list:
     """``incidence_values`` of ``cof``, the maximal cofactors of the rows
     of the set ``rows`` at the sorted ``subset``, against every row of
-    ``rows`` outside ``subset``, in index order.  Lane values are read
+    ``rows`` outside ``subset``, in index order.  Lane values are only
+    decided, as Python ints that are zero iff the values are, and read
     from the set's last block, which holds ``subset`` once
     ``maximal_cofactors`` of its view has run and decides the values of
     all its subsets the first time one of them is asked for
     (``RowSet._decide``); any other cofactors are expanded against the
     other rows."""
     if not isinstance(cof, _Lanes):
-        return _dot_function(len(cof))([x for i, x in enumerate(rows) if i not in subset], cof)
+        return incidence_values(cof, [x for i, x in enumerate(rows) if i not in subset])
     block = rows.block
     if block.decided is None:
         block.decided = rows._decide(block)

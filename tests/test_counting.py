@@ -587,13 +587,14 @@ class TestSplitInvariance:
 
 class TestMidWalkWorker:
     """A pool worker's rank range may start in the middle of a block.  The
-    values of its first block read certificates of earlier blocks, which
-    the worker builds only to certify: on coset d=4 n=16 with blocks of at
-    most 64 subsets, the second half of the walk decides the values of no
-    block before its start block, and merges with the first half to the
-    whole walk."""
+    values of its first block read certificates of (d+2)-sets that an
+    earlier block meets first in a whole walk: on coset d=4 n=16 with
+    blocks of at most 64 subsets, the second half of the walk certifies
+    them without building any block before its start block, certifies no
+    tuple twice, and merges with the first half to the whole walk, whose
+    histogram is the set's spectrum."""
 
-    def test_earlier_blocks_are_built_only_to_certify(self, monkeypatch):
+    def test_second_half_builds_no_earlier_block(self, monkeypatch):
         from hypersphere_lab import geometry
         from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
 
@@ -601,32 +602,36 @@ class TestMidWalkWorker:
         monkeypatch.setattr(geometry, "_BLOCK_SUBSETS", 64)
         total, key = math.comb(16, 5), counting._incidence_count
         start = total // 2 + 3  # a block starts at total // 2
-        built, decided = [], []
-        build, decide = geometry.RowSet._block, geometry.RowSet._decide
+        built, certified = [], []
+        build, certify = geometry.RowSet._block, geometry._certify
 
         def spied_build(rows, ordered):
             block = build(rows, ordered)
             built.append(tuple(block.subsets[0].tolist()))
             return block
 
-        def spied_decide(rows, block):
-            decided.append(tuple(block.subsets[0].tolist()))
-            return decide(rows, block)
+        def spied_certify(source, tuples):
+            certified.extend(map(tuple, tuples.tolist()))
+            return certify(source, tuples)
 
         monkeypatch.setattr(geometry.RowSet, "_block", spied_build)
-        monkeypatch.setattr(geometry.RowSet, "_decide", spied_decide)
+        monkeypatch.setattr(geometry, "_certify", spied_certify)
         rows = geometry.scaled_rows(ps.points)
         second = counting._histogram_range(rows, 5, start, total, key)
         subsets = itertools.combinations(range(16), 5)
         start_block = next(itertools.islice(subsets, total // 2, None))
         first_subset = next(itertools.islice(subsets, start - total // 2 - 1, None))
-        # the first block decided is the start block, which begins before the range
-        assert decided[0] == start_block < first_subset and decided == sorted(decided)
-        assert any(first < decided[0] for first in built)
+        # the first block built is the start block, which begins before the range
+        assert built[0] == start_block < first_subset and built == sorted(built)
+        assert len(set(certified)) == len(certified) == len(rows.certified)
+        # some six-sets are met first by a block before the start block
+        assert any(six[:5] < start_block for six in certified)
         first = counting._histogram_range(geometry.scaled_rows(ps.points), 5, 0, start, key)
         whole = counting._histogram_range(geometry.scaled_rows(ps.points), 5, 0, total, key)
         assert second[1] is first[1] is whole[1] is None
         assert first[0] + second[0] == whole[0]
+        # the spectrum {5: 1 386, 6: 497}, each six-point sphere seen from its six 5-subsets
+        assert whole[0] == {5: 1386, 6: 6 * 497}
 
 
 class TestRowSetLifetime:

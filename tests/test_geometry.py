@@ -139,12 +139,18 @@ class TestLaneKernel:
         assert type(cof) is tuple and not hasattr(cof, "view")
 
     def check(self, rows, others, shape):
+        """Cofactors of ``rows`` and their incidence values against
+        ``others``: plain rows, or a view of a lane set and the rest of its
+        rows, whose values are decided by the set's block."""
         want_cof = reference_cofactors(rows)
         want_values = [laplace_det([list(x)] + [list(r) for r in rows]) for x in others]
         # every zero test is decided before any value is read, and lifts nothing
         with no_lifts():
             cof = maximal_cofactors(rows)
-            values = incidence_values(cof, others)
+            if isinstance(rows, list):
+                values = incidence_values(cof, others)
+            else:
+                values = complement_values(cof, rows.source, rows.indices)
             for got, want in zip([*cof, *values], [*want_cof, *want_values]):
                 assert is_zero(got) is (want == 0)
         if shape != "generic":
@@ -169,7 +175,7 @@ class TestLaneKernel:
         with no_lifts():
             value = det(rows)
             cof = maximal_cofactors(rows.take([0, 1]))
-            [incidence] = incidence_values(cof, rows.take([2]))
+            [incidence] = complement_values(cof, rows, (0, 1))
             assert is_zero(value) is False and is_zero(incidence) is False
             assert [is_zero(c) for c in cof] == [True, True, False]
         assert value == p and incidence == 1 and list(cof) == [0, 0, p]
@@ -187,26 +193,23 @@ class TestLaneKernel:
     def test_pickled_rows_stay_one_set(self):
         """Pool workers receive the set pickled: its rows, grid and basis,
         without its last block (key, subsets, filter table, row dict and
-        decided values), the keys of its certified blocks or its zero
-        certificates, so a worker's cofactors still run in the set's lanes.
-        Its C(5, 3) = 10 cofactor views are one block, of the empty
-        prefix."""
+        decided values) or its zero certificates, so a worker's cofactors
+        still run in the set's lanes.  Its C(5, 3) = 10 cofactor views are
+        one block, of the empty prefix; row 4 is the sum of rows 0 and 1,
+        so the block certifies the two 4-sets that hold all three."""
         ctx = get_context(20)
-        rows = scaled_rows(self.random_rows(ctx, random.Random(3), 5, 4, 8), row=tuple)
+        plain = self.random_rows(ctx, random.Random(3), 5, 4, 8)
+        plain[4] = tuple(a + b for a, b in zip(plain[0], plain[1]))
+        rows = scaled_rows(plain, row=tuple)
         cof = maximal_cofactors(rows.take(range(3)))
-        [repeated] = incidence_values(cof, rows.take([1]))
-        assert is_zero(repeated) is True
-        assert rows.certify_zero((0, 1, 2, 3)) is False
+        values = complement_values(cof, rows, (0, 1, 2))
+        assert [is_zero(value) for value in values] == [False, True]
         assert rows.block.key == (3, ()) and len(rows.block.rows) == 10
-        assert rows.batched == {(3, ())}
-        assert rows.certified == {(0, 1, 1, 2): True, (0, 1, 2, 3): False}
-        assert complement_values(cof, rows, (0, 1, 2)) == incidence_values(
-            cof, rows.take([3, 4]))
         assert rows.block.decided is not None
+        assert rows.certified == {(0, 1, 2, 4): True, (0, 1, 3, 4): True}
         again = pickle.loads(pickle.dumps(rows))
         assert (again.block.key, again.block.table, again.block.rows) == ((), None, {})
-        assert again.block.decided is None
-        assert again.batched == set() and again.certified == {}
+        assert again.block.decided is None and again.certified == {}
         assert again.source is again and again.indices == rows.indices
         assert again.basis is not None and again.basis.primes == rows.basis.primes
         assert again == rows and (again.grid == rows.grid).all()
@@ -217,8 +220,8 @@ class TestLaneKernel:
         assert again.block.rows == rows.block.rows
         assert (again.block.subsets == rows.block.subsets).all()
         assert cof_again == cof
-        assert incidence_values(cof_again, again.take([3, 4])) == incidence_values(
-            cof, rows.take([3, 4]))
+        assert complement_values(cof_again, again, (0, 1, 2)) == values
+        assert again.certified == rows.certified
 
 
 class TestLaneSetSoundness:
@@ -262,8 +265,9 @@ class TestLaneSetSoundness:
         cof = maximal_cofactors(set_a.take(range(k)))
         assert cof.view.source is set_a and set_a.basis is not None
         assert list(cof) == reference_cofactors(plain_a[:k])
-        assert_decides(incidence_values(cof, set_a.take(range(k, k + 2))),
-                       [laplace([x, *plain_a[:k]]) for x in plain_a[k:]], set_a.basis)
+        with no_lifts():
+            values = complement_values(cof, set_a, tuple(range(k)))
+        assert_decides(values, [laplace([x, *plain_a[:k]]) for x in plain_a[k:]], set_a.basis)
         # rows of two sets
         mixed = [set_a[i] if i % 2 else set_b[i] for i in range(k + 1)]
         plain = [plain_a[i] if i % 2 else plain_b[i] for i in range(k + 1)]
@@ -294,7 +298,7 @@ class TestFilterLane:
         with no_lifts():
             value = det(rows)
             cof = maximal_cofactors(rows.take([0]))
-            [incidence] = incidence_values(cof, rows.take([1]))
+            [incidence] = complement_values(cof, rows, (0,))
             assert is_zero(value) is False and is_zero(incidence) is False
         assert value == z - w and incidence == 1
 
@@ -353,6 +357,8 @@ class TestLaneClasses:
         st.integers(0, 2**32),
     )
     def test_class_expansion_equals_the_full_lanes(self, conductor, k, fields, scaled, seed):
+        from hypersphere_lab import geometry
+
         ctx = get_context(conductor)
         rng = random.Random(seed)  # full-size coefficients, not shrunk ones
         first = ctx.lane_basis(1).primes[0]
@@ -384,38 +390,46 @@ class TestLaneClasses:
             assert (np.take_along_axis(lanes, rows.classes[None], axis=2)
                     == ctx.to_lanes(want, basis)).all()
             assert view.lifted() == want
-        assert rows.certify_zero(tuple(range(1, k + 2))) is (laplace_det(list(rows[1:])) == 0)
+        last = np.array([range(1, k + 2)])
+        assert geometry._certify(rows, last).tolist() == [laplace_det(list(rows[1:])) == 0]
 
     @pytest.mark.parametrize("n, l, classes, degree, spheres",
                              [(12, 3, 4, 24, 80), (13, 0, 12, 48, 132)])
     def test_coset_classes_and_pickled_certificates(self, n, l, classes, degree, spheres):
         """Coset entries lie in a small subfield.  An unpickled set keeps
         the classes and certifies every six-set as the original does: the
-        zero six-sets are the six-point spheres."""
+        zero six-sets are the six-point spheres, and a spectrum's blocks
+        certify exactly those."""
+        from hypersphere_lab import geometry
         from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+        from hypersphere_lab.counting import _histogram_range, _incidence_count
 
         ps = coset_config(CosetSpec(CurveParams.default(4), n, l), validate=False)
         rows = scaled_rows(ps.points)
         primes = len(rows.basis.primes)
         assert rows.classes.shape == (primes, degree) and rows.grid.shape[2:] == (primes, classes)
         assert [len(set(c)) for c in rows.classes] == [classes] * primes
-        sixes = list(itertools.combinations(range(n), 6))
-        verdicts = [rows.certify_zero(six) for six in sixes]
+        sixes = np.array(list(itertools.combinations(range(n), 6)))
+        verdicts = geometry._certify(rows, sixes).tolist()
         assert sum(verdicts) == spheres
+        _histogram_range(rows, 5, 0, math.comb(n, 5), _incidence_count)
+        assert rows.certified == {six: True for six, zero in zip(map(tuple, sixes.tolist()),
+                                                                 verdicts) if zero}
         again = pickle.loads(pickle.dumps(rows))
         assert again.walk == ((), ()) and again.certified == {}
         assert (again.classes == rows.classes).all() and (again.grid == rows.grid).all()
         assert (again._filter == rows._filter).all()
-        assert [again.certify_zero(six) for six in sixes] == verdicts
+        assert geometry._certify(again, sixes).tolist() == verdicts
 
 
 class TestCertificatePrefix:
-    """A tuple is certified in the batch of its block's zero candidates or
-    as a batch of one, and a cofactor view expands its own lanes once,
-    without a walk.  Index tuples with shared, reordered and fresh
-    prefixes, cofactor views and another set's certificates in between:
-    every verdict and cofactor equals the exact one, each tuple is expanded
-    once, and the set's ``walk`` stays empty."""
+    """``_certify`` decides any index tuples of a set, sorted or not, in
+    one batch that shares their prefixes, and a cofactor view expands its
+    own lanes once, without a walk.  Index tuples with shared, reordered,
+    repeated and fresh prefixes, cofactor views and another set's
+    certificates in between: every verdict and cofactor equals the exact
+    one, each batch is one expansion, and the set's ``walk`` stays
+    empty."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -457,47 +471,48 @@ class TestCertificatePrefix:
             indices = (prefix[::-1] if reorder else prefix) + tuple(i % n for i in picks)
             script.append((int(other), indices[:k if cofactors else width]))
             last[other] = script[-1][1]
-        batches, expansions = [], []
-        certify, prefix_minors = geometry._certify, geometry._prefix_minors
-
-        def recorded(source, tuples):
-            batches.append(tuple(map(tuple, tuples.tolist())))
-            return certify(source, tuples)
+        expansions = []
+        prefix_minors = geometry._prefix_minors
 
         def expanded(entries, tuples, width, modulus):
             expansions.append(tuple(map(tuple, tuples.tolist())))
             return prefix_minors(entries, tuples, width, modulus)
 
-        with mock.patch.object(geometry, "_certify", recorded), \
-                mock.patch.object(geometry, "_prefix_minors", expanded):
+        squares = [[], []]
+        with mock.patch.object(geometry, "_prefix_minors", expanded):
             for which, indices in script:
                 plain, rows = sets[which]
                 exact = [plain[i] for i in indices]
+                expansions.clear()
                 if len(indices) == k:
                     view = rows.take(indices)
-                    expansions.clear()
                     assert view.lifted() == reference_cofactors(exact)
                     assert view.lanes() is view.lanes()
                     assert expansions == [(indices,)] and rows.walk == ((), ())
                     continue
-                fresh = indices not in rows.certified
-                batches.clear()
-                assert rows.certify_zero(indices) is (laplace_det(exact) == 0)
-                if fresh:
-                    assert [batch.count(indices) for batch in batches if indices in batch] == [1]
-                else:
-                    assert batches == []
+                [verdict] = geometry._certify(rows, np.array([indices])).tolist()
+                assert verdict is (laplace_det(exact) == 0)
+                assert expansions == [(indices,)]
+                squares[which].append((indices, verdict))
+            # every square tuple of a set again, in one batch
+            for (_, rows), checked in zip(sets, squares):
+                if checked:
+                    tuples, verdicts = zip(*checked)
+                    expansions.clear()
+                    assert geometry._certify(rows, np.array(tuples)).tolist() == list(verdicts)
+                    assert expansions == [tuples] and rows.walk == ((), ())
 
 
 class TestBatchedCertificates:
-    """A block's zero candidates, the pairs (S, i) with i > max(S) whose
-    incidence residue is 0, are certified in batches of at most
-    ``_BATCH_TUPLES`` tuples that share their prefixes.  Sets with planted
-    dependent rows and rows that are dependent in the filter lane only,
-    walked subset by subset as a spectrum walks them, with small blocks
-    (keyed by prefixes of two or more indices) or one block of the whole
-    walk, and small batches: every batch tuple is sorted, none is
-    certified twice, and every verdict equals the exact determinant's."""
+    """A block certifies the sorted (k+1)-sets behind its zero incidence
+    residues that its set has not certified yet, in lexicographic order,
+    in batches of at most ``_BATCH_TUPLES`` tuples that share their
+    prefixes.  Sets with planted dependent rows and rows that are
+    dependent in the filter lane only, walked subset by subset as a
+    spectrum walks them, with small blocks (keyed by prefixes of two or
+    more indices) or one block of the whole walk, and small batches: every
+    batch is sorted and of sorted tuples, none is certified twice, and
+    every verdict equals the exact determinant's."""
 
     @staticmethod
     def planted(conductor, k, seed):
@@ -538,6 +553,7 @@ class TestBatchedCertificates:
 
         def recorded(source, tuples):
             assert source is rows and len(tuples) <= batch
+            assert tuples.tolist() == sorted(tuples.tolist())
             verdicts = certify(source, tuples)
             certified.extend(zip(map(tuple, tuples.tolist()), verdicts.tolist()))
             return verdicts
@@ -549,7 +565,7 @@ class TestBatchedCertificates:
                 cof = maximal_cofactors(rows.take(subset))
                 prefixes.add(rows.block.key[1])
                 others = [i for i in range(n) if i not in subset]
-                for i, value in zip(others, incidence_values(cof, rows.take(others))):
+                for i, value in zip(others, complement_values(cof, rows, subset)):
                     if not value:
                         assert rows.certified[tuple(sorted((*subset, i)))] is True
         if block == 1:
@@ -571,9 +587,8 @@ class TestDecidedComplements:
     ``TestBatchedCertificates``, walked subset by subset as a spectrum
     walks them, with blocks of one subset, of three, or of the whole walk,
     and batches of any size: each subset's values are read from its block,
-    equal ``incidence_values`` against a view of the rows outside it on a
-    second copy of the set, and are zero exactly where the exact
-    determinant is."""
+    lift nothing, and decide the exact determinants det([x; S]), with the
+    filter residue where that is nonzero."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -587,25 +602,27 @@ class TestDecidedComplements:
         from hypersphere_lab import geometry
 
         plain, rows = TestBatchedCertificates.planted(conductor, k, seed)
-        reference = scaled_rows(plain, row=tuple)
         n, zeros, keys = len(plain), 0, set()
 
         @functools.lru_cache(maxsize=None)
-        def exact_zero(indices):
-            return laplace_det([plain[i] for i in indices]) == 0
+        def exact(indices):
+            return laplace_det([plain[i] for i in indices])
+
+        def incidence(subset, i):
+            """det([x_i; S]), the determinant of the sorted set with row i
+            moved to the front past the rows of S below it."""
+            value = exact(tuple(sorted((*subset, i))))
+            return -value if sum(s < i for s in subset) % 2 else value
 
         with mock.patch.object(geometry, "_BLOCK_SUBSETS", block), \
                 mock.patch.object(geometry, "_BATCH_TUPLES", batch):
             for subset in itertools.combinations(range(n), k):
-                cof = maximal_cofactors(rows.take(subset))
-                got = complement_values(cof, rows, subset)
+                with no_lifts():
+                    got = complement_values(maximal_cofactors(rows.take(subset)), rows, subset)
                 assert subset in rows.block.rows and rows.block.decided is not None
                 keys.add(rows.block.key)
                 others = [i for i in range(n) if i not in subset]
-                assert got == incidence_values(maximal_cofactors(reference.take(subset)),
-                                               reference.take(others))
-                exact = [exact_zero(tuple(sorted((*subset, i)))) for i in others]
-                assert [value == 0 for value in got] == exact
+                assert_decides(got, [incidence(subset, i) for i in others], rows.basis)
                 zeros += got.count(0)
         assert len(keys) == 1 if block == 4096 else len(keys) > 1
         # each zero (k+1)-set holds rows 0, 1 and 2, and is seen from its k+1 subsets
@@ -712,14 +729,16 @@ class TestBlockTables:
     block: the k-subsets that share a leading index prefix.  Lexicographic
     walks across block boundaries, permuted views, views with a repeated
     index, determinants of square views with the same prefix as cofactor
-    views, and a second set's views in between: every residue and verdict
-    equals the per-scalar reference, for any block size."""
+    views, and a second set's views in between: every residue, incidence
+    residue and verdict equals the per-scalar reference, for any block
+    size."""
 
     @staticmethod
     def check(plain, rows, indices):
-        """Cofactors of a k-row view and their incidence values, or det of a
-        square view, against the reference."""
-        basis, n = rows.basis, len(plain)
+        """Cofactors of a k-row view and their incidence residues against
+        every row of the set, or det of a square view, against the
+        reference."""
+        basis = rows.basis
         exact = [plain[i] for i in indices]
 
         def residue(value):
@@ -732,9 +751,8 @@ class TestBlockTables:
         cof, want = maximal_cofactors(rows.take(indices)), reference_cofactors(exact)
         assert [c._residue for c in cof] == [residue(w) for w in want]
         assert [is_zero(c) for c in cof] == [w == 0 for w in want]
-        others = (indices[0], (indices[-1] + 1) % n, n - 1)
-        assert_decides(incidence_values(cof, rows.take(others)),
-                       [laplace_det([plain[x], *exact]) for x in others], basis)
+        assert rows.filter_row(indices)[len(want):].tolist() == [
+            residue(laplace_det([x, *exact])) for x in plain]
 
     @settings(max_examples=20, deadline=None)
     @given(
