@@ -25,6 +25,11 @@ inputs, each invocation in a process of its own:
   10^70, whose rows need more than ``LANE_PRIME_CAP`` lane primes, so that
   the engine expands the elements themselves; points 0-3 lie on the
   circle of radius 10^70 about the origin;
+* ``count`` at ``--threads 1`` and ``2`` and ``validate`` on a rational d=3
+  file with coordinates near 10^90 / 7, whose integer rows need more than
+  ``LANE_PRIME_CAP`` lane primes, so that the engine expands the integers
+  themselves; points 0-5 lie on the sphere of radius 5 * 10^90 / 7 about
+  the origin;
 * three runs that exit 2: ``count`` on a d=2 interval file whose second
   point has its first coordinate's endpoints swapped, ``lift`` on a d=2
   interval file whose first point has x = [-2, 2], so that the enclosure
@@ -46,6 +51,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -80,6 +86,11 @@ UNBOUNDED_LIFT = [[("-2", "2"), ("0", "0")], [("5", "5"), ("1", "1")]]
 CAPPED_COEFFICIENTS = [[["1e70"], ["0"]], [["0"], ["1e70"]], [["-1e70"], ["0"]],
                        [["0"], ["-1e70"]], [["1e70", "1"], ["2"]],
                        [["3", "1e70"], ["0", "0", "1"]], [["1", "2", "3", "7e69"], ["7e69", "5"]]]
+
+# integer points times 10^90 / 7: six on the sphere of radius 5 about the
+# origin, no four of them coplanar, and three off it
+CAPPED_RATIONAL_POINTS = [[5, 0, 0], [0, 5, 0], [0, 0, 5], [-3, 0, -4], [0, -4, 3], [-4, 3, 0],
+                          [1, 2, 3], [-2, 1, -1], [2, -3, 1]]
 
 
 def artifact(out_dir: str, name: str, args: list) -> int:
@@ -154,6 +165,15 @@ def main(argv=None) -> int:
     points = plane_file(out_dir, "capped-cyclotomic", "cyclotomic",
                         [[{"conductor": 12, "coeffs": c} for c in p] for p in CAPPED_COEFFICIENTS])
     artifact(out_dir, "count-capped-cyclotomic", ["count", points, "--threads", "1"])
+    points = "capped-rational.json"
+    with open(os.path.join(out_dir, points), "w") as fh:
+        json.dump({"dimension": 3, "backend": "rational",
+                   "points": [[str(Fraction(c * 10**90, 7)) for c in p]
+                              for p in CAPPED_RATIONAL_POINTS]}, fh)
+    for threads in (1, 2):
+        artifact(out_dir, f"count-t{threads}-capped-rational",
+                 ["count", points, "--threads", str(threads)])
+    artifact(out_dir, "validate-capped-rational", ["validate", points])
     points = interval_file(out_dir, "swapped-endpoints", SWAPPED_ENDPOINTS)
     artifact(out_dir, "count-swapped-endpoints", ["count", points, "--threads", "1"])
     points = interval_file(out_dir, "unbounded-lift", UNBOUNDED_LIFT)

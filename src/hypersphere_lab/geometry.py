@@ -15,25 +15,32 @@ Python ints; cyclotomic rows become elements of denominator 1.
 
 Every minor and incidence value is expanded row by row over column
 subsets by one plan (``_expansion_plan``).  ``scaled_rows`` returns one
-``RowSet``; ``RowSet.take`` makes a view of some of its rows.  Rational,
-interval and capped sets, and plain lists of rows (a set with no basis),
-expand in plain Python over their own scalars, by functions compiled from
-the plan once per shape, so that a level of minors costs one call and its
-products.  Each minor is its plus terms summed left to right less its
-minus terms summed left to right; interval enclosures depend on that
-order.
+``RowSet``; ``RowSet.take`` makes a view of some of its rows.  Interval
+and capped sets, and plain lists of rows (a set with no basis), expand in
+plain Python over their own scalars, by functions compiled from the plan
+once per shape, so that a level of minors costs one call and its
+products; so does a degree-1 lane set (below) when a value of it is read.
+Each minor is its plus terms summed left to right less its minus terms
+summed left to right; interval enclosures depend on that order.
 
-A cyclotomic set of one conductor is a lane set: it keeps the residue
-lanes of its entries over one ``basis`` of split primes (see ``scalars``)
-as one ``grid``, and filters in its *filter lane*, each entry's residue in
-lane 0 of the basis's first prime.  The cofactors or the determinant of a
-view of a lane set are lane values known by their filter residues.  A
-nonzero residue proves a value nonzero.  A zero one is decided in every
+A set of integer rows, as every rational set becomes, and a cyclotomic
+set of one conductor are lane sets: each keeps the residue lanes of its
+entries over one ``basis`` of primes (see ``scalars``) as one ``grid``,
+and filters in its *filter lane*, each entry's residue in lane 0 of the
+basis's first prime.  An integer has one lane per prime, its residue, so
+integer rows make a lane set of *degree 1* over plain primes; a
+cyclotomic entry has phi(N) lanes per split prime.  The cofactors or the
+determinant of a view of a lane set are known by their filter residues.
+A nonzero residue proves a value nonzero.  A zero one is decided in every
 lane under the set's bound (below): the view expands all its values in
-every lane once, and lifts them by one ``from_lanes`` call only when one
-is read (equality, hashing, JSON, pickling or arithmetic).  A view's
-cofactors keep their filter residues and build their values only when one
-is read, so a nonzero residue answers ``degenerate`` with no value built.
+every lane once.  A view's cofactors keep their filter residues and build
+their values only when one is read (equality, hashing, JSON, pickling or
+arithmetic), so a nonzero residue answers ``degenerate`` with no value
+built.  A cyclotomic view lifts its values by one ``from_lanes`` call.
+The values of a degree-1 view are exact Python ints, expanded over the
+set's own rows by ``_minors`` (``det`` expands its determinant so
+directly), so that a walk that reads every view's values shares prefix
+levels as a set with no basis does, and no view lifts its lanes.
 The incidence values det([x; S]) of a subset S of a lane set against the
 rows outside it are only decided, by the block of S (below).
 ``incidence_values`` expands lane values over their elements, as it
@@ -81,25 +88,32 @@ certificate of the sorted (d+2)-set.  The walk reads a subset's row as
 one list, with no view of the other rows.
 
 A zero residue of det([x; S]) asks for the certificate of the sorted
-indices T of S and x.  A block certifies the distinct T behind its zero
-residues that the set has not certified yet, in lexicographic order, at
-most ``_BATCH_TUPLES`` at a time (``_certify``), by the prefix expansion
-of the tuples with the lane classes on the trailing axes, and the set
-keeps every verdict in ``certified``.  T without its last index is the
-least subset of T of its size, so the first block of a lexicographic
-walk that meets T is that subset's block, and T is certified there once.
+indices T of S and x.  A block tells its zero residues apart by the
+combination rank of their T among the (k+1)-subsets of the set in
+lexicographic order, computed in numpy (``_joined_ranks``), so that its
+Python work is per distinct T and not per zero residue: a d=4
+sphere-plus-point set of n = 14 has 10 296 zero residues behind 1 716
+six-sets.  It certifies the distinct T that the set has not certified
+yet, in lexicographic order, at most ``_BATCH_LANES`` tuple-lanes
+(tuples times primes times lane classes) at a time (``_certify``), by the
+prefix expansion of the tuples with the lane classes on the trailing
+axes, and the set keeps every verdict in ``certified``, a dict keyed by
+rank.  T without its last index is the least subset of T of its size, so
+the first block of a lexicographic walk that meets T is that subset's
+block, and T is certified there once.
 A pool worker whose rank range starts in the middle of the walk
 certifies the tuples of earlier blocks that its first block reads, and
 builds no table of an earlier block.
 
-Only a set with no basis walks: it keeps the indices and scalar levels
-of its last expansion of one view in ``walk``, and the next expansion
-reuses the levels of the longest index prefix it shares with them: at d=4
-a subset that keeps its first four rows of the previous one costs the 30
-products of the last level instead of all 180.  Cached levels are never
-written to.  A lane set never walks: it expands each index tuple by
-``_prefix_minors``, where the tuples of a block or a batch share their
-prefixes.
+A set that expands over its own scalars walks, a set with no basis or a
+degree-1 lane set whose values are read: it keeps the indices and scalar
+levels of its last expansion of one view in ``walk``, and the next
+expansion reuses the levels of the longest index prefix it shares with
+them: at d=4 a subset that keeps its first four rows of the previous one
+costs the 30 products of the last level instead of all 180.  Cached
+levels are never written to.  A cyclotomic lane set never walks: it
+expands each index tuple by ``_prefix_minors``, where the tuples of a
+block or a batch share their prefixes.
 
 The lift needs a bound on the coefficients.  Read as polynomials in
 Z[x]/(x^N - 1), where l1(ab) <= l1(a) l1(b), a determinant has l1 norm at
@@ -116,6 +130,14 @@ residue number systems (Broennimann, Emiris, Pan and Pion, "Sign
 determination in residue number systems", TCS 1999), and the same argument
 the lift rests on.  A value nonzero in any one lane is nonzero with no
 bound at all, which is why one filter lane decides almost every test.
+
+Integer rows need no lift, only the zero test.  Their bound is
+Hadamard's: |det| <= prod ||r||_2 <= prod ||r||_1 over the rows of a
+square matrix, and a minor's rows are parts of the set's rows, so the
+product of the ``width`` largest row l1 norms bounds every value of the
+set, and a basis of plain primes whose product exceeds twice that bound
+decides every zero.  A set whose bound needs more than ``LANE_PRIME_CAP``
+primes, on either kind of row, has no basis and expands its scalars.
 """
 
 from __future__ import annotations
@@ -133,6 +155,8 @@ from .scalars import (
     INDETERMINATE,
     CycloElement,
     backend_of,
+    integer_lane_basis,
+    integer_lanes,
     is_zero,
     one_like,
     scalar_from_json,
@@ -379,13 +403,45 @@ def _block_table(rows: np.ndarray, prime: int, subsets: np.ndarray) -> np.ndarra
     return np.concatenate([cof, rows[:, :width] @ cof % prime]).T.astype(np.int32, order="C")
 
 
-# The most index tuples one ``_certify`` call expands.  A batch's widest
-# level holds C(width, 3) minors of up to this many tuples in every lane
-# class, and ``_level`` adds one term of them at a time.  On perfbench's
-# coset-cyclo workload (2-core VM, three rounds), caps of 64, 32, 16 and 8
-# raised peak RSS over certifying each tuple on its own by about 2.3%,
-# 0.9%, 0.3% and 0.1%, at 2.15, 2.13, 2.06 and 1.90 times its work_per_s.
-_BATCH_TUPLES = 32
+# The most tuple-lanes, index tuples times primes times lane classes, one
+# ``_certify`` call expands.  A batch's widest level holds C(width, 3)
+# minors of each of them, and ``_level`` adds one term of them at a time.
+# On perfbench's coset-cyclo workload (2-core VM, three rounds), caps of 64,
+# 32, 16 and 8 tuples raised peak RSS over certifying each tuple on its own
+# by about 2.3%, 0.9%, 0.3% and 0.1%, at 2.15, 2.13, 2.06 and 1.90 times its
+# work_per_s.  This cap is 32 tuples of coset n=13 l=0's 24 lane columns:
+# 96 tuples at n=12 l=3 (8 columns), 192 of a trivial d=4 n=14 set's 4
+# primes.
+_BATCH_LANES = 768
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(n: int, k: int) -> np.ndarray:
+    """C(a, b) for a < n and b <= k, an (n, k + 1) array: int64 if C(n, k)
+    fits, else Python ints."""
+    dtype = np.int64 if math.comb(n, k) < 1 << 63 else object
+    return np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(n)], dtype=dtype)
+
+
+def _joined_ranks(n: int, subsets: np.ndarray, at: np.ndarray, index: np.ndarray):
+    """For each pair of a row ``at`` of the sorted ``subsets`` (m, k) of
+    range(n) and an ``index`` outside that subset: the lexicographic rank
+    of their sorted union T among the (k+1)-subsets of range(n), and the
+    number of the subset's indices below ``index``.
+
+    The rank of T is C(n, k+1) - 1 - sum_j C(n-1-T_j, k+1-j) (the
+    combinatorial number system on the complements n-1-T_j), where the
+    subset's index in column c is T_c below ``index`` and T_(c+1) above
+    it.  Each step holds one array over the pairs, not their tuples."""
+    k = subsets.shape[1]
+    binomial = _binomials(n, k + 1)
+    below = np.zeros(len(at), np.intp)
+    for column in subsets.T:
+        below += column[at] < index
+    complement = binomial[n - 1 - index, k + 1 - below]
+    for c, column in enumerate(subsets.T):
+        complement += binomial[n - 1 - column[at], k - c + (c < below)]
+    return math.comb(n, k + 1) - 1 - complement, below
 
 
 class _Block:
@@ -453,13 +509,14 @@ class RowSet(tuple):
     (``source``, ``indices``); the source is the set's identity, and its
     bound covers the values of its views; a set is its own source
     (``_Itself``).  A view of a lane set owns its values in every lane
-    class: ``lanes`` expands them once and ``lifted`` lifts them once.  A
-    set with no basis keeps the indices and levels of its last expansion
-    of a view in ``walk``; a lane set never walks.  A lane set keeps its
-    last ``_Block`` in ``block`` and, across blocks, its zero certificates
-    in ``certified``, a dict from each sorted index tuple its blocks have
-    certified to whether its determinant vanishes.  A pickle drops all of
-    them.
+    class: ``lanes`` expands them once and ``lifted`` builds their exact
+    values once.  A set with no basis, or of degree 1, keeps the indices
+    and levels of its last expansion of a view in ``walk``; a cyclotomic
+    lane set never walks.  A lane set keeps its last ``_Block`` in
+    ``block`` and, across blocks, its zero certificates in ``certified``,
+    a dict from the combination rank of each sorted index tuple its blocks
+    have certified (``_joined_ranks``) to whether its determinant
+    vanishes.  A pickle drops all of them.
     """
 
     walk = ((), ())
@@ -523,26 +580,54 @@ class RowSet(tuple):
         cofactors against every row outside it, (subsets, n - k), int32 as
         the block's table is: the filter residue, or where that is 0,
         whether the determinant of the sorted indices T of the subset and
-        the row is certified nonzero.  Each distinct T that ``certified``
-        does not hold yet is certified here, in lexicographic order,
-        ``_BATCH_TUPLES`` at a time, and every verdict is read from
-        ``certified``."""
-        subsets = block.subsets
+        the row is certified nonzero, read from ``certified``.
+
+        A zero residue is known by the combination rank of its T
+        (``_joined_ranks``).  T = S + (x,), with x past every index of S,
+        is met first from S, its least subset, so the block's T that meet
+        it first are distinct and in ascending order; they are certified
+        where ``certified`` does not hold them yet, in that order, and every
+        other zero residue finds its T among them by binary search, or, if
+        T met an earlier block first, in ``certified``.  So the Python work
+        is per distinct T, and nothing is sorted but the tuples of T that a
+        pool worker's first block meets after an earlier block."""
+        subsets, n = block.subsets, len(self)
         m, k = subsets.shape
         residues = block.table[:, k + 1:]
         outside = np.ones(residues.shape, bool)
         outside[np.arange(m)[:, None], subsets] = False
         at, index = np.nonzero(outside & (residues == 0))
-        tuples = list(map(tuple, np.sort(np.column_stack([subsets[at], index]), axis=1).tolist()))
-        fresh = sorted({t for t in tuples if t not in self.certified})
-        for start in range(0, len(fresh), _BATCH_TUPLES):
-            batch = fresh[start:start + _BATCH_TUPLES]
-            self.certified.update(zip(batch, _certify(self, np.array(batch)).tolist()))
-        values = residues[outside].reshape(m, len(self) - k)
+        ranks, below = _joined_ranks(n, subsets, at, index)
+        first = np.flatnonzero(below == k)
+        firsts = ranks[first]
+        vanish = np.array(self._verdicts(firsts.tolist(), lambda i: np.column_stack(
+            [subsets[at[first[i]]], index[first[i]]])), bool)
+        spot = np.searchsorted(firsts, ranks)
+        known = spot < len(firsts)
+        known[known] = firsts[spot[known]] == ranks[known]
+        zero = np.zeros(len(ranks), bool)
+        zero[known] = vanish[spot[known]]
+        missed = np.flatnonzero(~known)
+        zero[missed] = self._verdicts(ranks[missed].tolist(), lambda i: np.sort(
+            np.column_stack([subsets[at[missed[i]]], index[missed[i]]]), axis=1))
+        values = residues[outside].reshape(m, n - k)
         # the column of row i among the rows outside S is i less the rows of S below it
-        values[at, index - (subsets[at] < index[:, None]).sum(axis=1)] = [
-            not self.certified[t] for t in tuples]
+        values[at, index - below] = ~zero
         return values
+
+    def _verdicts(self, ranks: list, tuples) -> list:
+        """Whether the determinant of the sorted index tuple of each rank
+        vanishes, read from ``certified``.  The ranks it does not hold yet
+        are certified first, in the given order, ``_BATCH_LANES``
+        tuple-lanes at a time; ``tuples(positions)`` is the array of the
+        tuples at those positions of ``ranks``."""
+        fresh = [i for i, rank in enumerate(ranks) if rank not in self.certified]
+        size = max(1, _BATCH_LANES // self.grid[0, 0].size)
+        for start in range(0, len(fresh), size):
+            batch = fresh[start:start + size]
+            self.certified.update(zip([ranks[i] for i in batch],
+                                      _certify(self, tuples(batch)).tolist()))
+        return [self.certified[rank] for rank in ranks]
 
     def lanes(self) -> np.ndarray:
         """The values of these lane rows in every lane class, reduced, shape
@@ -557,11 +642,17 @@ class RowSet(tuple):
         return self._lanes
 
     def lifted(self) -> list:
-        """The ``lanes`` values as elements, lifted from every lane by one
-        ``from_lanes`` call on the first one."""
+        """The ``lanes`` values as exact scalars, built on the first call:
+        cyclotomic elements lifted from every lane by one ``from_lanes``
+        call, or the Python ints of a degree-1 set expanded over its own
+        rows by ``_minors``, which a walk of views shares prefix levels
+        in."""
         if self._lifted is None:
-            lanes = np.take_along_axis(self.lanes(), self.source.classes[None], axis=2)
-            self._lifted = self[0][0].ctx.from_lanes(lanes, self.basis)
+            if self.basis.degree == 1:
+                self._lifted = _signed(_minors(self.source, self.indices, len(self[0])))
+            else:
+                lanes = np.take_along_axis(self.lanes(), self.source.classes[None], axis=2)
+                self._lifted = self[0][0].ctx.from_lanes(lanes, self.basis)
         return self._lifted
 
 
@@ -588,8 +679,9 @@ class _LaneValue(CycloElement):
 
 class _Lanes:
     """The maximal cofactors of a view of a lane set, a sequence of lane
-    values: the ``view`` that owns their lanes and their filter
-    ``residues``.  The values are built on the first read."""
+    values, or of Python ints for a degree-1 set: the ``view`` that owns
+    their lanes and their filter ``residues``.  The values are built on the
+    first read."""
 
     __slots__ = ("view", "residues", "_values")
 
@@ -598,9 +690,12 @@ class _Lanes:
 
     def values(self) -> tuple:
         if self._values is None:
-            ctx = self.view[0][0].ctx
-            self._values = tuple(_LaneValue(ctx, self.view, i, residue)
-                                 for i, residue in enumerate(self.residues))
+            view = self.view
+            if view.basis.degree == 1:
+                self._values = tuple(view.lifted())
+            else:
+                self._values = tuple(_LaneValue(view[0][0].ctx, view, i, residue)
+                                     for i, residue in enumerate(self.residues))
         return self._values
 
     def degenerate(self) -> bool:
@@ -610,7 +705,7 @@ class _Lanes:
         return len(self.residues)
 
     def __getitem__(self, index):
-        return self.values()[index]
+        return (self._values or self.values())[index]
 
     def __iter__(self):
         return iter(self.values())
@@ -621,8 +716,9 @@ class _Lanes:
 
 def _minors(source: RowSet, indices: tuple, columns: int):
     """The minors of full row count of the len(indices) x ``columns``
-    matrix of the rows of ``source``, a set with no basis, at ``indices``,
-    one per column subset in ``combinations`` order, as a list.
+    matrix of the rows of ``source``, a set with no basis or of degree 1,
+    at ``indices``, one per column subset in ``combinations`` order, as a
+    list.
 
     Takes the levels of the longest index prefix that ``indices`` shares
     with the set's ``walk`` and expands only the rows after it, in plain
@@ -640,13 +736,24 @@ def _minors(source: RowSet, indices: tuple, columns: int):
     return levels[-1]
 
 
+def _signed(minors: list) -> list:
+    """The signed maximal cofactors of ``_minors`` of full row count, as
+    ``_signed_cofactors`` makes them of reduced ones; one minor, a
+    determinant, is kept as it is."""
+    signed = minors[::-1]
+    signed[1::2] = [-c for c in signed[1::2]]
+    return signed
+
+
 def det(rows) -> object:
-    """Determinant of a square matrix of scalars (division-free expansion)."""
+    """Determinant of a square matrix of scalars (division-free expansion):
+    a lane value for a view of a cyclotomic lane set, else the exact
+    scalar, a Python int for integer rows."""
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("det requires a square matrix")
     rows = rows if isinstance(rows, RowSet) else RowSet(rows)
-    if rows.basis is not None:
+    if rows.basis is not None and rows.basis.degree > 1:
         [residue] = rows.source.filter_row(rows.indices).tolist()
         return _LaneValue(rows[0][0].ctx, rows, 0, residue)
     [value] = _minors(rows.source, rows.indices, k)
@@ -658,10 +765,10 @@ def maximal_cofactors(rows) -> tuple:
 
     Returns (c_0, ..., c_k) with c_j = (-1)^j * det(matrix without column j),
     so that for any extra row x: det([x; rows]) = sum_j x[j] * c_j.
-    Cofactors of a view of a lane set are its lane values, known by their
-    filter residues in the table of its block; a walk over the views of
-    any other set reuses the levels each shares with the previous one (see
-    the module docstring).
+    Cofactors of a view of a lane set are known by their filter residues
+    in the table of its block, and are lane values, or Python ints for a
+    degree-1 set; a walk over the views of any other set reuses the levels
+    each shares with the previous one (see the module docstring).
     """
     rows = rows if isinstance(rows, RowSet) else RowSet(rows)
     columns = len(rows) + 1
@@ -670,10 +777,7 @@ def maximal_cofactors(rows) -> tuple:
         return _Lanes(rows, rows.source.filter_row(rows.indices)[:columns].tolist())
     if set(map(len, rows)) - {columns}:
         raise ValueError("expected a k x (k+1) matrix")
-    # in combinations order the k-column subsets leave out column k first
-    signed = _minors(rows.source, rows.indices, columns)[::-1]
-    signed[1::2] = [-c for c in signed[1::2]]
-    return tuple(signed)
+    return tuple(_signed(_minors(rows.source, rows.indices, columns)))
 
 
 def incidence_values(cof, rows) -> list:
@@ -738,27 +842,37 @@ def _integer_row(row) -> tuple:
     return row
 
 
+def _l1_norm(element: CycloElement) -> int:
+    return sum(map(abs, element.num))
+
+
 def scaled_rows(points, row=lifted_row) -> RowSet:
     """The ``row`` images of the points, as the predicates expand them:
     each exact row scaled to integral entries, any other row as it is.
 
-    Cyclotomic rows of one conductor carry their residue lanes, over the
-    fewest split primes that lift every minor and incidence value of the
-    set (see the module docstring), up to the lane prime cap, on one lane
-    of each lane class."""
+    Integer rows, and cyclotomic rows of one conductor, carry their residue
+    lanes over the fewest primes that decide every minor and incidence
+    value of the set (see the module docstring), up to the lane prime cap,
+    on one lane of each lane class: integers over plain primes, one lane
+    each, cyclotomic elements over split primes."""
     rows = [_integer_row(row(p)) for p in points]
     entries = [e for r in rows for e in r]
-    if entries and all(isinstance(e, CycloElement)
-                       and e.ctx.conductor == entries[0].ctx.conductor for e in entries):
+    if entries and all(type(e) is int for e in entries):
+        lane_basis, to_lanes, norm, factor = integer_lane_basis, integer_lanes, abs, 1
+    elif entries and all(isinstance(e, CycloElement)
+                         and e.ctx.conductor == entries[0].ctx.conductor for e in entries):
         ctx = entries[0].ctx
-        width = len(rows[0])
-        norms = sorted(max(1, sum(abs(c) for e in r for c in e.num)) for r in rows)
-        basis = ctx.lane_basis(ctx._table_max * math.prod(norms[-width:]))
-        if basis is not None:
-            lanes = ctx.to_lanes(entries, basis).reshape(len(rows), width, len(basis.primes), -1)
-            grid, classes = _lane_classes(lanes)
-            return RowSet(rows, grid, basis, classes)
-    return RowSet(rows)
+        lane_basis, to_lanes, norm, factor = ctx.lane_basis, ctx.to_lanes, _l1_norm, ctx._table_max
+    else:
+        return RowSet(rows)
+    width = len(rows[0])
+    norms = sorted(max(1, sum(map(norm, r))) for r in rows)
+    basis = lane_basis(factor * math.prod(norms[-width:]))
+    if basis is None:
+        return RowSet(rows)
+    lanes = to_lanes(entries, basis).reshape(len(rows), width, len(basis.primes), -1)
+    grid, classes = _lane_classes(lanes)
+    return RowSet(rows, grid, basis, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -915,19 +1029,22 @@ def _canonicalize(coeffs: list, backend: str) -> list:
     cyclotomic vector times its lead's ``conjugate_product`` (N(lead) /
     lead, so the lead becomes rational), then its fractions scaled to
     coprime integers with the first nonzero one positive, which is unique
-    up to a positive rational factor."""
+    up to a positive rational factor.  Rational coefficients become those
+    integers, as Fractions."""
     if backend == "cyclotomic":
         rest = next(c for c in coeffs if not c.is_zero()).conjugate_product()
         coeffs = [c * rest for c in coeffs]
         fractions = [f for c in coeffs for f in c.coefficients]
     else:
-        coeffs = fractions = [Fraction(c) for c in coeffs]
+        fractions = coeffs  # ints and Fractions both have a numerator and a denominator
     denom_lcm = math.lcm(*(f.denominator for f in fractions))
-    numer_gcd = math.gcd(*(f.numerator * (denom_lcm // f.denominator) for f in fractions))
-    scale = Fraction(denom_lcm, numer_gcd)
-    if next(f for f in fractions if f) < 0:
-        scale = -scale
-    return [c * scale for c in coeffs]
+    numerators = [f.numerator * (denom_lcm // f.denominator) for f in fractions]
+    numer_gcd = math.gcd(*numerators)
+    if next(m for m in numerators if m) < 0:
+        numer_gcd = -numer_gcd
+    if backend == "cyclotomic":
+        return [c * Fraction(denom_lcm, numer_gcd) for c in coeffs]
+    return [Fraction(m // numer_gcd) for m in numerators]
 
 
 def hypersphere_through(points) -> Hypersphere:

@@ -18,7 +18,9 @@ under the primitive N-th roots of unity mod p), where products act lane by
 lane.  ``CyclotomicContext.lane_basis`` picks enough such primes for a
 proven coefficient bound, ``to_lanes`` maps integral elements into the
 lanes and ``from_lanes`` recovers the exact coefficients by the Chinese
-remainder theorem.  Elements keep no lanes: ``geometry.scaled_rows`` does.
+remainder theorem.  Integers have lanes of degree 1, one residue per
+prime, over plain primes (``integer_lane_basis``, ``integer_lanes``).
+Elements keep no lanes: ``geometry.scaled_rows`` does.
 
 Zero-testing is exact on the first two backends.  Interval scalars never
 certify equality: their zero test answers False (certified nonzero) or
@@ -48,13 +50,13 @@ DEGREE_CAP = 1024
 
 # int64 headroom for the numpy convolution fast path
 _SAFE_INT64 = 1 << 62
-# split primes lie below this ceiling, so that phi(N) * p^2 < 2^63 for every
+# lane primes lie below this ceiling, so that phi(N) * p^2 < 2^63 for every
 # degree up to DEGREE_CAP and each lane matmul is exact in int64
 LANE_PRIME_CEILING = 1 << 26
-# most split primes a lane basis takes: the Garner lift and the per-prime
-# tables cost time quadratic in the prime count, so past about this many
-# primes (a coefficient bound near 2^(26 * LANE_PRIME_CAP)) expanding the
-# elements themselves is faster
+# most primes a lane basis takes: the Garner lift and the per-prime tables
+# cost time quadratic in the prime count, so past about this many primes (a
+# coefficient bound near 2^(26 * LANE_PRIME_CAP)) expanding the elements
+# themselves is faster
 LANE_PRIME_CAP = 32
 # largest decimal exponent, in absolute value, of a number read from text:
 # Python's int-to-str digit limit, so no command could print a value past
@@ -111,6 +113,28 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
+def _is_prime(m: int) -> bool:
+    """Whether m < 3 215 031 751 is prime: the Miller-Rabin test to the
+    bases 2, 3, 5 and 7, which no composite below that bound passes
+    (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980)."""
+    if m < 11:
+        return m in (2, 3, 5, 7)
+    odd, halvings = m - 1, 0
+    while odd % 2 == 0:
+        odd, halvings = odd // 2, halvings + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, odd, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(halvings - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def euler_phi(n: int) -> int:
     result = n
     for p in _prime_factors(n):
@@ -138,11 +162,13 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 class LaneBasis(NamedTuple):
-    """The first ``len(primes)`` split primes of a context, stacked for numpy.
+    """The first ``len(primes)`` lane primes of a context, stacked for numpy.
 
     The lanes of an element modulo p are its images under the phi(N)
     embeddings zeta -> omega^k into F_p, with omega a primitive N-th root of
-    unity mod p and k running over the units mod N.
+    unity mod p and k running over the units mod N.  An integer has one
+    lane per prime, its residue, so a basis of degree 1 needs no split
+    condition on its primes (``integer_lane_basis``).
     """
 
     primes: tuple[int, ...]
@@ -150,6 +176,44 @@ class LaneBasis(NamedTuple):
     moduli: np.ndarray  # (P, 1)
     evaluate: np.ndarray  # (P, deg, deg): lanes = coefficients @ evaluate[i] mod p_i
     interpolate: np.ndarray  # (P, deg, deg): coefficients = lanes @ interpolate[i] mod p_i
+
+    @property
+    def degree(self) -> int:
+        return self.evaluate.shape[-1]
+
+
+# the primes below LANE_PRIME_CEILING in decreasing order, as far as any
+# ``integer_lane_basis`` has searched, and the products of their prefixes
+_INTEGER_PRIMES: list[int] = []
+_INTEGER_PRODUCTS: list[int] = []
+
+
+def integer_lane_basis(bound: int) -> LaneBasis | None:
+    """The degree-1 lane basis of the fewest primes below the ceiling,
+    largest first, whose product exceeds 2 * ``bound``, so that the Chinese
+    remainder theorem recovers every integer of absolute value at most
+    ``bound``; None if that takes more than LANE_PRIME_CAP primes."""
+    while not _INTEGER_PRODUCTS or _INTEGER_PRODUCTS[-1] <= 2 * bound:
+        if len(_INTEGER_PRIMES) >= LANE_PRIME_CAP:
+            return None
+        p = (_INTEGER_PRIMES[-1] if _INTEGER_PRIMES else LANE_PRIME_CEILING) - 1
+        while not _is_prime(p):
+            p -= 1
+        _INTEGER_PRIMES.append(p)
+        _INTEGER_PRODUCTS.append(p * (_INTEGER_PRODUCTS[-1] if _INTEGER_PRODUCTS else 1))
+    count = bisect.bisect_right(_INTEGER_PRODUCTS, 2 * bound) + 1
+    primes = tuple(_INTEGER_PRIMES[:count])
+    ones = np.ones((count, 1, 1), dtype=np.int64)
+    return LaneBasis(primes, _INTEGER_PRODUCTS[count - 1],
+                     np.array(primes, dtype=np.int64)[:, None], ones, ones)
+
+
+def integer_lanes(values, basis: LaneBasis) -> np.ndarray:
+    """The residues of the Python ints ``values`` modulo each prime of the
+    degree-1 ``basis``, shape (len(values), len(basis.primes), 1)."""
+    # reduced as Python ints, so values of any size are exact
+    residues = [[value % p for p in basis.primes] for value in values]
+    return np.array(residues, dtype=np.int64).reshape(len(values), len(basis.primes), 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,7 +345,7 @@ class CyclotomicContext:
         while self._lane_candidate > 0:
             p = 1 + self._lane_candidate * conductor
             self._lane_candidate -= 1
-            if _prime_factors(p) != [p]:
+            if not _is_prime(p):
                 continue
             factors = _prime_factors(p - 1)
             root = next(
@@ -847,12 +911,19 @@ def read_fraction(text) -> Fraction:
 
 
 def _coefficient(text):
-    """A cyclotomic coefficient read from JSON.  A short string of ASCII
+    """A cyclotomic coefficient read from JSON.  A short ASCII string of
     digits, with or without a leading minus, is read as a Python int (most
-    coefficients are "0"); anything else goes through ``read_fraction``."""
-    if (type(text) is str and len(text) < 20 and text.isascii()
-            and (text.isdigit() or text[:1] == "-" and text[1:].isdigit())):
-        return int(text)
+    coefficients are "0"), and two such strings p/q, with no minus in q
+    and q nonzero, as ``Fraction(int(p), int(q))`` (most others are
+    halves); anything else goes through ``read_fraction``, with its values
+    and its errors."""
+    if type(text) is str and len(text) < 20 and text.isascii():
+        numerator, slash, denominator = text.partition("/")
+        if numerator.removeprefix("-").isdigit():
+            if not slash:
+                return int(numerator)
+            if denominator.isdigit() and denominator.strip("0"):
+                return Fraction(int(numerator), int(denominator))
     return read_fraction(text)
 
 

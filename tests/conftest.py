@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -19,6 +20,14 @@ def no_lifts():
 
     with mock.patch.object(CyclotomicContext, "from_lanes", refuse):
         yield
+
+
+def certified_tuples(rows) -> dict:
+    """The zero certificates of the lane set ``rows`` by sorted index tuple.
+    ``rows.certified`` keys each (k+1)-set T by its rank among the
+    (k+1)-subsets of range(n) in lexicographic order, k + 1 the rows' width."""
+    tuples = itertools.combinations(range(len(rows)), rows.grid.shape[1])
+    return {t: rows.certified[rank] for rank, t in enumerate(tuples) if rank in rows.certified}
 
 
 def flip_first_verdict(monkeypatch):

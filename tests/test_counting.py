@@ -10,8 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip_first_verdict, no_lifts, pool_started, random_general_position_set
-from oracles import gaussian_rank, naive_plane_spectrum, naive_sphere_spectrum
+from conftest import (
+    flip_first_verdict,
+    no_lifts,
+    pool_started,
+    random_general_position_set,
+    random_rational_point,
+)
+from oracles import (
+    gaussian_rank,
+    laplace_det,
+    naive_plane_spectrum,
+    naive_sphere_spectrum,
+    reference_cofactors,
+)
 
 from hypersphere_lab import counting, selftest
 from hypersphere_lab.counting import (
@@ -28,9 +40,13 @@ from hypersphere_lab.errors import ConsistencyError, GeneralPositionError, SpanE
 from hypersphere_lab.geometry import (
     PointSet,
     as_point,
+    det,
     general_position_check,
+    lift,
     lift_set,
     lifted_row,
+    maximal_cofactors,
+    scaled_rows,
 )
 from hypersphere_lab.scalars import IntervalScalar
 
@@ -123,6 +139,59 @@ class TestSpectrumAgainstNaiveOracle:
         base = spectrum(ps).counts
         shuffled = PointSet.build(list(reversed(ps.points)))
         assert spectrum(shuffled).counts == base
+
+
+class TestRationalLaneSets:
+    """Rational sets are lane sets of degree 1: their integer rows are
+    filtered and certified in numpy over plain primes, and their values
+    are read as Python ints.  Random small sets of mixed signs and
+    denominators (d = 3 and 4, n <= 9), some of their points on the unit
+    sphere so that many incidences are zero: both spectra equal the per-scalar oracles, or a
+    violation names the first subset the reference finds degenerate, and
+    every view's cofactors and determinant equal the reference as Python
+    ints."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([3, 4]), st.data(), st.integers(0, 2**32))
+    def test_random_sets_match_the_oracles(self, d, data, seed):
+        # n <= 8 at d=4, where the Fraction oracle takes about 2 s for n = 9
+        n = data.draw(st.integers(d + 2, 12 - d), label="n")
+        on_sphere = data.draw(st.integers(0, n), label="on_sphere")
+        rng = random.Random(seed)  # full-size coordinates, not shrunk ones
+        points = set()
+        while len(points) < n:
+            if len(points) < on_sphere:
+                points.add(lift(random_rational_point(rng, d - 1)))
+            else:
+                points.add(random_rational_point(rng, d))
+        ps = PointSet.build(sorted(points))
+        rows = scaled_rows(ps.points)
+        assert rows.basis.degree == 1 and rows.grid.shape == (n, d + 2, len(rows.basis.primes), 1)
+        degenerate = []
+        for subset in itertools.combinations(range(n), d + 1):
+            got, want = list(maximal_cofactors(rows.take(subset))), reference_cofactors(
+                [rows[i] for i in subset])
+            assert got == want and all(type(c) is int for c in got)
+            if not any(want):
+                degenerate.append(subset)
+        for indices in itertools.combinations(range(n), d + 2):
+            value = det(rows.take(indices))
+            assert type(value) is int and value == laplace_det([rows[i] for i in indices])
+        if degenerate:
+            with pytest.raises(GeneralPositionError) as error:
+                spectrum(ps)
+            assert error.value.witness == degenerate[0]
+        else:
+            expected = naive_sphere_spectrum(ps.points)
+            assert spectrum(ps).counts == spectrum_by_hashing(ps).counts == expected
+        try:
+            planes = ordinary_hyperplane_spectrum(ps).counts
+        except SpanError as error:
+            # the witness's affine rows (1, x) have rank below its size
+            assert gaussian_rank([(1, *ps.points[i]) for i in error.witness]) < min(
+                len(error.witness), d + 1)
+        else:
+            assert planes == naive_plane_spectrum(ps.points)
 
 
 class TestPartitionIdentity:
@@ -678,6 +747,24 @@ class TestLaneCap:
                     for six in itertools.combinations(range(ps.n), 6))
         assert spec.counts == {m: c for m, c in {5: math.comb(ps.n, 5) - 6 * sixes,
                                                  6: sixes}.items() if c}
+
+
+    def test_rational_set_past_the_cap_walks_its_scalars(self):
+        """Rational coordinates near 2^100 give integer rows whose bound,
+        the product of the five largest row norms near 2^200 each, needs
+        more than LANE_PRIME_CAP primes: the set has no basis and expands
+        its scalars, and it has the spectrum of the set it scales, as a
+        similarity maps spheres to spheres."""
+        small = random_general_position_set(3, 8, seed=42)
+        for i in (3, 5, 7):  # three points on the unit sphere, with two others
+            small = PointSet.build([*small.points[:i], lift(small.points[i][:2]),
+                                    *small.points[i + 1:]])
+        scale = Fraction(2**100 + 1, 3)
+        ps = PointSet.build([tuple(c * scale for c in p) for p in small.points])
+        assert scaled_rows(small.points).basis.degree == 1
+        assert scaled_rows(ps.points).basis is None
+        expected = naive_sphere_spectrum(small.points)
+        assert spectrum(ps).counts == spectrum(small).counts == expected
 
 
 class TestZeroFromLanes:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import no_lifts
+from conftest import certified_tuples, no_lifts
 from oracles import gaussian_rank, laplace_det, reference_cofactors
 
 from hypersphere_lab.errors import ConductorError, DegeneracyError, DomainError, PoleError
@@ -41,6 +41,7 @@ from hypersphere_lab.scalars import (
     CycloElement,
     IntervalScalar,
     get_context,
+    integer_lane_basis,
     is_zero,
     scalar_to_json,
 )
@@ -206,7 +207,7 @@ class TestLaneKernel:
         assert [is_zero(value) for value in values] == [False, True]
         assert rows.block.key == (3, ()) and len(rows.block.rows) == 10
         assert rows.block.decided is not None
-        assert rows.certified == {(0, 1, 2, 4): True, (0, 1, 3, 4): True}
+        assert certified_tuples(rows) == {(0, 1, 2, 4): True, (0, 1, 3, 4): True}
         again = pickle.loads(pickle.dumps(rows))
         assert (again.block.key, again.block.table, again.block.rows) == ((), None, {})
         assert again.block.decided is None and again.certified == {}
@@ -413,8 +414,8 @@ class TestLaneClasses:
         verdicts = geometry._certify(rows, sixes).tolist()
         assert sum(verdicts) == spheres
         _histogram_range(rows, 5, 0, math.comb(n, 5), _incidence_count)
-        assert rows.certified == {six: True for six, zero in zip(map(tuple, sixes.tolist()),
-                                                                 verdicts) if zero}
+        assert certified_tuples(rows) == {six: True for six, zero in zip(
+            map(tuple, sixes.tolist()), verdicts) if zero}
         again = pickle.loads(pickle.dumps(rows))
         assert again.walk == ((), ()) and again.certified == {}
         assert (again.classes == rows.classes).all() and (again.grid == rows.grid).all()
@@ -506,8 +507,8 @@ class TestCertificatePrefix:
 class TestBatchedCertificates:
     """A block certifies the sorted (k+1)-sets behind its zero incidence
     residues that its set has not certified yet, in lexicographic order,
-    in batches of at most ``_BATCH_TUPLES`` tuples that share their
-    prefixes.  Sets with planted dependent rows and rows that are
+    in batches of at most ``_BATCH_LANES`` tuple-lanes (tuples times
+    primes times lane classes) that share their prefixes.  Sets with planted dependent rows and rows that are
     dependent in the filter lane only, walked subset by subset as a
     spectrum walks them, with small blocks (keyed by prefixes of two or
     more indices) or one block of the whole walk, and small batches: every
@@ -559,7 +560,7 @@ class TestBatchedCertificates:
             return verdicts
 
         with mock.patch.object(geometry, "_BLOCK_SUBSETS", block), \
-                mock.patch.object(geometry, "_BATCH_TUPLES", batch), \
+                mock.patch.object(geometry, "_BATCH_LANES", batch * rows.grid[0, 0].size), \
                 mock.patch.object(geometry, "_certify", recorded):
             for subset in itertools.combinations(range(n), k):
                 cof = maximal_cofactors(rows.take(subset))
@@ -567,7 +568,7 @@ class TestBatchedCertificates:
                 others = [i for i in range(n) if i not in subset]
                 for i, value in zip(others, complement_values(cof, rows, subset)):
                     if not value:
-                        assert rows.certified[tuple(sorted((*subset, i)))] is True
+                        assert certified_tuples(rows)[tuple(sorted((*subset, i)))] is True
         if block == 1:
             assert max(map(len, prefixes)) >= 2
         zeros = 0
@@ -615,7 +616,7 @@ class TestDecidedComplements:
             return -value if sum(s < i for s in subset) % 2 else value
 
         with mock.patch.object(geometry, "_BLOCK_SUBSETS", block), \
-                mock.patch.object(geometry, "_BATCH_TUPLES", batch):
+                mock.patch.object(geometry, "_BATCH_LANES", batch * rows.grid[0, 0].size):
             for subset in itertools.combinations(range(n), k):
                 with no_lifts():
                     got = complement_values(maximal_cofactors(rows.take(subset)), rows, subset)
@@ -629,13 +630,69 @@ class TestDecidedComplements:
         assert zeros == (k + 1) * math.comb(n - 3, k - 2)
 
 
+class TestIntegerLaneBound:
+    """Integer rows decide a zero residue in every prime of their basis,
+    whose product exceeds twice the product of the ``width`` largest row
+    l1 norms (Hadamard's bound).  Each set here has a nonzero value P, the
+    product of every prime of its basis but the last, which only the last
+    prime tells from zero: an incidence value, and the cofactors of a
+    subset that a basis one prime short would call degenerate."""
+
+    @staticmethod
+    def sets():
+        """P and two sets of width 3 whose bounds, 3P and P, need exactly
+        three primes: rows x_2 = (0, 0, P) and x_3 = (1, 1, 1) against the
+        subset (x_0, x_1) = ((1, 0, 0), (0, 1, 0)), with det([x_2; x_0; x_1])
+        = P and det([x_3; x_0; x_1]) = 1, and rows whose first two have
+        maximal cofactors (0, 0, P)."""
+        product = math.prod(integer_lane_basis(2**100).primes[:2])
+        incidence = [(1, 0, 0), (0, 1, 0), (0, 0, product), (1, 1, 1)]
+        cofactors = [(product, 0, 0), (0, 1, 0), (0, 0, 1)]
+        return product, incidence, cofactors
+
+    @staticmethod
+    def decide(incidence, cofactors):
+        """The decided incidence values of the first set's subset (0, 1)
+        against rows 2 and 3, whether its first filter residue is zero, and
+        whether the second set's subset (0, 1) is degenerate."""
+        from hypersphere_lab.geometry import degenerate
+
+        rows = scaled_rows(incidence, row=tuple)
+        cof = maximal_cofactors(rows.take((0, 1)))
+        values = complement_values(cof, rows, (0, 1))
+        zero_residue = rows.filter_row((0, 1))[3 + 2] == 0
+        return values, zero_residue, degenerate(maximal_cofactors(
+            scaled_rows(cofactors, row=tuple).take((0, 1))))
+
+    def test_a_value_zero_in_every_prime_but_the_last(self):
+        from hypersphere_lab import geometry
+
+        product, incidence, cofactors = self.sets()
+        for plain in (incidence, cofactors):
+            basis = scaled_rows(plain, row=tuple).basis
+            assert len(basis.primes) == 3 and math.prod(basis.primes[:2]) == product
+        values, zero_residue, degenerate = self.decide(incidence, cofactors)
+        assert zero_residue and [is_zero(v) for v in values] == [False, False]
+        assert not degenerate
+        assert list(maximal_cofactors(scaled_rows(cofactors, row=tuple).take((0, 1)))) == [
+            0, 0, product]
+        # a basis one prime short takes P for zero
+        short = integer_lane_basis(product // 2 - 1)
+        assert short.primes == scaled_rows(incidence, row=tuple).basis.primes[:2]
+        with mock.patch.object(geometry, "integer_lane_basis", lambda bound: short):
+            values, zero_residue, degenerate = self.decide(incidence, cofactors)
+        assert zero_residue and [is_zero(v) for v in values] == [True, False] and degenerate
+
+
 class TestViewCache:
-    """A view of a set with no basis reuses the levels of the longest index
-    prefix it shares with the last expanded view of its set; a lane set
-    never walks.  Index tuples with shared, reordered and fresh prefixes,
-    views of a second set in between, and det of square views: every
-    result equals a fresh set's result and the per-scalar reference.
-    Capped sets, cyclotomic rows whose bound needs more than LANE_PRIME_CAP
+    """A view whose values are expanded over the set's own scalars reuses
+    the levels of the longest index prefix it shares with the last expanded
+    view of its set; a cyclotomic lane set never walks.  Index tuples with
+    shared, reordered and fresh prefixes, views of a second set in between,
+    and det of square views: every result equals a fresh set's result and
+    the per-scalar reference.  Integer rows are lane sets of degree 1 whose
+    values are Python ints, read by that walk.  Interval sets, and capped
+    sets, cyclotomic rows whose bound needs more than LANE_PRIME_CAP
     primes, have no basis and expand their elements."""
 
     @staticmethod
@@ -658,8 +715,9 @@ class TestViewCache:
     @staticmethod
     def check(kind, given, exact, rowset, indices):
         """Cofactors of a k-row view, or det of a square one.  A set with no
-        basis walks: it keeps the cached levels of the prefix the view
-        shares with the last one.  A lane set never walks."""
+        basis, or of degree 1, walks: it keeps the cached levels of the
+        prefix the view shares with the last one.  A cyclotomic lane set
+        never walks."""
         rows = [exact[i] for i in indices]
         walked, levels = rowset.walk
         shared = next(s for s in range(len(indices), -1, -1) if indices[:s] == walked[:s])
@@ -676,6 +734,8 @@ class TestViewCache:
         else:
             assert got == again == want
             assert [is_zero(c) for c in got] == [w == 0 for w in want]
+        if kind == "int":
+            assert all(type(c) is int for c in got + again)
         if kind == "cyclo":
             assert rowset.walk == ((), ())
         else:
@@ -700,7 +760,12 @@ class TestViewCache:
         for _ in range(2):
             given, exact = self.rows(kind, ctx, rng, n, k + 1)
             sets.append((given, exact, scaled_rows(given, row=tuple)))
-        assert all((rowset.basis is not None) is (kind == "cyclo") for *_, rowset in sets)
+        for *_, rowset in sets:
+            if kind in ("interval", "capped"):
+                assert rowset.basis is None and rowset.grid is None
+            else:
+                assert rowset.basis.degree == (1 if kind == "int" else ctx.degree)
+                assert rowset.grid.shape[:2] == (n, k + 1)
         first = tuple(range(k))
         script = [
             (0, first),

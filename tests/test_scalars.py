@@ -11,17 +11,22 @@ from hypersphere_lab.errors import ConductorError, DomainError, ResourceError
 from hypersphere_lab.scalars import (
     _SAFE_INT64,
     INDETERMINATE,
+    LANE_PRIME_CAP,
     LANE_PRIME_CEILING,
     IntervalScalar,
     context_for_order,
     cyclotomic_polynomial,
     euler_phi,
     get_context,
+    integer_lane_basis,
+    integer_lanes,
     is_zero,
+    read_fraction,
     scalar_from_json,
     scalar_to_json,
     sign_of,
     trig_pair,
+    _coefficient,
     _mul_vectors,
 )
 
@@ -306,6 +311,23 @@ class TestSplitPrimes:
             ctx.to_lanes([a, c * Fraction(1, 2)], basis)
 
 
+    def test_integer_basis_is_the_fewest_largest_primes(self):
+        """Integers have one lane per prime, so their basis takes the
+        largest primes below the ceiling, with no split condition."""
+        basis = integer_lane_basis(2**120)
+        assert basis.degree == 1 and basis.modulus == math.prod(basis.primes) > 2**121
+        assert math.prod(basis.primes[:-1]) <= 2**121
+        candidates = range(basis.primes[-1], LANE_PRIME_CEILING)
+        assert [m for m in reversed(candidates)
+                if all(m % f for f in range(2, math.isqrt(m) + 1))] == list(basis.primes)
+        values = [5, -5, 0, 3**300, -(2**200)]
+        assert integer_lanes(values, basis).shape == (len(values), len(basis.primes), 1)
+        assert integer_lanes(values, basis)[:, :, 0].tolist() == [
+            [x % p for p in basis.primes] for x in values]
+        assert len(integer_lane_basis(2 ** (26 * (LANE_PRIME_CAP - 1))).primes) == LANE_PRIME_CAP
+        assert integer_lane_basis(2 ** (26 * LANE_PRIME_CAP)) is None
+
+
 class TestIntervalContainment:
     def test_embedding_contains_rational(self):
         rng = random.Random(99)
@@ -382,7 +404,8 @@ class TestSerialization:
     @pytest.mark.parametrize("text", [
         "0", "-0", "7", "-12", "007", "9" * 19, "9" * 20, "-" + "9" * 30, "1/2", "-3/4", "4/2",
         " 7", "7 ", "+5", "1_0", "\u0663", "1e3", "0.5", "9" * 5000, "\u00b2", "", "-", "--1",
-        "1-", "1/0", "abc", 3, -2, 0.25, True, None, [1],
+        "1-", "1/0", "abc", 3, -2, 0.25, True, None, [1], " 1/2", "1/2e5", "-0/5", "1/00", "12/",
+        "/3", "1/-2", "-/3", "9" * 12 + "/" + "9" * 12,
     ])
     def test_cyclotomic_coefficients_read_as_through_fraction(self, text):
         """Short ASCII integers are read as ints; every coefficient encoding
@@ -399,6 +422,29 @@ class TestSerialization:
             got = scalar_from_json({"conductor": 12, "coeffs": coeffs})
             assert (got.num, got.den) == (want.num, want.den)
             assert all(type(c) is int for c in got.num)
+
+    @pytest.mark.parametrize("text", [
+        "1/2", "-3/4", "1/0", " 1/2", "1/2e5", "-0/5", "007/014", "1/00", "1/-2", "12/", "/3",
+    ])
+    def test_fraction_coefficients_read_as_read_fraction_reads_them(self, text, monkeypatch):
+        """An ASCII p/q with an optional minus on p and a nonzero q is read
+        as Fraction(int(p), int(q)), with no regex; any other string goes
+        through ``read_fraction``.  Each reads, or fails, exactly as
+        ``read_fraction`` reads it."""
+        from hypersphere_lab import scalars
+
+        try:
+            want = read_fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                _coefficient(text)
+            assert str(raised.value) == str(exc)
+        else:
+            got = _coefficient(text)
+            assert type(got) is Fraction and got == want
+        if text in ("1/2", "-3/4", "-0/5", "007/014"):
+            monkeypatch.setattr(scalars, "read_fraction", None)
+            assert _coefficient(text) == want
 
     def test_interval_round_trip_exact(self):
         x = IntervalScalar.from_fraction(Fraction(1, 3), 96)
