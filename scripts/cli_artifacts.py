@@ -17,6 +17,10 @@ inputs, each invocation in a process of its own:
   prefixes (C(25, 4) = 12 650 of its 5-subsets begin with index 0, more
   than ``geometry._BLOCK_SUBSETS``), and the second pool worker's rank
   range starts in the middle of a block;
+* ``generate`` for trivial d=4 n=16 seed 7 and ``count --csv`` on it at
+  ``--threads 1`` and ``2``: its C(16, 5) = 4 368 subsets start the pool,
+  and its 15-point sphere spans both workers' rank ranges, so that the
+  second worker certifies the part of the sphere past its first base;
 * the same ``count``, ``compare`` and ``validate`` runs on a literal
   rational d=3 n=12 file whose points 8-11 lie on one circle, which
   violates general position: (8, 9, 10, 11) is its only degenerate 4-subset
@@ -68,6 +72,7 @@ INPUTS = {
 POOLED = {
     "coset-n16-l0": (["--d", "4", "--n", "16", "--kind", "coset", "--l", "0"], [2]),
     "coset-n26-l0": (["--d", "4", "--n", "26", "--kind", "coset", "--l", "0"], [1, 2]),
+    "trivial-n16-seed7": (["--d", "4", "--n", "16", "--kind", "trivial", "--seed", "7"], [1, 2]),
 }
 
 # eight integer points, then four points of the unit circle in z = 0

@@ -30,10 +30,12 @@ geometric engine.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import ConsistencyError, DomainError, GeneralPositionError, GenerationError
 from .geometry import PointSet, det, general_position_check, lift, lifted_row
@@ -229,7 +231,9 @@ def completing_parameter(ts) -> float:
     return (-sum(ts)) % TWO_PI
 
 
-def _interval_curve_point(params: CurveParams, t, bits: int) -> tuple:
+def _interval_curve_point(params, t, bits: int) -> tuple:
+    """gamma(t) in intervals of ``bits``, for ``params`` whose coefficients
+    are intervals of ``bits`` already (see ``completion_residual``)."""
     iv = interval_context(bits)
     tv = iv.convert(t)
 
@@ -253,7 +257,13 @@ def completion_residual(params: CurveParams, ts, bits: int = 256) -> IntervalSca
         raise DomainError(f"need {d + 1} parameters for dimension {d}")
     iv = interval_context(bits)
     t_prime = -sum((iv.convert(t) for t in ts), iv.mpf(0))
-    points = [_interval_curve_point(params, t, bits) for t in (*ts, t_prime)]
+    # each coefficient becomes an interval once per call, not once per
+    # product; it is the interval a product with the Fraction would build
+    interval = functools.partial(IntervalScalar.from_fraction, bits=bits)
+    coefficients = SimpleNamespace(dimension=d, a=interval(params.a), b=interval(params.b),
+                                   amps=tuple(map(interval, params.amps)),
+                                   e=interval(params.e))
+    points = [_interval_curve_point(coefficients, t, bits) for t in (*ts, t_prime)]
     return det([lifted_row(p) for p in points])
 
 

@@ -83,24 +83,43 @@ before it moves to the next.
 A block also *decides* its subsets' incidence values against the rows
 outside them, the first time a walk asks for one (``complement_values``,
 ``RowSet._decide``): one int32 array, a row per subset of its values in
-index order, each the filter residue or, where that is 0, 1 or 0 by the
-certificate of the sorted (d+2)-set.  The walk reads a subset's row as
-one list, with no view of the other rows.
+index order, each the filter residue or, where that is 0, 1 or 0 as the
+sorted (d+2)-set is certified nonzero or zero.  The walk reads a subset's
+row as one list, with no view of the other rows.
 
-A zero residue of det([x; S]) asks for the certificate of the sorted
-indices T of S and x.  A block tells its zero residues apart by the
+A zero residue is proved zero once per *surface* where it can be
+(``RowSet._on_surfaces``).  Let S be a subset whose filter cofactors are
+not all 0, so that its cofactors c(S) are nonzero.  If det([x; S]) = 0 is
+certified for each x of a set X, every row of U = S + X lies in the
+kernel of c(S), of dimension width - 1, so every (d+2)-subset of U has
+determinant 0: one base and |U| - d - 1 certificates decide all
+C(|U|, d+2) zero sets of U.  A *base* is a subset of the block with such
+cofactors and at least two zero residues past its last index.  Bases are
+taken in order; each certifies those residues that no known surface
+covers, and one with at least two certified zeros adds its U to the set's
+``surfaces``.  A zero residue (S, x) with S and x in one surface is zero
+with no certificate of its own.  A lexicographic walk meets each surface
+first at its d+1 least points, whose base sees every other point of it,
+so the 13-point sphere of a trivial d=4 n=14 set takes 8 certificates
+instead of the C(13, 6) = 1 716 of its six-sets; a pool worker whose walk
+starts inside a surface certifies the part of it past its first base.  A
+surface of d+2 points, as every coset sphere is, has no base, and a
+filter zero alone never proves anything: a false candidate is certified
+nonzero and left out of U.
+
+A zero residue that no surface covers asks for the certificate of the
+sorted indices T of S and x.  A block tells these residues apart by the
 combination rank of their T among the (k+1)-subsets of the set in
 lexicographic order, computed in numpy (``_joined_ranks``), so that its
-Python work is per distinct T and not per zero residue: a d=4
-sphere-plus-point set of n = 14 has 10 296 zero residues behind 1 716
-six-sets.  It certifies the distinct T that the set has not certified
-yet, in lexicographic order, at most ``_BATCH_LANES`` tuple-lanes
-(tuples times primes times lane classes) at a time (``_certify``), by the
-prefix expansion of the tuples with the lane classes on the trailing
-axes, and the set keeps every verdict in ``certified``, a dict keyed by
-rank.  T without its last index is the least subset of T of its size, so
-the first block of a lexicographic walk that meets T is that subset's
-block, and T is certified there once.
+Python work is per distinct T and not per zero residue.  It certifies
+the distinct T that the set has not certified yet, in lexicographic
+order, at most ``_BATCH_LANES`` tuple-lanes (tuples times primes times
+lane classes) at a time (``_certify``), by the prefix expansion of the
+tuples with the lane classes on the trailing axes, and the set keeps
+every verdict in ``certified``, a dict keyed by rank.  T without its
+last index is the least subset of T of its size, so the first block of a
+lexicographic walk that meets T is that subset's block, and T is
+certified there once.
 A pool worker whose rank range starts in the middle of the walk
 certifies the tuples of earlier blocks that its first block reads, and
 builds no table of an earlier block.
@@ -423,11 +442,12 @@ def _binomials(n: int, k: int) -> np.ndarray:
     return np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(n)], dtype=dtype)
 
 
-def _joined_ranks(n: int, subsets: np.ndarray, at: np.ndarray, index: np.ndarray):
+def _joined_ranks(n: int, subsets: np.ndarray, at: np.ndarray, index: np.ndarray,
+                  below: np.ndarray) -> np.ndarray:
     """For each pair of a row ``at`` of the sorted ``subsets`` (m, k) of
-    range(n) and an ``index`` outside that subset: the lexicographic rank
-    of their sorted union T among the (k+1)-subsets of range(n), and the
-    number of the subset's indices below ``index``.
+    range(n) and an ``index`` outside that subset, of which ``below`` of the
+    subset's indices lie below ``index``: the lexicographic rank of their
+    sorted union T among the (k+1)-subsets of range(n).
 
     The rank of T is C(n, k+1) - 1 - sum_j C(n-1-T_j, k+1-j) (the
     combinatorial number system on the complements n-1-T_j), where the
@@ -435,13 +455,10 @@ def _joined_ranks(n: int, subsets: np.ndarray, at: np.ndarray, index: np.ndarray
     it.  Each step holds one array over the pairs, not their tuples."""
     k = subsets.shape[1]
     binomial = _binomials(n, k + 1)
-    below = np.zeros(len(at), np.intp)
-    for column in subsets.T:
-        below += column[at] < index
     complement = binomial[n - 1 - index, k + 1 - below]
     for c, column in enumerate(subsets.T):
         complement += binomial[n - 1 - column[at], k - c + (c < below)]
-    return math.comb(n, k + 1) - 1 - complement, below
+    return math.comb(n, k + 1) - 1 - complement
 
 
 class _Block:
@@ -450,7 +467,11 @@ class _Block:
     their filter ``table`` (``_block_table``), the dict ``rows`` from each
     subset to its table row, and ``decided``, set by ``complement_values``
     (``RowSet._decide``): each subset's decided incidence values against
-    every row outside it, (m, n - k) int32, in index order."""
+    every row outside it, (m, n - k) int32, in index order.  A subset whose
+    filter cofactors are not all 0 and whose row has at least two zero
+    residues past its last index is a *base*: its cofactors are nonzero,
+    and the rows whose incidence with it is certified zero span, with it,
+    one surface (``RowSet._on_surfaces``)."""
 
     __slots__ = ("key", "subsets", "table", "rows", "decided")
 
@@ -516,7 +537,11 @@ class RowSet(tuple):
     ``block`` and, across blocks, its zero certificates in ``certified``,
     a dict from the combination rank of each sorted index tuple its blocks
     have certified (``_joined_ranks``) to whether its determinant
-    vanishes.  A pickle drops all of them.
+    vanishes, and its certified surfaces in ``surfaces``, one boolean mask
+    over its rows each: a base S with nonzero cofactors c(S) and the rows
+    x with det([x; S]) = 0 certified, all in the kernel of c(S), of
+    dimension width - 1, so that every ``width`` rows of a surface have
+    determinant 0.  A pickle drops all of them.
     """
 
     walk = ((), ())
@@ -528,6 +553,7 @@ class RowSet(tuple):
         self = super().__new__(cls, rows)
         self.basis, self.indices = basis, tuple(range(len(self)))
         self.grid, self.classes, self.certified = grid, classes, {}
+        self.surfaces = []
         if basis is not None:
             self.prime = basis.primes[0]
             signed = np.concatenate([grid, -grid % basis.moduli], axis=1)
@@ -580,7 +606,72 @@ class RowSet(tuple):
         cofactors against every row outside it, (subsets, n - k), int32 as
         the block's table is: the filter residue, or where that is 0,
         whether the determinant of the sorted indices T of the subset and
-        the row is certified nonzero, read from ``certified``.
+        the row is nonzero: 0 where T lies on a certified surface
+        (``_on_surfaces``), else the certificate of T, read from
+        ``certified`` (``_certified_zeros``)."""
+        subsets, n = block.subsets, len(self)
+        m, k = subsets.shape
+        residues = block.table[:, k + 1:]
+        outside = np.ones(residues.shape, bool)
+        outside[np.arange(m)[:, None], subsets] = False
+        at, index = np.nonzero(outside & (residues == 0))
+        below = np.zeros(len(at), np.intp)
+        for column in subsets.T:
+            below += column[at] < index
+        zero = self._on_surfaces(block, at, index, below)
+        rest = np.flatnonzero(~zero)
+        zero[rest] = self._certified_zeros(subsets, at[rest], index[rest], below[rest])
+        values = residues[outside].reshape(m, n - k)
+        # the column of row i among the rows outside S is i less the rows of S below it
+        values[at, index - below] = ~zero
+        return values
+
+    def _on_surfaces(self, block: _Block, at: np.ndarray, index: np.ndarray,
+                     below: np.ndarray) -> np.ndarray:
+        """Whether each zero residue, of the subset S at row ``at`` of the
+        ``block`` and the row ``index`` past ``below`` of its indices, is
+        zero because S and the row lie in one of the set's ``surfaces``,
+        after the block's bases have added theirs (see the module
+        docstring).  Each base certifies its residues past its last index
+        that no surface covers (``_verdicts``, kept in ``certified``), in
+        order, and adds its surface if at least two of them are zero.  With
+        no surface known and no base, a block costs one ``bincount``."""
+        subsets = block.subsets
+        m, k = subsets.shape
+        zero = np.zeros(len(at), bool)
+        first = below == k
+        counts = np.bincount(at[first], minlength=m)
+        if not self.surfaces and counts.max() < 2:
+            return zero
+
+        def covered(surface):
+            return surface[subsets].all(axis=1)[at] & surface[index]
+
+        prefix = list(block.key[1])
+        for surface in self.surfaces:
+            if surface[prefix].all():  # a surface off the prefix holds no subset of the block
+                zero |= covered(surface)
+        bases = (counts >= 2) & block.table[:, :k + 1].any(axis=1)
+        pending = np.flatnonzero(first & bases[at] & ~zero)
+        while len(pending):
+            mine = pending[at[pending] == at[pending[0]]]
+            ranks = _joined_ranks(len(self), subsets, at[mine], index[mine], below[mine])
+            tuples = np.column_stack([subsets[at[mine]], index[mine]])
+            vanish = np.array(self._verdicts(ranks.tolist(), tuples.__getitem__), bool)
+            if vanish.sum() >= 2:
+                surface = np.zeros(len(self), bool)
+                surface[tuples[vanish]] = True
+                self.surfaces.append(surface)
+                zero |= covered(surface)
+            pending = pending[len(mine):]
+            pending = pending[~zero[pending]]
+        return zero
+
+    def _certified_zeros(self, subsets: np.ndarray, at: np.ndarray, index: np.ndarray,
+                         below: np.ndarray) -> np.ndarray:
+        """Whether the determinant of each zero residue's T, the subset at
+        row ``at`` of ``subsets`` and the row ``index`` past ``below`` of
+        its indices, is certified zero, read from ``certified``.
 
         A zero residue is known by the combination rank of its T
         (``_joined_ranks``).  T = S + (x,), with x past every index of S,
@@ -591,14 +682,8 @@ class RowSet(tuple):
         T met an earlier block first, in ``certified``.  So the Python work
         is per distinct T, and nothing is sorted but the tuples of T that a
         pool worker's first block meets after an earlier block."""
-        subsets, n = block.subsets, len(self)
-        m, k = subsets.shape
-        residues = block.table[:, k + 1:]
-        outside = np.ones(residues.shape, bool)
-        outside[np.arange(m)[:, None], subsets] = False
-        at, index = np.nonzero(outside & (residues == 0))
-        ranks, below = _joined_ranks(n, subsets, at, index)
-        first = np.flatnonzero(below == k)
+        ranks = _joined_ranks(len(self), subsets, at, index, below)
+        first = np.flatnonzero(below == subsets.shape[1])
         firsts = ranks[first]
         vanish = np.array(self._verdicts(firsts.tolist(), lambda i: np.column_stack(
             [subsets[at[first[i]]], index[first[i]]])), bool)
@@ -610,10 +695,7 @@ class RowSet(tuple):
         missed = np.flatnonzero(~known)
         zero[missed] = self._verdicts(ranks[missed].tolist(), lambda i: np.sort(
             np.column_stack([subsets[at[missed[i]]], index[missed[i]]]), axis=1))
-        values = residues[outside].reshape(m, n - k)
-        # the column of row i among the rows outside S is i less the rows of S below it
-        values[at, index - below] = ~zero
-        return values
+        return zero
 
     def _verdicts(self, ranks: list, tuples) -> list:
         """Whether the determinant of the sorted index tuple of each rank

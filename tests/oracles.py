@@ -87,16 +87,22 @@ def _is_zero(value):
 
 def naive_spectrum(points, row_fn, subset_size):
     """O(n^(d+2)) reference spectrum: the surface of every subset is
-    identified with the full set of point indices incident to it."""
+    identified with the full set of point indices incident to it.  Whether
+    a determinant vanishes does not depend on the order of its rows, so
+    each sorted index set is expanded once."""
     rows = [row_fn(p) for p in points]
     n = len(points)
     surfaces = set()
+    vanishes = {}
     for subset in itertools.combinations(range(n), subset_size):
         incident = set(subset)
         for extra in range(n):
             if extra in incident:
                 continue
-            if _is_zero(laplace_det([rows[i] for i in subset] + [rows[extra]])):
+            indices = tuple(sorted((*subset, extra)))
+            if indices not in vanishes:
+                vanishes[indices] = _is_zero(laplace_det([rows[i] for i in indices]))
+            if vanishes[indices]:
                 incident.add(extra)
         surfaces.add(frozenset(incident))
     counts = Counter(len(surface) for surface in surfaces)

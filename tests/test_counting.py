@@ -1,11 +1,14 @@
 import itertools
 import math
 import os
+import pickle
 import random
 import types
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,7 @@ from oracles import (
     reference_cofactors,
 )
 
-from hypersphere_lab import counting, selftest
+from hypersphere_lab import counting, scalars, selftest
 from hypersphere_lab.counting import (
     Spectrum,
     count_dplus2,
@@ -192,6 +195,210 @@ class TestRationalLaneSets:
                 len(error.witness), d + 1)
         else:
             assert planes == naive_plane_spectrum(ps.points)
+
+
+def circumcenter(points):
+    """The centre of the sphere through d+1 points of R^d, by Gauss-Jordan
+    elimination on 2 c.(p - a) = |p|^2 - |a|^2, or None if no one sphere
+    passes through them."""
+    a, d = points[0], len(points[0])
+    rows = [[2 * (x - y) for x, y in zip(p, a)] + [sum(x * x for x in p) - sum(y * y for y in a)]
+            for p in points[1:]]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(d):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return tuple(row[d] for row in rows)
+
+
+def planted_spheres(d, rng, sizes, shares, free):
+    """Rational points of R^d, shuffled: one sphere of each size in
+    ``sizes``, then ``free`` random points.  A sphere is the one through d+1
+    anchors: ``shares[j]`` anchors of earlier spheres, at most d of any one
+    of them, and new random points; its other points are second
+    intersections of random rational lines through its anchors."""
+    points, anchor_sets = [], []
+    for size, share in zip(sizes, shares):
+        earlier = sorted({a for anchors in anchor_sets for a in anchors})
+        center = None
+        while center is None:
+            through = rng.sample(earlier, share)
+            anchors = through + [random_rational_point(rng, d, 4) for _ in range(d + 1 - share)]
+            if len(set(anchors)) == d + 1 and all(
+                    len(earlier_anchors.intersection(through)) <= d
+                    for earlier_anchors in anchor_sets):
+                center = circumcenter(anchors)
+        on = list(anchors)
+        while len(on) < size:
+            p, v = rng.choice(anchors), random_rational_point(rng, d, 4)
+            if any(v):
+                t = -2 * sum((x - c) * y for x, c, y in zip(p, center, v)) / sum(y * y for y in v)
+                q = tuple(x + t * y for x, y in zip(p, v))
+                on += [q] if q not in on else []
+        anchor_sets.append(set(anchors))
+        points += [q for q in on if q not in points]
+    points += [random_rational_point(rng, d, 4) for _ in range(free)]
+    rng.shuffle(points)
+    return points
+
+
+def weak_filter_basis(bound):
+    """``integer_lane_basis`` with the prime 7 in front: the filter lane is
+    mod 7, so about one nonzero value in seven has a zero filter residue,
+    and the product of the primes still bounds every value."""
+    basis = scalars.integer_lane_basis(bound)
+    primes = (7, *basis.primes)
+    ones = np.ones((len(primes), 1, 1), dtype=np.int64)
+    return scalars.LaneBasis(primes, 7 * basis.modulus,
+                             np.array(primes, dtype=np.int64)[:, None], ones, ones)
+
+
+def pickling_pool():
+    """A stand-in for the process pool that maps in this process on pickled
+    copies of its arguments, as the pool's workers receive them, and the
+    list of the row sets its workers walked, in rank order."""
+    walked = []
+
+    class PicklingExecutor:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            results = []
+            for task in zip(*iterables):
+                rows, *args = pickle.loads(pickle.dumps(task))
+                walked.append(rows)
+                results.append(fn(rows, *args))
+            return results
+
+    return PicklingExecutor, walked
+
+
+class TestSurfaceCertificates:
+    """A lane set certifies each surface of m > k + 1 points once: a base
+    S whose filter cofactors are not all 0, and det([x; S]) = 0 for the
+    m - k other points x, put every point of the surface in the kernel of
+    the nonzero c(S), so every (k+1)-subset of it is zero."""
+
+    # (sphere sizes, anchors shared with earlier spheres, free point counts)
+    PLANS = {3: [((7,), (0,), (1, 2)), ((8,), (0,), (1, 2)), ((9,), (0,), (1, 2)),
+                 ((7, 7), (0, 2), (0,)), ((7, 7), (0, 3), (0, 1)), ((7, 7, 7), (0, 3, 4), (0,))],
+             4: [((7,), (0,), (1, 2)), ((8,), (0,), (1, 2)), ((7, 7), (0, 4), (0,))]}
+
+    @staticmethod
+    def spectra(ps):
+        """The sphere spectrum at one thread, the lifted hyperplane spectrum,
+        and the sphere spectrum at two threads over a pool whose workers
+        get pickled copies of the set and blocks of at most 16 subsets, so
+        that the second worker's first block starts inside the walk."""
+        from hypersphere_lab import geometry
+
+        executor, walked = pickling_pool()
+        with mock.patch.object(counting, "ProcessPoolExecutor", executor), \
+                mock.patch.object(counting, "POOL_MIN_SUBSETS", 1), \
+                mock.patch.object(os, "cpu_count", lambda: 2), \
+                mock.patch.object(geometry, "_BLOCK_SUBSETS", 16):
+            pooled = spectrum(ps, threads=2).counts
+        assert len(walked) == 2
+        return spectrum(ps).counts, ordinary_hyperplane_spectrum(lift_set(ps)).counts, pooled
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([3, 4]), st.data(), st.integers(0, 2**32))
+    def test_planted_spheres_match_the_oracle(self, d, data, seed):
+        """Rational sets with one to three planted spheres of 7-9 points,
+        sharing at most d points, and free points.  Each spectrum equals the
+        Fraction oracle's, the lifted hyperplane spectrum by the lift
+        correspondence, also with a filter prime of 7, where false zero
+        residues are common: a surface taken from filter zeros without
+        certificates, or a cover test that does not ask whether x lies on
+        the surface, counts some of them as incidences."""
+        from hypersphere_lab import geometry
+
+        sizes, shares, frees = data.draw(st.sampled_from(self.PLANS[d]), label="plan")
+        free = data.draw(st.sampled_from(frees), label="free")
+        rng = random.Random(seed)  # full-size coordinates, not shrunk ones
+        ps = PointSet.build(planted_spheres(d, rng, sizes, shares, free))
+        while len(set(ps.points)) < ps.n or general_position_check(ps) is not None:
+            ps = PointSet.build(planted_spheres(d, rng, sizes, shares, free))
+        expected = naive_sphere_spectrum(ps.points)
+        assert [m for m, count in sorted(expected.items()) for _ in range(count)
+                if m > d + 1] == sorted(sizes)
+        assert self.spectra(ps) == (expected,) * 3
+        with mock.patch.object(geometry, "integer_lane_basis", weak_filter_basis):
+            assert scaled_rows(ps.points).prime == 7
+            assert self.spectra(ps) == (expected,) * 3
+
+    @pytest.mark.parametrize("d, n", [(4, 14), (4, 22)])
+    def test_one_base_certifies_the_sphere(self, monkeypatch, d, n):
+        """A serial walk of a trivial set, n - 1 points on one sphere and
+        one off it, certifies n - 1 - (d + 1) tuples: 8 at n = 14, 16 at
+        n = 22, against C(n - 1, d + 2) six-sets on the sphere."""
+        from hypersphere_lab import geometry
+        from hypersphere_lab.constructions import trivial_config
+
+        ps = trivial_config(d, n, seed=7)
+        certified = []
+        certify = geometry._certify
+
+        def counted(source, tuples):
+            certified.extend(map(tuple, tuples.tolist()))
+            return certify(source, tuples)
+
+        monkeypatch.setattr(geometry, "_certify", counted)
+        assert spectrum(ps, threads=1).counts == {d + 1: math.comb(n - 1, d), n - 1: 1}
+        assert len(certified) == len(set(certified)) == n - 1 - (d + 1)
+        assert all(max(t) < n - 1 for t in certified)
+
+    def test_correspondence_certifies_each_surface_once(self, monkeypatch):
+        """``verify_correspondence`` on trivial d=3 n=14: the 13-point sphere
+        and the hyperplane of its lifted points take 9 certificates each."""
+        from hypersphere_lab import geometry
+        from hypersphere_lab.constructions import trivial_config
+
+        ps = trivial_config(3, 14, seed=7)
+        certified = []
+        certify = geometry._certify
+
+        def counted(source, tuples):
+            certified.append(len(tuples))
+            return certify(source, tuples)
+
+        monkeypatch.setattr(geometry, "_certify", counted)
+        report = verify_correspondence(ps)
+        assert report.equal and report.sphere_spectrum.counts == {4: math.comb(13, 3), 13: 1}
+        assert sum(certified) == 2 * (13 - 4)
+
+    def test_worker_inside_a_surface_certifies_part_of_it(self):
+        """Points 0-10 of a d=3 set lie on one sphere.  With blocks of at
+        most 64 subsets, the second pool worker's first block is that of
+        the prefix (1, 4), inside the sphere: it certifies the part of the
+        sphere past its first base (1, 4, 5, 6), then the part past
+        (2, 3, 4, 5), and the spectrum is the whole walk's."""
+        from hypersphere_lab import geometry
+
+        ps = sphere_plus_point_config(3, 11, seed=6)
+        executor, walked = pickling_pool()
+        with mock.patch.object(counting, "ProcessPoolExecutor", executor), \
+                mock.patch.object(counting, "POOL_MIN_SUBSETS", 1), \
+                mock.patch.object(os, "cpu_count", lambda: 2), \
+                mock.patch.object(geometry, "_BLOCK_SUBSETS", 64):
+            pooled = spectrum(ps, threads=2).counts
+        assert pooled == spectrum(ps).counts == {4: math.comb(11, 3), 11: 1}
+        first, second = ([tuple(np.flatnonzero(s).tolist()) for s in rows.surfaces]
+                         for rows in walked)
+        assert first == [tuple(range(11))]
+        assert second[:2] == [(1, *range(4, 11)), tuple(range(2, 11))]
 
 
 class TestPartitionIdentity:
