@@ -25,6 +25,11 @@ inputs, each invocation in a process of its own:
   rational d=3 n=12 file whose points 8-11 lie on one circle, which
   violates general position: (8, 9, 10, 11) is its only degenerate 4-subset
   and the last of its C(12, 4) = 495;
+* ``count`` at ``--threads 1`` and ``2`` and ``validate`` on a d=3
+  cyclotomic file of conductor 8 whose points 8-11 lie on one circle:
+  (8, 9, 10, 11) is its only degenerate 4-subset, and points 0-3 are
+  concyclic in the engine's filter lane only, so that a lane set's
+  all-zero filter residues are certified both ways;
 * ``count --threads 1`` on a d=2 cyclotomic file with coefficients near
   10^70, whose rows need more than ``LANE_PRIME_CAP`` lane primes, so that
   the engine expands the elements themselves; points 0-3 lie on the
@@ -78,6 +83,24 @@ POOLED = {
 # eight integer points, then four points of the unit circle in z = 0
 VIOLATION_POINTS = [[2, 1, 3], [-1, 4, 2], [3, -2, 1], [1, 2, -4], [-3, -1, 5], [4, 3, -2],
                     [-2, 5, -1], [5, -3, 4], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
+
+# conductor-8 coefficients of each coordinate over 1, z, z^2, z^3, where z
+# = zeta_8 and sqrt(2) = z - z^3: (1 + z - w, 0, 0), with w = 41 979 842 the
+# root that z maps to mod the filter prime 67 108 777, and three points of
+# the unit circle in the plane x_3 = 0, which (1, 0, 0) lies on too; four
+# points with small coefficients; four points of the circle of radius 2
+# about (1, 2, 3) in the plane x_2 = 2.  The set of
+# TestCyclotomicDegeneracy.concyclic_last in tests/test_geometry.py.
+_HALF_ROOT2 = ["0", "1/2", "0", "-1/2"]
+CYCLOTOMIC_VIOLATION_COEFFICIENTS = [
+    [["-41979841", "1"], ["0"], ["0"]], [_HALF_ROOT2, _HALF_ROOT2, ["0"]],
+    [["0"], ["1"], ["0"]], [["0", "-1/2", "0", "1/2"], _HALF_ROOT2, ["0"]],
+    [["-1", "2", "-2", "0"], ["-2", "1", "1", "1"], ["1", "-1", "-2", "1"]],
+    [["-2", "1", "1", "2"], ["-2", "1", "0", "-1"], ["2", "-2", "0", "-2"]],
+    [["-2", "-2", "2", "-2"], ["1", "-1", "1", "-2"], ["2", "-1", "1", "1"]],
+    [["2", "-1", "0", "-1"], ["-1", "1", "0", "-2"], ["1", "2", "-2", "-1"]],
+    [["3"], ["2"], ["3"]], [["1", "1", "0", "-1"], ["2"], ["3", "1", "0", "-1"]],
+    [["1"], ["2"], ["5"]], [["-1"], ["2"], ["3"]]]
 
 # (lo, hi) of each coordinate; the second point's first one has lo > hi
 SWAPPED_ENDPOINTS = [[("0", "0"), ("0", "0")], [("1.5", "0.5"), ("0", "0")],
@@ -167,6 +190,15 @@ def main(argv=None) -> int:
         json.dump({"dimension": 3, "backend": "rational",
                    "points": [[str(c) for c in p] for p in VIOLATION_POINTS]}, fh)
     examine(out_dir, "violation", points)
+    points = "cyclotomic-violation.json"
+    with open(os.path.join(out_dir, points), "w") as fh:
+        json.dump({"dimension": 3, "backend": "cyclotomic",
+                   "points": [[{"conductor": 8, "coeffs": c} for c in p]
+                              for p in CYCLOTOMIC_VIOLATION_COEFFICIENTS]}, fh)
+    for threads in (1, 2):
+        artifact(out_dir, f"count-t{threads}-cyclotomic-violation",
+                 ["count", points, "--threads", str(threads)])
+    artifact(out_dir, "validate-cyclotomic-violation", ["validate", points])
     points = plane_file(out_dir, "capped-cyclotomic", "cyclotomic",
                         [[{"conductor": 12, "coeffs": c} for c in p] for p in CAPPED_COEFFICIENTS])
     artifact(out_dir, "count-capped-cyclotomic", ["count", points, "--threads", "1"])

@@ -31,16 +31,20 @@ basis's first prime.  An integer has one lane per prime, its residue, so
 integer rows make a lane set of *degree 1* over plain primes; a
 cyclotomic entry has phi(N) lanes per split prime.  The cofactors or the
 determinant of a view of a lane set are known by their filter residues.
-A nonzero residue proves a value nonzero.  A zero one is decided in every
-lane under the set's bound (below): the view expands all its values in
-every lane once.  A view's cofactors keep their filter residues and build
-their values only when one is read (equality, hashing, JSON, pickling or
-arithmetic), so a nonzero residue answers ``degenerate`` with no value
-built.  A cyclotomic view lifts its values by one ``from_lanes`` call.
-The values of a degree-1 view are exact Python ints, expanded over the
-set's own rows by ``_minors`` (``det`` expands its determinant so
-directly), so that a walk that reads every view's values shares prefix
-levels as a set with no basis does, and no view lifts its lanes.
+A nonzero residue proves a value nonzero.  Where every residue is 0, the
+view is decided in every lane under the set's bound (below) by
+``_certify`` on its one index tuple, the one zero test in every lane,
+which also certifies the (d+2)-sets a block reads.  A view keeps no
+values.  The one object that reads them, a view's cofactors (``_Lanes``)
+or a cyclotomic view's determinant (``_LaneValue``), builds them on the
+first read (equality, hashing, JSON, pickling or arithmetic) by
+``_exact_values`` and keeps them, so a nonzero residue answers
+``degenerate`` with no value built.  A cyclotomic view's values are
+lifted from every lane class by one ``_prefix_minors`` call and one
+``from_lanes`` call.  The values of a degree-1 view are exact Python
+ints, expanded over the set's own rows by ``_minors`` (``det`` expands
+its determinant so directly), so that a walk that reads every view's
+values shares prefix levels as a set with no basis does.
 The incidence values det([x; S]) of a subset S of a lane set against the
 rows outside it are only decided, by the block of S (below).
 ``incidence_values`` expands lane values over their elements, as it
@@ -64,8 +68,8 @@ leading index prefix that at most ``_BLOCK_SUBSETS`` of them share.  So a
 walk of at most that many subsets is one block, of the empty prefix, and
 a larger one splits on its leading indices.  One expansion,
 ``_prefix_minors``, is every numpy expansion of a lane set: of a block, of
-a batch of certificates (below) and of a view's values in every lane class
-(``RowSet.lanes``, on the view's one index tuple).  Level r holds the
+a batch of certificates (below), and of a view's one index tuple in every
+lane class for its zero test or its lift.  Level r holds the
 minors of rows 0..r of each distinct (r+1)-index prefix of the index
 tuples, one column per prefix, built from the level of the prefix without
 its last index by one step of the plan's tables (``_level``), which adds
@@ -481,12 +485,15 @@ class _Block:
 
 
 def _certify(source: "RowSet", tuples: np.ndarray) -> np.ndarray:
-    """Whether the determinant of the rows of the lane set ``source`` at
-    each index tuple, a row of ``tuples`` (m, width), vanishes in
-    every lane class, decided under the set's bound: ``_prefix_minors``
-    with the lane classes on the trailing axes (primes, classes)."""
-    [minors] = _prefix_minors(source._signed, tuples, tuples.shape[1], source.basis.moduli)
-    return ~minors.any(axis=(1, 2))
+    """Whether every minor of full row count of the rows of the lane set
+    ``source`` at each index tuple, a row of ``tuples`` (m, k) with k at
+    most the row width, vanishes in every lane class, decided under the
+    set's bound: the determinant of square rows, or all the maximal
+    cofactors of k = width - 1 rows.  It is the one zero test in every
+    lane: ``_prefix_minors`` with the lane classes on the trailing axes
+    (primes, classes)."""
+    minors = _prefix_minors(source._signed, tuples, source.grid.shape[1], source.basis.moduli)
+    return ~minors.any(axis=(0, 2, 3))
 
 
 def _lane_classes(grid):
@@ -529,11 +536,11 @@ class RowSet(tuple):
     prime, ``prime`` (column 0 of ``grid``).  ``take`` makes a view
     (``source``, ``indices``); the source is the set's identity, and its
     bound covers the values of its views; a set is its own source
-    (``_Itself``).  A view of a lane set owns its values in every lane
-    class: ``lanes`` expands them once and ``lifted`` builds their exact
-    values once.  A set with no basis, or of degree 1, keeps the indices
-    and levels of its last expansion of a view in ``walk``; a cyclotomic
-    lane set never walks.  A lane set keeps its last ``_Block`` in
+    (``_Itself``).  A view of a lane set keeps no values: the object that
+    reads them builds them (``_exact_values``), and ``_certify`` decides
+    them in every lane class.  A set with no basis, or of degree 1, keeps
+    the indices and levels of its last expansion of a view in ``walk``; a
+    cyclotomic lane set never walks.  A lane set keeps its last ``_Block`` in
     ``block`` and, across blocks, its zero certificates in ``certified``,
     a dict from the combination rank of each sorted index tuple its blocks
     have certified (``_joined_ranks``) to whether its determinant
@@ -547,7 +554,6 @@ class RowSet(tuple):
     walk = ((), ())
     block = _Block((), None, None, {})
     source = _Itself()
-    _lanes = _lifted = None
 
     def __new__(cls, rows, grid=None, basis=None, classes=None):
         self = super().__new__(cls, rows)
@@ -711,89 +717,75 @@ class RowSet(tuple):
                                       _certify(self, tuples(batch)).tolist()))
         return [self.certified[rank] for rank in ranks]
 
-    def lanes(self) -> np.ndarray:
-        """The values of these lane rows in every lane class, reduced, shape
-        (count, primes, classes): the determinant if the rows are square,
-        else their signed maximal cofactors.  Expanded on the first call,
-        by ``_prefix_minors`` on the one tuple of the view's indices."""
-        if self._lanes is None:
-            moduli = self.basis.moduli
-            minors = _prefix_minors(self.source._signed, np.array([self.indices]), len(self[0]),
-                                    moduli)[:, 0]
-            self._lanes = _signed_cofactors(minors, moduli)
-        return self._lanes
 
-    def lifted(self) -> list:
-        """The ``lanes`` values as exact scalars, built on the first call:
-        cyclotomic elements lifted from every lane by one ``from_lanes``
-        call, or the Python ints of a degree-1 set expanded over its own
-        rows by ``_minors``, which a walk of views shares prefix levels
-        in."""
-        if self._lifted is None:
-            if self.basis.degree == 1:
-                self._lifted = _signed(_minors(self.source, self.indices, len(self[0])))
-            else:
-                lanes = np.take_along_axis(self.lanes(), self.source.classes[None], axis=2)
-                self._lifted = self[0][0].ctx.from_lanes(lanes, self.basis)
-        return self._lifted
+def _exact_values(view: RowSet) -> list:
+    """The exact values of a view of a lane set: the determinant if its
+    rows are square, else their signed maximal cofactors.  A degree-1
+    set's are Python ints expanded over its own rows by ``_minors``, which
+    a walk of views shares prefix levels in; a cyclotomic set's are lifted
+    from every lane class by one ``_prefix_minors`` call on the view's one
+    index tuple and one ``from_lanes`` call."""
+    source, width = view.source, len(view[0])
+    if view.basis.degree == 1:
+        return _signed(_minors(source, view.indices, width))
+    moduli = view.basis.moduli
+    minors = _prefix_minors(source._signed, np.array([view.indices]), width, moduli)[:, 0]
+    lanes = np.take_along_axis(_signed_cofactors(minors, moduli), source.classes[None], axis=2)
+    return view[0][0].ctx.from_lanes(lanes, view.basis)
+
+
+def _vanishes(view: RowSet) -> bool:
+    """Whether every value of a view of a lane set is zero (``_certify``
+    on the view's one index tuple)."""
+    return bool(_certify(view.source, np.array([view.indices]))[0])
 
 
 class _LaneValue(CycloElement):
-    """Value ``index`` of a view of a lane set, known by its filter
-    ``residue``.  A nonzero residue proves it nonzero; a zero one is decided
-    in the view's ``lanes``.  Its coefficients are lifted, with the view's
-    other values, only when read.  Lane values are integral, so ``den`` is
+    """The determinant of a square view of a cyclotomic lane set, known by
+    its filter ``residue``.  A nonzero residue proves it nonzero; a zero
+    one is decided by ``_certify``.  Its coefficients are lifted once,
+    when first read, and kept.  Lane values are integral, so ``den`` is
     1."""
 
-    __slots__ = ("_view", "_index", "_residue")
+    __slots__ = ("_view", "_residue", "_value")
     den = 1
 
-    def __init__(self, ctx, view, index, residue):
-        self.ctx, self._view, self._index, self._residue = ctx, view, index, residue
+    def __init__(self, ctx, view, residue):
+        self.ctx, self._view, self._residue, self._value = ctx, view, residue, None
 
     @property
     def num(self):
-        return self._view.lifted()[self._index].num
+        if self._value is None:
+            [self._value] = _exact_values(self._view)
+        return self._value.num
 
     def is_zero(self) -> bool:
-        return not self._residue and not self._view.lanes()[self._index].any()
+        return not self._residue and _vanishes(self._view)
 
 
 class _Lanes:
-    """The maximal cofactors of a view of a lane set, a sequence of lane
-    values, or of Python ints for a degree-1 set: the ``view`` that owns
-    their lanes and their filter ``residues``.  The values are built on the
-    first read."""
+    """The maximal cofactors of a view of a lane set, a sequence of exact
+    values: the ``view`` and their filter ``residues``.  A nonzero residue
+    proves its cofactor nonzero, so ``degenerate`` certifies the view only
+    where every residue is 0.  The values, cyclotomic elements or the
+    Python ints of a degree-1 set, are built on the first read
+    (``_exact_values``) and kept in ``_values``."""
 
     __slots__ = ("view", "residues", "_values")
 
     def __init__(self, view, residues):
         self.view, self.residues, self._values = view, residues, None
 
-    def values(self) -> tuple:
-        if self._values is None:
-            view = self.view
-            if view.basis.degree == 1:
-                self._values = tuple(view.lifted())
-            else:
-                self._values = tuple(_LaneValue(view[0][0].ctx, view, i, residue)
-                                     for i, residue in enumerate(self.residues))
-        return self._values
-
     def degenerate(self) -> bool:
-        return not any(self.residues) and not self.view.lanes().any()
+        return not any(self.residues) and _vanishes(self.view)
 
     def __len__(self):
         return len(self.residues)
 
     def __getitem__(self, index):
-        return (self._values or self.values())[index]
-
-    def __iter__(self):
-        return iter(self.values())
-
-    def __eq__(self, other):
-        return self.values() == (other.values() if isinstance(other, _Lanes) else other)
+        if self._values is None:
+            self._values = tuple(_exact_values(self.view))
+        return self._values[index]
 
 
 def _minors(source: RowSet, indices: tuple, columns: int):
@@ -837,7 +829,7 @@ def det(rows) -> object:
     rows = rows if isinstance(rows, RowSet) else RowSet(rows)
     if rows.basis is not None and rows.basis.degree > 1:
         [residue] = rows.source.filter_row(rows.indices).tolist()
-        return _LaneValue(rows[0][0].ctx, rows, 0, residue)
+        return _LaneValue(rows[0][0].ctx, rows, residue)
     [value] = _minors(rows.source, rows.indices, k)
     return value
 

@@ -1030,6 +1030,15 @@ class TestZeroFromLanes:
         assert lifts["lifts"] == 1
         assert all(incident(sphere, p) for p in points)
 
+    def test_det_lifts_once(self, lifts):
+        """A determinant of a view is zero-tested with no lift, and reading
+        its value twice lifts it once."""
+        view = scaled_rows(self.coset(8, 0).points).take(range(1, 7))
+        want = laplace_det([list(row) for row in view])
+        value = det(view)
+        assert scalars.is_zero(value) is False and lifts["lifts"] == 0
+        assert value == want and hash(value) == hash(want) and lifts["lifts"] == 1
+
 
 class TestIntervalMode:
     def test_non_certified_run_counts_indeterminates(self):

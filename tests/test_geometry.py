@@ -15,13 +15,20 @@ from hypothesis import strategies as st
 from conftest import certified_tuples, no_lifts
 from oracles import gaussian_rank, laplace_det, reference_cofactors
 
-from hypersphere_lab.errors import ConductorError, DegeneracyError, DomainError, PoleError
+from hypersphere_lab.errors import (
+    ConductorError,
+    DegeneracyError,
+    DomainError,
+    GeneralPositionError,
+    PoleError,
+)
 from hypersphere_lab.geometry import (
     Hypersphere,
     PointSet,
     as_point,
     complement_values,
     cospherical,
+    degenerate,
     det,
     general_position_check,
     hypersphere_through,
@@ -134,7 +141,7 @@ class TestLaneKernel:
         lane_set = scaled_rows(rows, row=tuple)
         cof = self.check(lane_set.take(range(k)), lane_set.take(range(k, k + 2)), shape)
         assert cof.view.source is lane_set and lane_set.basis is not None
-        assert cof.view.lanes().shape[0] == k + 1
+        assert len(cof) == len(cof.residues) == k + 1
         # plain rows are expanded over their own elements
         cof = self.check(rows[:k], rows[k:], shape)
         assert type(cof) is tuple and not hasattr(cof, "view")
@@ -145,15 +152,19 @@ class TestLaneKernel:
         rows, whose values are decided by the set's block."""
         want_cof = reference_cofactors(rows)
         want_values = [laplace_det([list(x)] + [list(r) for r in rows]) for x in others]
-        # every zero test is decided before any value is read, and lifts nothing
+        # the walk's zero tests, degeneracy and incidences, lift nothing; a
+        # lane view's cofactors are known by filter residues until read
         with no_lifts():
             cof = maximal_cofactors(rows)
+            assert degenerate(cof) is all(want == 0 for want in want_cof)
             if isinstance(rows, list):
                 values = incidence_values(cof, others)
             else:
                 values = complement_values(cof, rows.source, rows.indices)
-            for got, want in zip([*cof, *values], [*want_cof, *want_values]):
-                assert is_zero(got) is (want == 0)
+                residues = [int(w.ctx.to_lanes([w], rows.basis)[0, 0, 0]) for w in want_cof]
+                assert cof.residues == residues
+            assert [is_zero(got) for got in values] == [want == 0 for want in want_values]
+        assert [is_zero(got) for got in cof] == [want == 0 for want in want_cof]
         if shape != "generic":
             assert all(want == 0 for want in want_cof + want_values)
         self.assert_same(cof, want_cof)
@@ -178,7 +189,9 @@ class TestLaneKernel:
             cof = maximal_cofactors(rows.take([0, 1]))
             [incidence] = complement_values(cof, rows, (0, 1))
             assert is_zero(value) is False and is_zero(incidence) is False
-            assert [is_zero(c) for c in cof] == [True, True, False]
+            # (0, 0, p) is 0 in every lane of the first prime, not in the others
+            assert cof.residues == [0, 0, 0] and degenerate(cof) is False
+        assert [is_zero(c) for c in cof] == [True, True, False]
         assert value == p and incidence == 1 and list(cof) == [0, 0, p]
 
     def test_denominator_divisible_by_a_lane_prime(self):
@@ -220,7 +233,7 @@ class TestLaneKernel:
         assert again.block.key == (3, ()) and (again.block.table == rows.block.table).all()
         assert again.block.rows == rows.block.rows
         assert (again.block.subsets == rows.block.subsets).all()
-        assert cof_again == cof
+        assert list(cof_again) == list(cof) and cof_again.residues == cof.residues
         assert complement_values(cof_again, again, (0, 1, 2)) == values
         assert again.certified == rows.certified
 
@@ -307,30 +320,32 @@ class TestFilterLane:
     def test_one_certificate_per_sphere(self, monkeypatch, n, l, spheres):
         """Coset sets have no false filter candidates, so the batches of a
         spectrum certify each (d+2)-point sphere once and nothing else, and
-        no view expands its own lanes."""
+        these certificates are its only expansions in every lane class."""
         from hypersphere_lab import geometry
         from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
         from hypersphere_lab.counting import spectrum
 
         ps = coset_config(CosetSpec(CurveParams.default(4), n, l), validate=False)
         certified, expansions = [], []
-        certify, lanes = geometry._certify, geometry.RowSet.lanes
+        certify, prefix_minors = geometry._certify, geometry._prefix_minors
 
         def counted_certify(source, tuples):
             verdicts = certify(source, tuples)
             certified.extend(zip(map(tuple, tuples.tolist()), verdicts.tolist()))
             return verdicts
 
-        def counted_lanes(view):
-            expansions.append(view.indices)
-            return lanes(view)
+        def counted_prefix_minors(entries, tuples, width, modulus):
+            if entries.ndim > 2:  # every lane class, not the filter lane's (2 * width, n)
+                expansions.extend(map(tuple, tuples.tolist()))
+            return prefix_minors(entries, tuples, width, modulus)
 
         monkeypatch.setattr(geometry, "_certify", counted_certify)
-        monkeypatch.setattr(geometry.RowSet, "lanes", counted_lanes)
+        monkeypatch.setattr(geometry, "_prefix_minors", counted_prefix_minors)
         with no_lifts():
             spec = spectrum(ps, threads=1)
         assert spec.next_class == spheres and max(spec.counts) == 6
-        assert len(certified) == len(dict(certified)) == spheres and expansions == []
+        assert len(certified) == len(dict(certified)) == spheres
+        assert expansions == [six for six, _ in certified]
         assert all(len(six) == 6 and verdict is True for six, verdict in certified)
 
 
@@ -386,13 +401,15 @@ class TestLaneClasses:
         for indices in (range(k), range(2, k + 2), range(k + 1), range(1, k + 2)):
             view, exact = rows.take(indices), [rows[i] for i in indices]
             want = [laplace_det(exact)] if len(exact) == k + 1 else reference_cofactors(exact)
-            lanes = view.lanes()
+            minors = geometry._prefix_minors(rows._signed, np.array([view.indices]), k + 1,
+                                             basis.moduli)[:, 0]
+            lanes = geometry._signed_cofactors(minors, basis.moduli)
             assert lanes.shape == (len(want), len(basis.primes), max(counts))
             assert (np.take_along_axis(lanes, rows.classes[None], axis=2)
                     == ctx.to_lanes(want, basis)).all()
-            assert view.lifted() == want
-        last = np.array([range(1, k + 2)])
-        assert geometry._certify(rows, last).tolist() == [laplace_det(list(rows[1:])) == 0]
+            assert geometry._exact_values(view) == want
+            assert geometry._certify(rows, np.array([view.indices])).tolist() == [
+                all(w == 0 for w in want)]
 
     @pytest.mark.parametrize("n, l, classes, degree, spheres",
                              [(12, 3, 4, 24, 80), (13, 0, 12, 48, 132)])
@@ -424,13 +441,14 @@ class TestLaneClasses:
 
 
 class TestCertificatePrefix:
-    """``_certify`` decides any index tuples of a set, sorted or not, in
-    one batch that shares their prefixes, and a cofactor view expands its
-    own lanes once, without a walk.  Index tuples with shared, reordered,
-    repeated and fresh prefixes, cofactor views and another set's
-    certificates in between: every verdict and cofactor equals the exact
-    one, each batch is one expansion, and the set's ``walk`` stays
-    empty."""
+    """``_certify`` decides any index tuples of a set, square or of
+    cofactors, sorted or not, in one batch that shares their prefixes, and
+    a cofactor view's values are lifted by one expansion of its tuple,
+    kept for every later read, without a walk.  Index tuples with shared,
+    reordered, repeated and fresh prefixes, cofactor views and another
+    set's certificates in between: every verdict and cofactor equals the
+    exact one, each batch and each lift is one expansion in every lane
+    class, and the set's ``walk`` stays empty."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -476,29 +494,33 @@ class TestCertificatePrefix:
         prefix_minors = geometry._prefix_minors
 
         def expanded(entries, tuples, width, modulus):
-            expansions.append(tuple(map(tuple, tuples.tolist())))
+            if entries.ndim > 2:  # every lane class, not a block's filter table
+                expansions.append(tuple(map(tuple, tuples.tolist())))
             return prefix_minors(entries, tuples, width, modulus)
 
-        squares = [[], []]
+        checked = [{k: [], width: []}, {k: [], width: []}]
         with mock.patch.object(geometry, "_prefix_minors", expanded):
             for which, indices in script:
                 plain, rows = sets[which]
                 exact = [plain[i] for i in indices]
                 expansions.clear()
                 if len(indices) == k:
-                    view = rows.take(indices)
-                    assert view.lifted() == reference_cofactors(exact)
-                    assert view.lanes() is view.lanes()
+                    want = reference_cofactors(exact)
+                    cof = maximal_cofactors(rows.take(indices))
+                    assert list(cof) == want and list(cof) == want
                     assert expansions == [(indices,)] and rows.walk == ((), ())
-                    continue
+                    expansions.clear()
+                    zero = all(w == 0 for w in want)
+                else:
+                    zero = laplace_det(exact) == 0
                 [verdict] = geometry._certify(rows, np.array([indices])).tolist()
-                assert verdict is (laplace_det(exact) == 0)
+                assert verdict is zero
                 assert expansions == [(indices,)]
-                squares[which].append((indices, verdict))
-            # every square tuple of a set again, in one batch
-            for (_, rows), checked in zip(sets, squares):
-                if checked:
-                    tuples, verdicts = zip(*checked)
+                checked[which][len(indices)].append((indices, verdict))
+            # every tuple of a set again, a batch of each length
+            for (_, rows), by_length in zip(sets, checked):
+                for pairs in filter(None, by_length.values()):
+                    tuples, verdicts = zip(*pairs)
                     expansions.clear()
                     assert geometry._certify(rows, np.array(tuples)).tolist() == list(verdicts)
                     assert expansions == [tuples] and rows.walk == ((), ())
@@ -684,6 +706,138 @@ class TestIntegerLaneBound:
         assert zero_residue and [is_zero(v) for v in values] == [True, False] and degenerate
 
 
+class TestCyclotomicDegeneracy:
+    """A view of a cyclotomic lane set is degenerate exactly when its
+    cofactors vanish in every lane class: filter residues that are all 0
+    are confirmed by ``_certify`` before the view is called degenerate."""
+
+    @pytest.mark.parametrize("conductor", [8, 12, 20])
+    def test_cofactors_zero_in_the_filter_lane_only(self, conductor):
+        """Rows (z - w, 0, 0), (0, 1, 0), (0, 0, 1), with w the root that z
+        maps to in the filter lane (see ``TestFilterLane``): the cofactors
+        of the first two are (0, 0, z - w), all 0 in the filter lane and
+        not zero, the twin of ``TestIntegerLaneBound``'s (0, 0, P)."""
+        ctx = get_context(conductor)
+        z, zero, one = ctx.zeta_power(1), ctx.zero(), ctx.one()
+        basis = ctx.lane_basis(1)
+        w = ctx.from_rational(int(ctx.to_lanes([z], basis)[0, 0, 0]))
+        rows = scaled_rows([(z - w, zero, zero), (zero, one, zero), (zero, zero, one)], row=tuple)
+        assert rows.prime == basis.primes[0]
+        with no_lifts():
+            cof = maximal_cofactors(rows.take((0, 1)))
+            assert cof.residues == [0, 0, 0] and degenerate(cof) is False
+        assert list(cof) == [0, 0, z - w]
+
+    @staticmethod
+    def concyclic_last():
+        """Twelve d=3 points with conductor-8 coordinates, the file that
+        ``scripts/cli_artifacts.py`` counts.  Points 0-3 are concyclic in the
+        filter lane only: (1 + z - w, 0, 0), with z = zeta_8 and w its filter
+        root, and three points of the unit circle in the plane x_3 = 0,
+        which the first point's filter image (1, 0, 0) lies on.  Points 4-7
+        have small random coordinates.  Points 8-11 lie on the circle of
+        radius 2 about (1, 2, 3) in the plane x_2 = 2, so (8, 9, 10, 11) is
+        the set's only degenerate 4-subset and the last of its C(12, 4) =
+        495."""
+        ctx = get_context(8)
+        z, one, zero = ctx.zeta_power(1), ctx.one(), ctx.zero()
+        root2 = z - ctx.zeta_power(3)
+        half = root2 * Fraction(1, 2)
+        w = ctx.from_rational(int(ctx.to_lanes([z], ctx.lane_basis(1))[0, 0, 0]))
+        generic = [[(-1, 2, -2, 0), (-2, 1, 1, 1), (1, -1, -2, 1)],
+                   [(-2, 1, 1, 2), (-2, 1, 0, -1), (2, -2, 0, -2)],
+                   [(-2, -2, 2, -2), (1, -1, 1, -2), (2, -1, 1, 1)],
+                   [(2, -1, 0, -1), (-1, 1, 0, -2), (1, 2, -2, -1)]]
+        points = [(one + z - w, zero, zero), (half, half, zero), (zero, one, zero),
+                  (-half, half, zero),
+                  *[tuple(ctx.element(list(c)) for c in p) for p in generic],
+                  (one * 3, one * 2, one * 3), (one + root2, one * 2, root2 + 3),
+                  (one, one * 2, one * 5), (-one, one * 2, one * 3)]
+        return PointSet.build(points)
+
+    def test_concyclic_points_placed_last(self):
+        from hypersphere_lab.counting import spectrum
+
+        ps = self.concyclic_last()
+        rows = scaled_rows(ps.points)
+        assert rows.basis is not None and rows.basis.degree == 4
+
+        def rank(subset):
+            return gaussian_rank([list(lifted_row(ps.points[i])) for i in subset])
+
+        assert rank((0, 1, 2, 3)) == 4 and rank((8, 9, 10, 11)) == 3
+        with no_lifts():
+            assert maximal_cofactors(rows.take((0, 1, 2, 3))).residues == [0] * 5
+            assert not degenerate(maximal_cofactors(rows.take((0, 1, 2, 3))))
+            assert general_position_check(ps) == (8, 9, 10, 11)
+            with pytest.raises(GeneralPositionError) as err:
+                spectrum(ps, threads=1)
+        assert err.value.witness == (8, 9, 10, 11)
+
+
+class TestCertifyMinors:
+    """``_certify`` decides index tuples of k = width - 1 or k = width rows
+    of a lane set: a tuple is certified zero exactly when every minor of
+    full row count of its rows vanishes, all its maximal cofactors or its
+    determinant.  Cyclotomic and integer rows with planted dependencies: a
+    repeated row, a row that is the sum of two others, a row that adds to
+    one of them, in its last column, a value zero in the filter lane only
+    (z - w as in ``TestFilterLane``, or the filter prime P), and one that
+    adds 1 there, so that the first minor in ``combinations`` order of a
+    cofactor tuple holding both rows vanishes and the others need not.
+    The width - 1 random rows and the last column span every row."""
+
+    @staticmethod
+    def planted(conductor, width, seed):
+        rng = random.Random(seed)  # full-size coefficients, not shrunk ones
+        if conductor is None:
+            basis = integer_lane_basis(1)
+            filter_zero = basis.primes[0]
+
+            def element():
+                return rng.randint(-9, 9)
+        else:
+            ctx = get_context(conductor)
+            basis, z = ctx.lane_basis(1), ctx.zeta_power(1)
+            filter_zero = z - ctx.from_rational(int(ctx.to_lanes([z], basis)[0, 0, 0]))
+
+            def element():
+                return ctx.element([rng.randint(-9, 9) for _ in range(ctx.degree)])
+
+        a, b, *others = (tuple(element() for _ in range(width)) for _ in range(width - 1))
+        plain = [a, b, *others, a, tuple(x + y for x, y in zip(a, b)),
+                 (*a[:-1], a[-1] + filter_zero), (*a[:-1], a[-1] + 1)]
+        rows = scaled_rows(plain, row=tuple)
+        assert rows.basis is not None and rows.prime == basis.primes[0]
+        return plain, rows
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([8, 12, 20, None]),
+        st.integers(3, 5),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_verdicts_match_every_maximal_minor(self, conductor, width, square, permute, seed):
+        from hypersphere_lab import geometry
+
+        plain, rows = self.planted(conductor, width, seed)
+        rng = random.Random(seed)
+        k = width if square else width - 1
+        tuples = [list(t) for t in itertools.combinations(range(len(plain)), k)]
+        if permute:
+            for t in tuples:
+                rng.shuffle(t)
+        want = []
+        for t in tuples:
+            exact = [plain[i] for i in t]
+            values = [laplace_det(exact)] if square else reference_cofactors(exact)
+            want.append(all(value == 0 for value in values))
+        assert True in want and False in want
+        assert geometry._certify(rows, np.array(tuples)).tolist() == want
+
+
 class TestViewCache:
     """A view whose values are expanded over the set's own scalars reuses
     the levels of the longest index prefix it shares with the last expanded
@@ -814,7 +968,8 @@ class TestBlockTables:
             assert value._residue == residue(want) and is_zero(value) is (want == 0)
             return
         cof, want = maximal_cofactors(rows.take(indices)), reference_cofactors(exact)
-        assert [c._residue for c in cof] == [residue(w) for w in want]
+        assert cof.residues == [residue(w) for w in want]
+        assert degenerate(cof) is all(w == 0 for w in want)
         assert [is_zero(c) for c in cof] == [w == 0 for w in want]
         assert rows.filter_row(indices)[len(want):].tolist() == [
             residue(laplace_det([x, *exact])) for x in plain]
