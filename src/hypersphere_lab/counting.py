@@ -133,14 +133,15 @@ def _histogram_range(rows, r: int, start: int, stop: int, key):
     cofactors of the subset's rows.
 
     Returns (Counter key -> #subsets, first degenerate subset in this range
-    or None).  Each subset is a view of the set.  A lane set reads each
-    subset's cofactors and decided incidence values from the block of
+    or None).  Each subset's cofactors are those of the set's rows at its
+    indices, with no view.  A lane set reads each subset's cofactor
+    residues and decided incidence values as lists from the block of
     subsets it belongs to; any other set keeps the expansion levels of the
     index prefix consecutive subsets share (see ``geometry``).
     """
     hist: Counter = Counter()
     for subset in itertools.islice(itertools.combinations(range(len(rows)), r), start, stop):
-        cof = maximal_cofactors(rows.take(subset))
+        cof = maximal_cofactors(rows, subset)
         if degenerate(cof):
             return hist, subset
         hist[key(rows, subset, cof)] += 1

@@ -15,7 +15,9 @@ Python ints; cyclotomic rows become elements of denominator 1.
 
 Every minor and incidence value is expanded row by row over column
 subsets by one plan (``_expansion_plan``).  ``scaled_rows`` returns one
-``RowSet``; ``RowSet.take`` makes a view of some of its rows.  Interval
+``RowSet``; ``RowSet.take`` makes a view of some of its rows, and
+``maximal_cofactors(rows, indices)`` reads the rows at an index tuple of a
+set or view as the view of those indices would, with no view.  Interval
 and capped sets, and plain lists of rows (a set with no basis), expand in
 plain Python over their own scalars, by functions compiled from the plan
 once per shape, so that a level of minors costs one call and its
@@ -30,21 +32,22 @@ and filters in its *filter lane*, each entry's residue in lane 0 of the
 basis's first prime.  An integer has one lane per prime, its residue, so
 integer rows make a lane set of *degree 1* over plain primes; a
 cyclotomic entry has phi(N) lanes per split prime.  The cofactors or the
-determinant of a view of a lane set are known by their filter residues.
-A nonzero residue proves a value nonzero.  Where every residue is 0, the
-view is decided in every lane under the set's bound (below) by
-``_certify`` on its one index tuple, the one zero test in every lane,
-which also certifies the (d+2)-sets a block reads.  A view keeps no
-values.  The one object that reads them, a view's cofactors (``_Lanes``)
-or a cyclotomic view's determinant (``_LaneValue``), builds them on the
-first read (equality, hashing, JSON, pickling or arithmetic) by
+determinant of the rows of a lane set at an index tuple are known by
+their filter residues.  A nonzero residue proves a value nonzero.  Where
+every residue is 0, the rows are decided in every lane under the set's
+bound (below) by ``_certify`` on their one index tuple, the one zero test
+in every lane, which also certifies the (d+2)-sets a block reads.
+Neither a view nor a set keeps such values.  The one object that reads
+them, the cofactors (``_Lanes``) or a cyclotomic determinant
+(``_LaneValue``), holds the set and the index tuple, builds the values on
+the first read (equality, hashing, JSON, pickling or arithmetic) by
 ``_exact_values`` and keeps them, so a nonzero residue answers
-``degenerate`` with no value built.  A cyclotomic view's values are
-lifted from every lane class by one ``_prefix_minors`` call and one
-``from_lanes`` call.  The values of a degree-1 view are exact Python
-ints, expanded over the set's own rows by ``_minors`` (``det`` expands
-its determinant so directly), so that a walk that reads every view's
-values shares prefix levels as a set with no basis does.
+``degenerate`` with no value built.  Cyclotomic values are lifted from
+every lane class by one ``_prefix_minors`` call and one ``from_lanes``
+call.  The values of a degree-1 set are exact Python ints, expanded over
+its own rows by ``_minors`` (``det`` expands its determinant so
+directly), so that a walk that reads every subset's values shares prefix
+levels as a set with no basis does.
 The incidence values det([x; S]) of a subset S of a lane set against the
 rows outside it are only decided, by the block of S (below).
 ``incidence_values`` expands lane values over their elements, as it
@@ -68,8 +71,8 @@ leading index prefix that at most ``_BLOCK_SUBSETS`` of them share.  So a
 walk of at most that many subsets is one block, of the empty prefix, and
 a larger one splits on its leading indices.  One expansion,
 ``_prefix_minors``, is every numpy expansion of a lane set: of a block, of
-a batch of certificates (below), and of a view's one index tuple in every
-lane class for its zero test or its lift.  Level r holds the
+a batch of certificates (below), and of one index tuple in every lane
+class for its zero test or its lift.  Level r holds the
 minors of rows 0..r of each distinct (r+1)-index prefix of the index
 tuples, one column per prefix, built from the level of the prefix without
 its last index by one step of the plan's tables (``_level``), which adds
@@ -78,18 +81,23 @@ arrays mod the filter prime.  A subset's row of the block's table holds
 its signed maximal cofactors followed by their incidence residues against
 every row of the set, or the determinant of a square subset.  The set
 keeps its last block (``_Block``), with a dict from each subset of the
-block to its row, so that a view of sorted indices in that block costs
-one lookup; a view of other sorted, distinct indices builds their block.
-A view whose indices are not sorted and distinct is a table of its one
-tuple, in its own order.  A lexicographic walk reads each block to its end
+block to its row and the first k + 1 residues of every row as Python
+lists, its ``heads``, made by one ``tolist`` when the block is built: the
+cofactor residues of sorted indices in that block cost one lookup and
+touch no numpy; other sorted, distinct indices build their block.
+Indices that are not sorted and distinct are a table of their one tuple,
+in their own order.  A lexicographic walk reads each block to its end
 before it moves to the next.
 
 A block also *decides* its subsets' incidence values against the rows
 outside them, the first time a walk asks for one (``complement_values``,
-``RowSet._decide``): one int32 array, a row per subset of its values in
-index order, each the filter residue or, where that is 0, 1 or 0 as the
-sorted (d+2)-set is certified nonzero or zero.  The walk reads a subset's
-row as one list, with no view of the other rows.
+``RowSet._decide``): a Python list per subset of its values in index
+order, made by one ``tolist`` for the block, each 1 or 0 as the value is
+nonzero or zero: 1 where the filter residue is nonzero, and where it is
+0, as the sorted (d+2)-set is certified nonzero or zero.  0 and 1 are
+Python's cached small ints, so the lists hold no int objects of their
+own.  A walk step reads a subset's cofactor residues and decided values
+as two list rows, with no view and no numpy.
 
 A zero residue is proved zero once per *surface* where it can be
 (``RowSet._on_surfaces``).  Let S be a subset whose filter cofactors are
@@ -130,7 +138,7 @@ builds no table of an earlier block.
 
 A set that expands over its own scalars walks, a set with no basis or a
 degree-1 lane set whose values are read: it keeps the indices and scalar
-levels of its last expansion of one view in ``walk``, and the next
+levels of its last expansion of one index tuple in ``walk``, and the next
 expansion reuses the levels of the longest index prefix it shares with
 them: at d=4 a subset that keeps its first four rows of the previous one
 costs the 30 products of the last level instead of all 180.  Cached
@@ -169,7 +177,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -252,10 +260,11 @@ class PointSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "PointSet":
-        points = data["points"]
+        points, parsed = data["points"], {}
         if type(points) is not list or not all(type(p) is list for p in points):
             raise DomainError("points must be a list of coordinate lists")
-        points = [tuple(scalar_from_json(c) for c in p) for p in points]
+        # each distinct coefficient string of the file is parsed once
+        points = [tuple(scalar_from_json(c, parsed) for c in p) for p in points]
         ps = cls.build(points, metadata=data.get("metadata"))
         if ps.dimension != data.get("dimension", ps.dimension):
             raise DomainError("dimension field disagrees with point data")
@@ -272,7 +281,7 @@ class PointSet:
 def degenerate(values) -> bool:
     """Whether every value is certified zero, as a subset's cofactors or a
     surface's coefficients may be; an interval never is.  The cofactors of
-    a view of a lane set are decided without building their values."""
+    rows of a lane set are decided without building their values."""
     if isinstance(values, _Lanes):
         return values.degenerate()
     return all(is_zero(value) is True for value in values)
@@ -469,18 +478,23 @@ class _Block:
     """The k-subsets of a lane set that share the index prefix of ``key``
     = (k, prefix): the sorted ``subsets`` (m, k) in lexicographic order,
     their filter ``table`` (``_block_table``), the dict ``rows`` from each
-    subset to its table row, and ``decided``, set by ``complement_values``
-    (``RowSet._decide``): each subset's decided incidence values against
-    every row outside it, (m, n - k) int32, in index order.  A subset whose
-    filter cofactors are not all 0 and whose row has at least two zero
-    residues past its last index is a *base*: its cofactors are nonzero,
-    and the rows whose incidence with it is certified zero span, with it,
-    one surface (``RowSet._on_surfaces``)."""
+    subset to its table row, ``heads``, each table row's first k + 1
+    residues (its cofactors, or its determinant) as a list, and
+    ``decided``, set by ``complement_values`` (``RowSet._decide``): for
+    each subset, a list of its decided incidence values against every row
+    outside it, in index order, 1 or 0 as the value is nonzero or zero.
+    Python lists, so that a walk step reads a subset's cofactor residues
+    and decided values without numpy.  A subset whose filter cofactors are
+    not all 0 and whose row has at least two zero residues past its last
+    index is a *base*: its cofactors are nonzero, and the rows whose
+    incidence with it is certified zero span, with it, one surface
+    (``RowSet._on_surfaces``)."""
 
-    __slots__ = ("key", "subsets", "table", "rows", "decided")
+    __slots__ = ("key", "subsets", "table", "rows", "heads", "decided")
 
     def __init__(self, key, subsets, table, rows):
         self.key, self.subsets, self.table, self.rows = key, subsets, table, rows
+        self.heads = None if table is None else table[:, :subsets.shape[1] + 1].tolist()
         self.decided = None
 
 
@@ -536,19 +550,20 @@ class RowSet(tuple):
     prime, ``prime`` (column 0 of ``grid``).  ``take`` makes a view
     (``source``, ``indices``); the source is the set's identity, and its
     bound covers the values of its views; a set is its own source
-    (``_Itself``).  A view of a lane set keeps no values: the object that
-    reads them builds them (``_exact_values``), and ``_certify`` decides
-    them in every lane class.  A set with no basis, or of degree 1, keeps
-    the indices and levels of its last expansion of a view in ``walk``; a
-    cyclotomic lane set never walks.  A lane set keeps its last ``_Block`` in
-    ``block`` and, across blocks, its zero certificates in ``certified``,
-    a dict from the combination rank of each sorted index tuple its blocks
-    have certified (``_joined_ranks``) to whether its determinant
-    vanishes, and its certified surfaces in ``surfaces``, one boolean mask
-    over its rows each: a base S with nonzero cofactors c(S) and the rows
-    x with det([x; S]) = 0 certified, all in the kernel of c(S), of
-    dimension width - 1, so that every ``width`` rows of a surface have
-    determinant 0.  A pickle drops all of them.
+    (``_Itself``).  Neither keeps the values of a lane set's rows: the
+    object that reads them builds them (``_exact_values``), and
+    ``_certify`` decides them in every lane class.  A set with no basis,
+    or of degree 1, keeps the indices and levels of its last expansion of
+    an index tuple in ``walk``; a cyclotomic lane set never walks.  A lane
+    set keeps its last ``_Block`` in ``block`` and, across blocks, its zero
+    certificates in ``certified``, a dict from the combination rank of
+    each sorted index tuple its blocks have certified (``_joined_ranks``)
+    to whether its determinant vanishes, and its certified surfaces in
+    ``surfaces``, one boolean mask over its rows each: a base S with
+    nonzero cofactors c(S) and the rows x with det([x; S]) = 0 certified,
+    all in the kernel of c(S), of dimension width - 1, so that every
+    ``width`` rows of a surface have determinant 0.  A pickle drops all of
+    them.
     """
 
     walk = ((), ())
@@ -603,18 +618,19 @@ class RowSet(tuple):
         prefix = ordered[:_block_prefix(n, ordered)]
         rests = combinations(range(prefix[-1] + 1 if prefix else 0, n), k - len(prefix))
         subsets = [prefix + rest for rest in rests]
-        array = np.array(subsets, np.intp)
+        array = np.fromiter(chain.from_iterable(subsets), np.intp).reshape(-1, k)
         return _Block((k, prefix), array, _block_table(self._filter, self.prime, array),
                       dict(zip(subsets, range(len(subsets)))))
 
-    def _decide(self, block: _Block) -> np.ndarray:
+    def _decide(self, block: _Block) -> list:
         """The decided incidence values of each subset of a ``block`` of
-        cofactors against every row outside it, (subsets, n - k), int32 as
-        the block's table is: the filter residue, or where that is 0,
-        whether the determinant of the sorted indices T of the subset and
-        the row is nonzero: 0 where T lies on a certified surface
-        (``_on_surfaces``), else the certificate of T, read from
-        ``certified`` (``_certified_zeros``)."""
+        cofactors against every row outside it, a list of n - k values per
+        subset, each 1 or 0 as the value is nonzero or zero: 1 where the
+        filter residue is nonzero, and where it is 0, whether the
+        determinant of the sorted indices T of the subset and the row is
+        nonzero: 0 where T lies on a certified surface (``_on_surfaces``),
+        else the certificate of T, read from ``certified``
+        (``_certified_zeros``)."""
         subsets, n = block.subsets, len(self)
         m, k = subsets.shape
         residues = block.table[:, k + 1:]
@@ -627,10 +643,10 @@ class RowSet(tuple):
         zero = self._on_surfaces(block, at, index, below)
         rest = np.flatnonzero(~zero)
         zero[rest] = self._certified_zeros(subsets, at[rest], index[rest], below[rest])
-        values = residues[outside].reshape(m, n - k)
+        nonzero = residues[outside].reshape(m, n - k) != 0
         # the column of row i among the rows outside S is i less the rows of S below it
-        values[at, index - below] = ~zero
-        return values
+        nonzero[at, index - below] = ~zero
+        return nonzero.astype(np.int8).tolist()
 
     def _on_surfaces(self, block: _Block, at: np.ndarray, index: np.ndarray,
                      below: np.ndarray) -> np.ndarray:
@@ -718,73 +734,74 @@ class RowSet(tuple):
         return [self.certified[rank] for rank in ranks]
 
 
-def _exact_values(view: RowSet) -> list:
-    """The exact values of a view of a lane set: the determinant if its
-    rows are square, else their signed maximal cofactors.  A degree-1
-    set's are Python ints expanded over its own rows by ``_minors``, which
-    a walk of views shares prefix levels in; a cyclotomic set's are lifted
-    from every lane class by one ``_prefix_minors`` call on the view's one
-    index tuple and one ``from_lanes`` call."""
-    source, width = view.source, len(view[0])
-    if view.basis.degree == 1:
-        return _signed(_minors(source, view.indices, width))
-    moduli = view.basis.moduli
-    minors = _prefix_minors(source._signed, np.array([view.indices]), width, moduli)[:, 0]
-    lanes = np.take_along_axis(_signed_cofactors(minors, moduli), source.classes[None], axis=2)
-    return view[0][0].ctx.from_lanes(lanes, view.basis)
+def _exact_values(source: RowSet, indices: tuple) -> list:
+    """The exact values of the rows of the lane set ``source`` at
+    ``indices``: the determinant if they are square, else their signed
+    maximal cofactors.  A degree-1 set's are Python ints expanded over its
+    own rows by ``_minors``, which a walk shares prefix levels in; a
+    cyclotomic set's are lifted from every lane class by one
+    ``_prefix_minors`` call on the one index tuple and one ``from_lanes``
+    call."""
+    basis, width = source.basis, source.grid.shape[1]
+    if basis.degree == 1:
+        return _signed(_minors(source, indices, width))
+    minors = _prefix_minors(source._signed, np.array([indices]), width, basis.moduli)[:, 0]
+    lanes = np.take_along_axis(_signed_cofactors(minors, basis.moduli), source.classes[None], 2)
+    return source[0][0].ctx.from_lanes(lanes, basis)
 
 
-def _vanishes(view: RowSet) -> bool:
-    """Whether every value of a view of a lane set is zero (``_certify``
-    on the view's one index tuple)."""
-    return bool(_certify(view.source, np.array([view.indices]))[0])
+def _vanishes(source: RowSet, indices: tuple) -> bool:
+    """Whether every value of the rows of the lane set ``source`` at
+    ``indices`` is zero (``_certify`` on their one index tuple)."""
+    return bool(_certify(source, np.array([indices]))[0])
 
 
 class _LaneValue(CycloElement):
-    """The determinant of a square view of a cyclotomic lane set, known by
-    its filter ``residue``.  A nonzero residue proves it nonzero; a zero
-    one is decided by ``_certify``.  Its coefficients are lifted once,
-    when first read, and kept.  Lane values are integral, so ``den`` is
-    1."""
+    """The determinant of the square rows of a cyclotomic lane set
+    ``source`` at ``indices``, known by its filter ``residue``.  A nonzero
+    residue proves it nonzero; a zero one is decided by ``_certify``.  Its
+    coefficients are lifted once, when first read, and kept.  Lane values
+    are integral, so ``den`` is 1."""
 
-    __slots__ = ("_view", "_residue", "_value")
+    __slots__ = ("_rows", "_residue", "_value")
     den = 1
 
-    def __init__(self, ctx, view, residue):
-        self.ctx, self._view, self._residue, self._value = ctx, view, residue, None
+    def __init__(self, ctx, source, indices, residue):
+        self.ctx, self._rows, self._residue, self._value = ctx, (source, indices), residue, None
 
     @property
     def num(self):
         if self._value is None:
-            [self._value] = _exact_values(self._view)
+            [self._value] = _exact_values(*self._rows)
         return self._value.num
 
     def is_zero(self) -> bool:
-        return not self._residue and _vanishes(self._view)
+        return not self._residue and _vanishes(*self._rows)
 
 
 class _Lanes:
-    """The maximal cofactors of a view of a lane set, a sequence of exact
-    values: the ``view`` and their filter ``residues``.  A nonzero residue
-    proves its cofactor nonzero, so ``degenerate`` certifies the view only
-    where every residue is 0.  The values, cyclotomic elements or the
-    Python ints of a degree-1 set, are built on the first read
-    (``_exact_values``) and kept in ``_values``."""
+    """The maximal cofactors of the rows of a lane set ``source`` at
+    ``indices``, a sequence of exact values known by their filter
+    ``residues``, a list that the block of ``indices`` may hold (do not
+    modify it).  A nonzero residue proves its cofactor nonzero, so
+    ``degenerate`` certifies the rows only where every residue is 0.  The
+    values, cyclotomic elements or the Python ints of a degree-1 set, are
+    built on the first read (``_exact_values``) and kept in ``_values``."""
 
-    __slots__ = ("view", "residues", "_values")
+    __slots__ = ("source", "indices", "residues", "_values")
 
-    def __init__(self, view, residues):
-        self.view, self.residues, self._values = view, residues, None
+    def __init__(self, source, indices, residues):
+        self.source, self.indices, self.residues, self._values = source, indices, residues, None
 
     def degenerate(self) -> bool:
-        return not any(self.residues) and _vanishes(self.view)
+        return not any(self.residues) and _vanishes(self.source, self.indices)
 
     def __len__(self):
         return len(self.residues)
 
     def __getitem__(self, index):
         if self._values is None:
-            self._values = tuple(_exact_values(self.view))
+            self._values = tuple(_exact_values(self.source, self.indices))
         return self._values[index]
 
 
@@ -802,7 +819,7 @@ def _minors(source: RowSet, indices: tuple, columns: int):
     shared = len(indices)
     while indices[:shared] != walked[:shared]:
         shared -= 1
-    levels = levels[:shared] or [source[indices[0]]]
+    levels = levels[:shared] or [list(source[indices[0]])]
     functions = _level_functions(len(indices), columns)
     for r in range(len(levels), len(indices)):
         levels.append(functions[r - 1](source[indices[r]], levels[-1]))
@@ -821,7 +838,7 @@ def _signed(minors: list) -> list:
 
 def det(rows) -> object:
     """Determinant of a square matrix of scalars (division-free expansion):
-    a lane value for a view of a cyclotomic lane set, else the exact
+    a lane value for a cyclotomic lane set or a view of one, else the exact
     scalar, a Python int for integer rows."""
     k = len(rows)
     if any(len(r) != k for r in rows):
@@ -829,29 +846,43 @@ def det(rows) -> object:
     rows = rows if isinstance(rows, RowSet) else RowSet(rows)
     if rows.basis is not None and rows.basis.degree > 1:
         [residue] = rows.source.filter_row(rows.indices).tolist()
-        return _LaneValue(rows[0][0].ctx, rows, residue)
+        return _LaneValue(rows[0][0].ctx, rows.source, rows.indices, residue)
     [value] = _minors(rows.source, rows.indices, k)
     return value
 
 
-def maximal_cofactors(rows) -> tuple:
-    """Signed maximal cofactors of a k x (k+1) matrix.
+def maximal_cofactors(rows, indices=None) -> tuple:
+    """Signed maximal cofactors of a k x (k+1) matrix: ``rows``, or, given
+    ``indices``, its rows at ``indices``, which are those of
+    ``rows.take(indices)``, read with no view built.  Indices of a view are
+    mapped through its own, as ``take`` maps them.  A subset walk calls it
+    once per subset with the set and the subset's indices.
 
     Returns (c_0, ..., c_k) with c_j = (-1)^j * det(matrix without column j),
     so that for any extra row x: det([x; rows]) = sum_j x[j] * c_j.
-    Cofactors of a view of a lane set are known by their filter residues
-    in the table of its block, and are lane values, or Python ints for a
-    degree-1 set; a walk over the views of any other set reuses the levels
-    each shares with the previous one (see the module docstring).
+    Cofactors of rows of a lane set hold the set and the index tuple
+    (``_Lanes``).  They are known by their filter residues, read from the
+    ``heads`` of their block as a list, and their values are lane values,
+    or Python ints for a degree-1 set; a walk over the subsets of any other
+    set reuses the levels each shares with the previous one (see the module
+    docstring).
     """
     rows = rows if isinstance(rows, RowSet) else RowSet(rows)
-    columns = len(rows) + 1
-    if rows.basis is not None and rows.source.grid.shape[1] == columns:
+    source = rows.source
+    if indices is None:
+        indices = rows.indices
+    else:  # the indices in ``source``, as ``take`` maps them
+        indices = tuple(indices) if rows is source else tuple(rows.indices[i] for i in indices)
+    columns = len(indices) + 1
+    if source.basis is not None and source.grid.shape[1] == columns:
         # every row of a lane set has its grid's width
-        return _Lanes(rows, rows.source.filter_row(rows.indices)[:columns].tolist())
-    if set(map(len, rows)) - {columns}:
+        row = source.block.rows.get(indices)
+        if row is None:
+            return _Lanes(source, indices, source.filter_row(indices)[:columns].tolist())
+        return _Lanes(source, indices, source.block.heads[row])
+    if any(len(source[i]) != columns for i in indices):
         raise ValueError("expected a k x (k+1) matrix")
-    return tuple(_signed(_minors(rows.source, rows.indices, columns)))
+    return tuple(_signed(_minors(source, indices, columns)))
 
 
 def incidence_values(cof, rows) -> list:
@@ -865,10 +896,10 @@ def complement_values(cof, rows: RowSet, subset: tuple) -> list:
     """``incidence_values`` of ``cof``, the maximal cofactors of the rows
     of the set ``rows`` at the sorted ``subset``, against every row of
     ``rows`` outside ``subset``, in index order.  Lane values are only
-    decided, as Python ints that are zero iff the values are, and read
-    from the set's last block, which holds ``subset`` once
-    ``maximal_cofactors`` of its view has run and decides the values of
-    all its subsets the first time one of them is asked for
+    decided, as 1 or 0 as the values are nonzero or zero, in a list that
+    the set's last block holds (do not modify it): the block holds
+    ``subset`` once ``maximal_cofactors`` of it has run, and decides the
+    values of all its subsets the first time one of them is asked for
     (``RowSet._decide``); any other cofactors are expanded against the
     other rows."""
     if not isinstance(cof, _Lanes):
@@ -876,7 +907,7 @@ def complement_values(cof, rows: RowSet, subset: tuple) -> list:
     block = rows.block
     if block.decided is None:
         block.decided = rows._decide(block)
-    return block.decided[block.rows[subset]].tolist()
+    return block.decided[block.rows[subset]]
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +1078,7 @@ def general_position_check(ps: PointSet):
         raise DomainError("general position certification requires an exact backend")
     rows = scaled_rows(ps.points)
     for subset in combinations(range(ps.n), ps.dimension + 1):
-        if degenerate(maximal_cofactors(rows.take(subset))):
+        if degenerate(maximal_cofactors(rows, subset)):
             return subset
     return None
 

@@ -927,14 +927,34 @@ def _coefficient(text):
     return read_fraction(text)
 
 
-def scalar_from_json(data):
+def _coefficients(texts: list, parsed: dict) -> list:
+    """``_coefficient`` of each of ``texts``, where ``parsed`` maps each
+    string read before to its value and gets each string read here, so that
+    each distinct string is parsed once; anything that is no string is read
+    each time."""
+    values = []
+    for text in texts:
+        if type(text) is not str:
+            values.append(_coefficient(text))
+        elif text in parsed:
+            values.append(parsed[text])
+        else:
+            values.append(parsed.setdefault(text, _coefficient(text)))
+    return values
+
+
+def scalar_from_json(data, parsed=None):
+    """The scalar of a JSON value.  ``parsed``, a dict that the calls for
+    one file share, maps the cyclotomic coefficient strings read so far to
+    their values, so that each distinct string is parsed once; the values
+    and errors are those of reading each string on its own."""
     if isinstance(data, str):
         return read_fraction(data)
     if isinstance(data, dict) and "conductor" in data:
         ctx = get_context(_json_int(data, "conductor"))
         if type(data["coeffs"]) is not list:
             raise DomainError(f"scalar field 'coeffs' must be a list, got {data['coeffs']!r}")
-        return ctx.element([_coefficient(c) for c in data["coeffs"]])
+        return ctx.element(_coefficients(data["coeffs"], {} if parsed is None else parsed))
     if isinstance(data, dict) and "lo" in data:
         return IntervalScalar.from_endpoints(data["lo"], data["hi"], _json_int(data, "bits"))
     raise ValueError(f"unrecognized scalar encoding: {data!r}")

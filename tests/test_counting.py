@@ -1105,8 +1105,14 @@ class TestBenchmarkContract:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """Calls of ``maximal_cofactors`` and of ``is_zero``, patched as the
+        benchmark's tracer patches them (``perfbench/spans.py``): at every
+        name a call looks them up by, so that ``geometry`` calling its own
+        ``maximal_cofactors`` inside a walk counts too."""
+        from hypersphere_lab import geometry
+
         tally = Counter()
-        cofactors, zero_test = counting.maximal_cofactors, counting.is_zero
+        cofactors, zero_test = geometry.maximal_cofactors, counting.is_zero
 
         def counted_cofactors(rows, *rest):
             tally["subsets"] += 1
@@ -1119,30 +1125,47 @@ class TestBenchmarkContract:
             return verdict
 
         monkeypatch.setattr(counting, "maximal_cofactors", counted_cofactors)
+        monkeypatch.setattr(geometry, "maximal_cofactors", counted_cofactors)
         monkeypatch.setattr(counting, "is_zero", counted_zero_test)
         return tally
 
     @staticmethod
-    def closed_expressions(spec):
-        n, r = spec.n, spec.subset_size
-        return Counter(
-            subsets=math.comb(n, r),
-            tests=math.comb(n, r) * (n - r),
-            hits=sum(nm * math.comb(m, r) * (m - r) for m, nm in spec.counts.items()),
-        )
+    def closed_expressions(specs):
+        """One cofactor call per subset and one test per incidence of each
+        spectrum an operation decides."""
+        return sum((Counter(
+            subsets=math.comb(spec.n, spec.subset_size),
+            tests=math.comb(spec.n, spec.subset_size) * (spec.n - spec.subset_size),
+            hits=sum(nm * math.comb(m, spec.subset_size) * (m - spec.subset_size)
+                     for m, nm in spec.counts.items()),
+        ) for spec in specs), Counter())
 
     @pytest.mark.parametrize("config", ["trivial", "coset"])
-    @pytest.mark.parametrize("mode", ["sphere", "lifted_plane"])
+    @pytest.mark.parametrize("mode", ["sphere", "lifted_plane", "correspondence", "compare"])
     def test_one_cofactor_call_per_subset_one_test_per_incidence(self, calls, config, mode):
-        from hypersphere_lab.constructions import CosetSpec, CurveParams, coset_config
+        """``spectrum``, ``ordinary_hyperplane_spectrum``,
+        ``verify_correspondence`` (two spectra) and ``compare_report``, the
+        operations the benchmark times, make C(n, r) cofactor calls per
+        spectrum in all, as its traced run checks."""
+        from hypersphere_lab.constructions import (
+            CosetSpec,
+            CurveParams,
+            compare_report,
+            coset_config,
+        )
 
         if config == "trivial":
             ps = sphere_plus_point_config(3, 8, seed=2)
         else:
             ps = coset_config(CosetSpec(CurveParams.default(4), 8, 0), validate=False)
         if mode == "sphere":
-            spec = spectrum(ps, threads=1)
+            specs = [spectrum(ps, threads=1)]
+        elif mode == "lifted_plane":
+            specs = [ordinary_hyperplane_spectrum(lift_set(ps), threads=1)]
+        elif mode == "correspondence":
+            report = verify_correspondence(ps, threads=1)
+            specs = [report.sphere_spectrum, report.plane_spectrum]
         else:
-            spec = ordinary_hyperplane_spectrum(lift_set(ps), threads=1)
-        assert max(spec.counts) > spec.subset_size  # some test answers True
-        assert calls == self.closed_expressions(spec)
+            specs = [compare_report(ps, threads=1).engine]
+        assert all(max(spec.counts) > spec.subset_size for spec in specs)  # some test is True
+        assert calls == self.closed_expressions(specs)

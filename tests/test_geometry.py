@@ -56,16 +56,20 @@ from hypersphere_lab.scalars import (
 small_fraction = st.fractions(min_value=-12, max_value=12, max_denominator=8)
 
 
-def assert_decides(got, want, basis):
-    """Incidence values against a view of the cofactors' own lane set are
-    Python ints that decide each test: zero iff the exact value is, and
-    equal to its filter residue where that is nonzero."""
-    assert len(got) == len(want)
-    for entry, value in zip(got, want):
-        assert type(entry) is int and (entry == 0) == (value == 0)
-        residue = int(value.ctx.to_lanes([value], basis)[0, 0, 0])
-        if residue:
-            assert entry == residue
+def assert_decides(got, want, rows, subset):
+    """Incidence values of the cofactors of the rows of the lane set
+    ``rows`` at the sorted ``subset`` against every row outside it are
+    Python ints that decide each test, 1 or 0 as the exact value is
+    nonzero or zero, and the table of the set's block holds the filter
+    residue of each exact value."""
+    assert all(type(entry) is int for entry in got)
+    assert got == [int(value != 0) for value in want]
+    block, k = rows.block, len(subset)
+    row = block.rows[subset]
+    residues = block.table[row, k + 1:][[i for i in range(len(rows)) if i not in subset]]
+    assert residues.tolist() == [int(value.ctx.to_lanes([value], rows.basis)[0, 0, 0])
+                                 for value in want]
+    assert block.heads[row] == block.table[row, :k + 1].tolist()
 
 
 def rational_points(d, n):
@@ -140,11 +144,11 @@ class TestLaneKernel:
         # views of a scaled_rows set take its lanes: their cofactors carry them
         lane_set = scaled_rows(rows, row=tuple)
         cof = self.check(lane_set.take(range(k)), lane_set.take(range(k, k + 2)), shape)
-        assert cof.view.source is lane_set and lane_set.basis is not None
-        assert len(cof) == len(cof.residues) == k + 1
+        assert cof.source is lane_set and lane_set.basis is not None
+        assert cof.indices == tuple(range(k)) and len(cof) == len(cof.residues) == k + 1
         # plain rows are expanded over their own elements
         cof = self.check(rows[:k], rows[k:], shape)
-        assert type(cof) is tuple and not hasattr(cof, "view")
+        assert type(cof) is tuple and not hasattr(cof, "source")
 
     def check(self, rows, others, shape):
         """Cofactors of ``rows`` and their incidence values against
@@ -171,7 +175,7 @@ class TestLaneKernel:
         if isinstance(rows, list):
             self.assert_same(values, want_values)
         else:
-            assert_decides(values, want_values, rows.basis)
+            assert_decides(values, want_values, rows.source, rows.indices)
         assert incidence_values(cof, []) == []
         return cof
 
@@ -219,22 +223,23 @@ class TestLaneKernel:
         values = complement_values(cof, rows, (0, 1, 2))
         assert [is_zero(value) for value in values] == [False, True]
         assert rows.block.key == (3, ()) and len(rows.block.rows) == 10
-        assert rows.block.decided is not None
+        assert rows.block.decided is not None and len(rows.block.heads) == 10
         assert certified_tuples(rows) == {(0, 1, 2, 4): True, (0, 1, 3, 4): True}
         again = pickle.loads(pickle.dumps(rows))
         assert (again.block.key, again.block.table, again.block.rows) == ((), None, {})
-        assert again.block.decided is None and again.certified == {}
+        assert again.block.heads is again.block.decided is None and again.certified == {}
         assert again.source is again and again.indices == rows.indices
         assert again.basis is not None and again.basis.primes == rows.basis.primes
         assert again == rows and (again.grid == rows.grid).all()
         assert (again._filter == rows._filter).all() and again.prime == rows.prime
         cof_again = maximal_cofactors(again.take(range(3)))
-        assert cof_again.view.source is again
+        assert cof_again.source is again and cof_again.indices == (0, 1, 2)
         assert again.block.key == (3, ()) and (again.block.table == rows.block.table).all()
-        assert again.block.rows == rows.block.rows
+        assert again.block.rows == rows.block.rows and again.block.heads == rows.block.heads
         assert (again.block.subsets == rows.block.subsets).all()
         assert list(cof_again) == list(cof) and cof_again.residues == cof.residues
         assert complement_values(cof_again, again, (0, 1, 2)) == values
+        assert again.block.decided == rows.block.decided
         assert again.certified == rows.certified
 
 
@@ -277,11 +282,12 @@ class TestLaneSetSoundness:
         # one set: det, cofactors and incidence values
         assert det(set_a.take(range(k + 1))) == laplace(plain_a[:k + 1])
         cof = maximal_cofactors(set_a.take(range(k)))
-        assert cof.view.source is set_a and set_a.basis is not None
+        assert cof.source is set_a and set_a.basis is not None
         assert list(cof) == reference_cofactors(plain_a[:k])
         with no_lifts():
             values = complement_values(cof, set_a, tuple(range(k)))
-        assert_decides(values, [laplace([x, *plain_a[:k]]) for x in plain_a[k:]], set_a.basis)
+        assert_decides(values, [laplace([x, *plain_a[:k]]) for x in plain_a[k:]], set_a,
+                       tuple(range(k)))
         # rows of two sets
         mixed = [set_a[i] if i % 2 else set_b[i] for i in range(k + 1)]
         plain = [plain_a[i] if i % 2 else plain_b[i] for i in range(k + 1)]
@@ -407,7 +413,7 @@ class TestLaneClasses:
             assert lanes.shape == (len(want), len(basis.primes), max(counts))
             assert (np.take_along_axis(lanes, rows.classes[None], axis=2)
                     == ctx.to_lanes(want, basis)).all()
-            assert geometry._exact_values(view) == want
+            assert geometry._exact_values(rows, view.indices) == want
             assert geometry._certify(rows, np.array([view.indices])).tolist() == [
                 all(w == 0 for w in want)]
 
@@ -645,7 +651,7 @@ class TestDecidedComplements:
                 assert subset in rows.block.rows and rows.block.decided is not None
                 keys.add(rows.block.key)
                 others = [i for i in range(n) if i not in subset]
-                assert_decides(got, [incidence(subset, i) for i in others], rows.basis)
+                assert_decides(got, [incidence(subset, i) for i in others], rows, subset)
                 zeros += got.count(0)
         assert len(keys) == 1 if block == 4096 else len(keys) > 1
         # each zero (k+1)-set holds rows 0, 1 and 2, and is seen from its k+1 subsets
@@ -804,7 +810,11 @@ class TestCertifyMinors:
             def element():
                 return ctx.element([rng.randint(-9, 9) for _ in range(ctx.degree)])
 
-        a, b, *others = (tuple(element() for _ in range(width)) for _ in range(width - 1))
+        unit = (0,) * (width - 1) + (1,)
+        while True:  # until the width - 1 random rows and the last column span every row
+            a, b, *others = (tuple(element() for _ in range(width)) for _ in range(width - 1))
+            if laplace_det([a, b, *others, unit]) != 0:
+                break
         plain = [a, b, *others, a, tuple(x + y for x, y in zip(a, b)),
                  (*a[:-1], a[-1] + filter_zero), (*a[:-1], a[-1] + 1)]
         rows = scaled_rows(plain, row=tuple)
@@ -1017,6 +1027,118 @@ class TestBlockTables:
                     picked = [view[:-1] + (view[start % (k - 1)],) for view in picked]
                 for indices in picked:
                     self.check(plain, rows, indices)
+
+
+class TestIndexCall:
+    """``maximal_cofactors(rows, indices)`` returns what
+    ``maximal_cofactors(rows.take(indices))`` returns, with no view.  On
+    integer lane sets of width d + 2 for d = 3 and 4, cyclotomic lane sets
+    of conductors 8, 12 and 20, capped and interval sets and plain lists of
+    rows, each with a planted zero: a lexicographic walk from a subset in
+    the middle of the walk, with blocks of one subset, of three, or of the
+    whole walk, the set pickled halfway or not, then permuted and repeated
+    indices and indices of a view.  The index call on one copy of the set
+    and the view call on another agree on their residues, degeneracy,
+    complement values and values, and a lane set's block holds each
+    subset's residues in ``heads`` as its table does."""
+
+    @staticmethod
+    def given_rows(kind, conductor, d, rng, n):
+        """Rows given to ``scaled_rows``, or a plain list of rows, whose
+        third row is the sum of the first two."""
+        if kind == "int":
+            rows = [tuple(rng.randint(-99, 99) for _ in range(d + 2)) for _ in range(n)]
+        elif kind == "list":
+            rows = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d))
+                    for _ in range(n)]
+        else:
+            rows = TestViewCache.rows(kind, get_context(conductor), rng, n, d)[0]
+        rows[2] = tuple(a + b for a, b in zip(rows[0], rows[1]))
+        return rows
+
+    @staticmethod
+    def check(rows, twin, indices, subset=None):
+        """The index call on ``rows`` against the view call on ``twin``; a
+        sorted ``subset`` of a set also reads its complement values."""
+        got, want = maximal_cofactors(rows, indices), maximal_cofactors(twin.take(indices))
+        assert type(got) is type(want) and len(got) == len(want)
+        if hasattr(want, "residues"):
+            assert got.residues == want.residues and got.indices == want.indices
+            assert got.source is rows.source
+        if subset is not None:
+            values = [complement_values(got, rows, subset), complement_values(want, twin, subset)]
+            if hasattr(want, "residues"):
+                block, k = rows.block, len(subset)
+                row = block.rows[subset]
+                assert block.heads[row] == block.table[row, :k + 1].tolist() == got.residues
+        else:
+            values = [[], []]
+        assert degenerate(got) is degenerate(want)
+        values += [list(got), list(want)]
+        if isinstance(values[-1][0], IntervalScalar):
+            values = [[(c.lo, c.hi) for c in v] for v in values]
+        assert values[0] == values[1] and values[2] == values[3]
+        return degenerate(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["int", "cyclo", "capped", "interval", "list"]),
+        st.sampled_from([8, 12, 20]),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([1, 3, 4096]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_index_call_equals_the_view_call(self, kind, conductor, d, block, pickled, seed):
+        from hypersphere_lab import geometry
+        from hypersphere_lab.geometry import RowSet
+
+        if kind in ("int", "capped"):
+            # integer rows of width 5 and 6; a capped bound needs three rows
+            d = max(d, 3)
+        elif kind == "interval":
+            d = min(d, 3)
+        rng = random.Random(seed)  # full-size coefficients, not shrunk ones
+        n = d + 4
+        given_rows = self.given_rows(kind, conductor, d, rng, n)
+        if kind == "list":
+            rows, twin = given_rows, RowSet(given_rows)
+        else:
+            rows, twin = (scaled_rows(given_rows, row=tuple) for _ in range(2))
+            assert (rows.basis is None) is (kind in ("capped", "interval"))
+        k = len(given_rows[0]) - 1
+        subsets = list(itertools.combinations(range(n), k))
+        start = rng.randrange(1, len(subsets))
+        with mock.patch.object(geometry, "_BLOCK_SUBSETS", block):
+            for rank in range(start, len(subsets)):
+                if pickled and kind != "list" and rank == (start + len(subsets)) // 2:
+                    rows = pickle.loads(pickle.dumps(rows))
+                self.check(rows, twin, subsets[rank], subsets[rank])
+            # k rows that hold rows 0, 1 and their sum have rank k - 1
+            if k >= 3 and kind != "interval":
+                assert self.check(rows, twin, subsets[0], subsets[0]) is True
+            subset = list(subsets[rng.randrange(len(subsets))])
+            rng.shuffle(subset)
+            self.check(rows, twin, subset)  # permuted
+            self.check(rows, twin, subset[:-1] + subset[:1])  # a repeated index
+            order = list(range(n))
+            rng.shuffle(order)
+            view = (RowSet(rows) if kind == "list" else rows).take(order)
+            self.check(view, twin.take(order), subset)  # indices of a view
+
+    def test_multi_block_walk(self):
+        """A trivial d=4 n=20 set walks 15 504 subsets over several blocks;
+        a walk of the index call and one of views agree at every subset."""
+        from hypersphere_lab.constructions import trivial_config
+
+        ps = trivial_config(4, 20, seed=3)
+        rows, twin = scaled_rows(ps.points), scaled_rows(ps.points)
+        assert rows.basis is not None and rows.basis.degree == 1
+        keys = set()
+        for subset in itertools.combinations(range(20), 5):
+            self.check(rows, twin, subset, subset)
+            keys.add(rows.block.key)
+        assert len(keys) > 1
 
 
 class TestBlockPlan:

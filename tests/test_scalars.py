@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -445,6 +446,43 @@ class TestSerialization:
         if text in ("1/2", "-3/4", "-0/5", "007/014"):
             monkeypatch.setattr(scalars, "read_fraction", None)
             assert _coefficient(text) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(elements=st.lists(st.lists(st.sampled_from([
+        "0", "0", "-1/2", "1/2", "1", "-1", "007", "4/2", "0.5", "1e3", " 7", "1/0", "abc", "",
+        "1e5000", "9" * 30, 3, 0.25, True, None, [1],
+    ]), min_size=4, max_size=4), min_size=1, max_size=4))
+    def test_a_file_parses_each_coefficient_string_once(self, elements):
+        """Cyclotomic elements read with one shared ``parsed`` dict, as the
+        points of one file are: each equals the element of ``read_fraction``
+        of each coefficient, or raises its first error, and each string that
+        reads is parsed once; a string that fails, and anything that is no
+        string, is read each time it is met."""
+        from unittest import mock
+
+        from hypersphere_lab import scalars
+
+        ctx, parsed, seen = get_context(12), {}, Counter()
+        coefficient = scalars._coefficient
+
+        def counted(text):
+            if type(text) is str:
+                seen[text] += 1
+            return coefficient(text)
+
+        with mock.patch.object(scalars, "_coefficient", counted):
+            for coeffs in elements:
+                try:
+                    want = ctx.element([read_fraction(c) for c in coeffs])
+                except (ValueError, TypeError, ZeroDivisionError, DomainError) as exc:
+                    with pytest.raises(type(exc)) as raised:
+                        scalar_from_json({"conductor": 12, "coeffs": coeffs}, parsed)
+                    assert str(raised.value) == str(exc)
+                else:
+                    got = scalar_from_json({"conductor": 12, "coeffs": coeffs}, parsed)
+                    assert (got.num, got.den) == (want.num, want.den)
+                    assert scalar_to_json(got) == scalar_to_json(want)
+        assert all(type(text) is str and seen[text] == 1 for text in parsed)
 
     def test_interval_round_trip_exact(self):
         x = IntervalScalar.from_fraction(Fraction(1, 3), 96)
